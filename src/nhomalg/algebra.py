@@ -190,13 +190,13 @@ class GradedAlgebra:
         def compute():
             source = self.normal_basis(n)
             target_dim = self.component_dim(n + len(word))
-            matrix = Matrix.zero(target_dim, len(source))
+            rows: dict[int, dict[int, Fraction]] = {}
             for j, b in enumerate(source):
                 product_word = b + word if side == "right" else word + b
                 for i, c in enumerate(self.normal_coordinates(word_vector(product_word))):
                     if c:
-                        matrix.entries[i][j] = c
-            return matrix
+                        rows.setdefault(i, {})[j] = c
+            return Matrix(target_dim, len(source), rows)
         return self._cached(self._word_mats, (n, word, side), compute)
 
     def generator_matrix(self, n: int, k: int, side: str = "right") -> Matrix:

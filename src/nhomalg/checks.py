@@ -157,10 +157,16 @@ def run_checks(algebra: GradedAlgebra, n_max: int,
             except InternalConsistencyError as err:
                 checks.append(_result(
                     "tableau counts match graded dimensions", False, str(err)))
-        if name == "artin_schelter" and entry.q:
-            report = catalog.centrality_check(algebra, entry.q, max(3, min(n_max, 5)))
-            checks.append(_result(
-                "quadratic element is central", report.central,
-                f"q = {entry.q}, degrees up to {report.n_max}"))
+        # e1e2 - (1/q) e2e1 is central when r = 1; by the q <-> r symmetry
+        # e1e2 - (1/r) e2e1 is central when q = 1.  Otherwise no element
+        # of that shape is central, so there is nothing to check.
+        if name == "artin_schelter" and 1 in (entry.q, entry.r):
+            label, parameter = ("q", entry.q) if entry.r == 1 else ("r", entry.r)
+            if parameter:
+                report = catalog.centrality_check(algebra, parameter,
+                                                  max(3, min(n_max, 5)))
+                checks.append(_result(
+                    "quadratic element is central", report.central,
+                    f"{label} = {parameter}, degrees up to {report.n_max}"))
 
     return checks

@@ -317,9 +317,10 @@ def plactic_cmds():
 
 @plactic_cmds.command("normal-form")
 @click.argument("word")
-@click.option("--D", "generators", type=int, required=True)
+@click.option("--D", "generators", type=click.IntRange(min=1), required=True)
 @click.option("--format", "fmt", type=click.Choice(("table", "json")),
               default="table", show_default=True)
+@guarded
 def normal_form(word, generators, fmt):
     """Tableau normal form of WORD (a digit string over 1..D)."""
     letters = []
@@ -336,13 +337,17 @@ def normal_form(word, generators, fmt):
 
 
 @plactic_cmds.command("count")
-@click.option("--D", "generators", type=int, required=True)
-@click.option("--max-degree", type=int, default=6, show_default=True)
+@click.option("--D", "generators", type=click.IntRange(min=1), required=True)
+@click.option("--max-degree", type=click.IntRange(min=0), default=6,
+              show_default=True)
 @click.option("--format", "fmt", type=click.Choice(("table", "json")),
               default="table", show_default=True)
+@guarded
 def count(generators, max_degree, fmt):
     """Number of tableaux with entries up to D, per cell count."""
-    counts = [tableaux.count_tableaux(generators, n) for n in range(max_degree + 1)]
+    # Largest cell count first, so a refusal comes before any enumeration.
+    counts = [tableaux.count_tableaux(generators, n)
+              for n in reversed(range(max_degree + 1))][::-1]
     payload = {"schemaVersion": SCHEMA_VERSION, "command": "plactic count",
                "D": generators, "maxDegree": max_degree, "counts": counts}
     lines = ["cells  tableaux"]

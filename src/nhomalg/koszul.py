@@ -6,7 +6,9 @@ boundary yields honest complexes.  This module builds their finite
 total-degree slices as explicit rational matrices, computes exact
 homology, runs the Koszulity probe (acyclicity of every positive-degree
 slice of the distinguished contraction), and runs the Gorenstein probe
-on the dualised resolution of a cubic algebra.
+on the dualised resolution of a cubic algebra.  Each boundary map is a
+sum of Kronecker products, one per word prefix, accumulated into one
+sparse matrix in a single pass.
 """
 
 from __future__ import annotations
@@ -77,7 +79,7 @@ def _splitting_matrices(algebra: GradedAlgebra, m: int, j: int) -> dict[tuple, M
     """
     source = algebra.dual_space(m)
     target = algebra.dual_space(m - j)
-    matrices: dict[tuple, Matrix] = {}
+    by_prefix: dict[tuple, dict[int, dict]] = {}
     for c, row in enumerate(source.rows):
         tails: dict[tuple, dict] = {}
         for word, coeff in row.terms.items():
@@ -90,30 +92,30 @@ def _splitting_matrices(algebra: GradedAlgebra, m: int, j: int) -> dict[tuple, M
                 raise InternalConsistencyError(
                     f"tail of a degree-{m} dual row escapes the degree-{m - j} "
                     "dual space")
-            if prefix not in matrices:
-                matrices[prefix] = Matrix.zero(target.dim, source.dim)
-            column = matrices[prefix]
+            rows = by_prefix.setdefault(prefix, {})
             for i, value in enumerate(coords):
                 if value:
-                    column.entries[i][c] = value
-    return matrices
+                    rows.setdefault(i, {})[c] = value
+    return {prefix: Matrix(target.dim, source.dim, rows)
+            for prefix, rows in by_prefix.items()}
 
 
 def _differential(algebra: GradedAlgebra, n: int, m: int, j: int) -> Matrix:
     """Matrix of the j-fold boundary from A_{n-m} (x) W_m into
-    A_{n-m+j} (x) W_{m-j}, in normal-basis (x) dual-row coordinates."""
+    A_{n-m+j} (x) W_{m-j}, in normal-basis (x) dual-row coordinates:
+    the sum over length-j prefixes of (right multiplication by the
+    prefix) (x) (tail coordinates), built in one sparse pass."""
     a = n - m
     source_w = algebra.dual_dim(m)
     target_w = algebra.dual_dim(m - j)
     source_a = algebra.component_dim(a) if a >= 0 else 0
     target_a = algebra.component_dim(a + j) if a + j >= 0 else 0
-    total = Matrix.zero(target_a * target_w, source_a * source_w)
-    if total.nrows == 0 or total.ncols == 0:
-        return total
-    for prefix, tails in sorted(_splitting_matrices(algebra, m, j).items()):
-        right = algebra.word_matrix(a, prefix, "right")
-        total = total + right.kron(tails)
-    return total
+    nrows, ncols = target_a * target_w, source_a * source_w
+    if nrows == 0 or ncols == 0:
+        return Matrix.zero(nrows, ncols)
+    return Matrix.kron_sum(nrows, ncols, (
+        (algebra.word_matrix(a, prefix, "right"), tails)
+        for prefix, tails in sorted(_splitting_matrices(algebra, m, j).items())))
 
 
 def build_contraction_slice(algebra: GradedAlgebra, p: int, r: int,
@@ -246,12 +248,14 @@ class GorensteinReport:
         return self.verdict == "consistent"
 
 
-def _dual_slice_cohomology(algebra: GradedAlgebra, nu: int) -> tuple[int, ...]:
-    """Cohomology dims of the dualised resolution in total degree nu.
+def _dual_slice(algebra: GradedAlgebra, nu: int) -> ComplexSlice:
+    """The dualised resolution in total degree nu, read backwards.
 
     Dualising turns each free left module on a dual space into a free
     right module on its linear dual; the structure tensors transpose and
-    the word factors act by left multiplication.
+    the word factors act by left multiplication.  Each coboundary is
+    built in one sparse pass.  Listing the cochain from the terminal
+    position down lets the chain homology mechanics apply unchanged.
     """
     top = _DUAL_PATTERN[-1]
     a_degrees = [nu - top + m for m in _DUAL_PATTERN]
@@ -261,25 +265,23 @@ def _dual_slice_cohomology(algebra: GradedAlgebra, nu: int) -> tuple[int, ...]:
     deltas = []
     for i in range(1, len(_DUAL_PATTERN)):
         j = _DUAL_PATTERN[i] - _DUAL_PATTERN[i - 1]
-        delta = Matrix.zero(dims[i], dims[i - 1])
         if dims[i] and dims[i - 1]:
-            for prefix, tails in sorted(
-                    _splitting_matrices(algebra, _DUAL_PATTERN[i], j).items()):
-                left = algebra.word_matrix(a_degrees[i - 1], prefix, "left")
-                delta = delta + tails.transpose().kron(left)
+            delta = Matrix.kron_sum(dims[i], dims[i - 1], (
+                (tails.transpose(), algebra.word_matrix(a_degrees[i - 1], prefix, "left"))
+                for prefix, tails in sorted(
+                    _splitting_matrices(algebra, _DUAL_PATTERN[i], j).items())))
+        else:
+            delta = Matrix.zero(dims[i], dims[i - 1])
         deltas.append(delta)
     for i in range(len(deltas) - 1):
         if not deltas[i + 1].mul(deltas[i]).is_zero():
             raise InternalConsistencyError(
                 f"dual boundary composition nonzero in total degree {nu}")
-    # Read the cochain backwards to reuse the chain homology mechanics.
-    reversed_slice = ComplexSlice(
+    return ComplexSlice(
         nu,
         tuple((a_degrees[i], _DUAL_PATTERN[i]) for i in reversed(range(4))),
         tuple(reversed(dims)),
         tuple(reversed(deltas)))
-    report = homology(reversed_slice)
-    return tuple(reversed(report.homology_dims))
 
 
 def gorenstein_probe(algebra: GradedAlgebra, n_max: int) -> GorensteinReport:
@@ -310,7 +312,7 @@ def gorenstein_probe(algebra: GradedAlgebra, n_max: int) -> GorensteinReport:
             terminal_dims=(),
             verdict="inapplicable",
         )
-    cohomology = tuple(_dual_slice_cohomology(algebra, nu)
+    cohomology = tuple(tuple(reversed(homology(_dual_slice(algebra, nu)).homology_dims))
                        for nu in range(n_max + 1))
     interior = tuple((nu, pos, dims[pos])
                      for nu, dims in enumerate(cohomology)

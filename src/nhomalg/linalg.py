@@ -172,14 +172,14 @@ def _primitive(row: _IntRow) -> _IntRow:
     return row
 
 
+def _int_row(terms: dict) -> dict:
+    """Primitive integer multiple of a nonzero row of rationals."""
+    den = lcm(*(c.denominator for c in terms.values()))
+    return _primitive({w: int(c * den) for w, c in terms.items()})
+
+
 def _int_rows(vectors: Iterable[TensorVector]) -> list[_IntRow]:
-    rows = []
-    for v in vectors:
-        if v.is_zero():
-            continue
-        den = lcm(*(c.denominator for c in v.terms.values()))
-        rows.append(_primitive({w: int(c * den) for w, c in v.terms.items()}))
-    return rows
+    return [_int_row(v.terms) for v in vectors if not v.is_zero()]
 
 
 def _combine(row: _IntRow, other: _IntRow, word: Word) -> _IntRow:
@@ -393,109 +393,95 @@ def shifted_span(space: Subspace, left: int, right: int) -> list[TensorVector]:
 
 
 # ---------------------------------------------------------------------------
-# Small dense matrices over the rationals (chain-complex mechanics).
+# Sparse matrices over the rationals (chain-complex mechanics).
 
 class Matrix:
-    """Dense exact-rational matrix; rows of Python lists."""
+    """Sparse exact-rational matrix: a dict of nonzero rows ``{i: {j: value}}``.
 
-    __slots__ = ("nrows", "ncols", "entries")
+    Only nonzero entries are stored and no stored row is empty, so two
+    matrices of one shape are equal exactly when their row dicts are.
+    The boundary maps of the contraction slices are a few percent
+    nonzero; every operation walks the nonzeros only, and :meth:`rank`
+    runs the same fraction-free elimination kernel as :func:`rref`.
+    """
 
-    def __init__(self, nrows: int, ncols: int, entries=None):
+    __slots__ = ("nrows", "ncols", "rows")
+
+    def __init__(self, nrows: int, ncols: int, rows=None):
         self.nrows = nrows
         self.ncols = ncols
-        if entries is None:
-            entries = [[_ZERO] * ncols for _ in range(nrows)]
-        self.entries = entries
+        self.rows: dict[int, dict[int, Fraction]] = {}
+        for i, row in (rows or {}).items():
+            row = {j: value for j, value in row.items() if value}
+            if row:
+                self.rows[i] = row
 
     @classmethod
     def zero(cls, nrows: int, ncols: int) -> "Matrix":
         return cls(nrows, ncols)
 
     @classmethod
-    def identity(cls, n: int) -> "Matrix":
-        m = cls(n, n)
-        for i in range(n):
-            m.entries[i][i] = Fraction(1)
-        return m
+    def kron_sum(cls, nrows: int, ncols: int, pairs) -> "Matrix":
+        """Sum of the Kronecker products ``a (x) b`` over ``pairs``, in one pass."""
+        acc: dict[int, dict[int, Fraction]] = {}
+        for a, b in pairs:
+            if (a.nrows * b.nrows, a.ncols * b.ncols) != (nrows, ncols):
+                raise ValueError("shape mismatch")
+            for i, arow in a.rows.items():
+                for k, brow in b.rows.items():
+                    target = acc.setdefault(i * b.nrows + k, {})
+                    for j, x in arow.items():
+                        base = j * b.ncols
+                        for l, y in brow.items():
+                            target[base + l] = target.get(base + l, _ZERO) + x * y
+        return cls(nrows, ncols, acc)
 
-    def is_zero(self) -> bool:
-        return all(not e for row in self.entries for e in row)
+    def entry(self, i: int, j: int) -> Fraction:
+        return self.rows.get(i, {}).get(j, _ZERO)
+
+    # No caller in the package builds a sum or a dense grid; the traced
+    # benchmark run (perfbench/tracer.py) names ``__add__`` and reads
+    # ``entries``, so both stay until that tracer moves to ``rows``.
+    @property
+    def entries(self) -> list[list[Fraction]]:
+        return [[self.entry(i, j) for j in range(self.ncols)] for i in range(self.nrows)]
 
     def __add__(self, other: "Matrix") -> "Matrix":
-        if (self.nrows, self.ncols) != (other.nrows, other.ncols):
-            raise ValueError("shape mismatch")
-        return Matrix(self.nrows, self.ncols,
-                      [[a + b for a, b in zip(r1, r2)]
-                       for r1, r2 in zip(self.entries, other.entries)])
+        one = Matrix(1, 1, {0: {0: Fraction(1)}})  # a (x) [1] = a
+        return Matrix.kron_sum(self.nrows, self.ncols, [(self, one), (other, one)])
+
+    def is_zero(self) -> bool:
+        return not self.rows
 
     def mul(self, other: "Matrix") -> "Matrix":
         if self.ncols != other.nrows:
             raise ValueError(f"shape mismatch: {self.ncols} != {other.nrows}")
-        out = Matrix.zero(self.nrows, other.ncols)
-        for i, row in enumerate(self.entries):
-            target = out.entries[i]
-            for k, a in enumerate(row):
-                if not a:
-                    continue
-                for j, b in enumerate(other.entries[k]):
-                    if b:
-                        target[j] += a * b
-        return out
+        out: dict[int, dict[int, Fraction]] = {}
+        for i, row in self.rows.items():
+            target = out[i] = {}
+            for k, a in row.items():
+                for j, b in other.rows.get(k, {}).items():
+                    target[j] = target.get(j, _ZERO) + a * b
+        return Matrix(self.nrows, other.ncols, out)
 
     def transpose(self) -> "Matrix":
-        return Matrix(self.ncols, self.nrows,
-                      [[self.entries[i][j] for i in range(self.nrows)]
-                       for j in range(self.ncols)])
+        out: dict[int, dict[int, Fraction]] = {}
+        for i, row in self.rows.items():
+            for j, value in row.items():
+                out.setdefault(j, {})[i] = value
+        return Matrix(self.ncols, self.nrows, out)
 
     def kron(self, other: "Matrix") -> "Matrix":
-        out = Matrix.zero(self.nrows * other.nrows, self.ncols * other.ncols)
-        for i, row in enumerate(self.entries):
-            for j, a in enumerate(row):
-                if not a:
-                    continue
-                for k, orow in enumerate(other.entries):
-                    target = out.entries[i * other.nrows + k]
-                    base = j * other.ncols
-                    for l, b in enumerate(orow):
-                        if b:
-                            target[base + l] = a * b
-        return out
+        return Matrix.kron_sum(self.nrows * other.nrows, self.ncols * other.ncols,
+                               [(self, other)])
 
     def rank(self) -> int:
-        # Fraction-free elimination on integer-scaled row copies.
-        rows = []
-        for row in self.entries:
-            if any(row):
-                den = lcm(*(Fraction(e).denominator for e in row))
-                rows.append([int(e * den) for e in row])
-        rank = 0
-        for col in range(self.ncols):
-            pivot_row = None
-            for i in range(rank, len(rows)):
-                if rows[i][col]:
-                    pivot_row = i
-                    break
-            if pivot_row is None:
-                continue
-            rows[rank], rows[pivot_row] = rows[pivot_row], rows[rank]
-            piv = rows[rank]
-            a = piv[col]
-            for i in range(rank + 1, len(rows)):
-                b = rows[i][col]
-                if b:
-                    new = [a * x - b * y for x, y in zip(rows[i], piv)]
-                    g = gcd(*new) if any(new) else 0
-                    rows[i] = [x // g for x in new] if g > 1 else new
-            rank += 1
-            if rank == len(rows):
-                break
-        return rank
+        return len(_echelon([_int_row(row) for row in self.rows.values()], None))
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, Matrix)
                 and self.nrows == other.nrows and self.ncols == other.ncols
-                and all(a == b for r1, r2 in zip(self.entries, other.entries)
-                        for a, b in zip(r1, r2)))
+                and self.rows == other.rows)
 
     def __repr__(self):
         return f"Matrix({self.nrows}x{self.ncols})"

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 from nhomalg.algebra import GradedAlgebra
 from nhomalg.catalog import make_entry
 from nhomalg.checks import run_checks
@@ -26,6 +28,19 @@ def test_run_checks_family_member():
     results = run_checks(GradedAlgebra(entry.presentation), 4, entry)
     assert all(r.passed for r in results)
     assert any("central" in r.name for r in results)
+
+
+def test_centrality_checked_only_where_the_element_is_central():
+    # e1e2 - (1/q) e2e1 is central for r = 1, e1e2 - (1/r) e2e1 for q = 1;
+    # elsewhere the family has no central element of that shape.
+    for q, r, checked in ((2, 1, True), (1, 3, True), (Fraction(1, 2), 1, True),
+                          (Fraction(682, 967), Fraction(361, 220), False),
+                          (3, 2, False), (2, Fraction(1, 2), False)):
+        entry = make_entry("artin_schelter", q=Fraction(q), r=Fraction(r))
+        results = run_checks(GradedAlgebra(entry.presentation), 4, entry)
+        assert all(result.passed for result in results), (q, r)
+        names = [result.name for result in results]
+        assert ("quadratic element is central" in names) == checked, (q, r)
 
 
 def test_run_checks_on_file_algebra_without_entry():

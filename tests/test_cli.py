@@ -147,6 +147,44 @@ def test_plactic_count():
     assert payload["counts"] == [1, 2, 4, 6, 9, 12, 16, 20]
 
 
+def _assert_clean_error(result):
+    assert result.exit_code != 0
+    assert isinstance(result.exception, SystemExit)
+    assert "Traceback" not in result.output
+    errors = [line for line in result.output.splitlines() if line.startswith("Error")]
+    assert len(errors) == 1
+
+
+def test_plactic_count_rejects_bad_degrees_cleanly():
+    _assert_clean_error(run_cli("plactic", "count", "--D", "0"))
+    _assert_clean_error(run_cli("plactic", "count", "--D", "2",
+                                "--max-degree", "-1"))
+    _assert_clean_error(run_cli("plactic", "normal-form", "1", "--D", "0"))
+
+
+def test_plactic_count_refusal_is_clean():
+    result = run_cli("plactic", "count", "--D", "12", "--max-degree", "9")
+    _assert_clean_error(result)
+    assert result.output.splitlines() == [
+        "Error: cell count 9 needs up to D^n = 5159780352 tableaux, "
+        "above the configured limit of 10000000"]
+
+
+def test_checks_two_parameter_member_away_from_r_one():
+    result = run_cli("checks", "--algebra", "as", "--q", "682/967",
+                     "--r", "361/220", "--max-degree", "5", "--format", "json")
+    assert result.exit_code == 0
+    payload = json.loads(result.output)
+    assert payload["allPassed"] is True
+    assert "quadratic element is central" not in [
+        r["name"] for r in payload["results"]]
+    result = run_cli("checks", "--algebra", "as", "--q", "682/967",
+                     "--r", "1", "--max-degree", "5", "--format", "json")
+    assert result.exit_code == 0
+    assert "quadratic element is central" in [
+        r["name"] for r in json.loads(result.output)["results"]]
+
+
 def test_relation_file_source(tmp_path):
     path = tmp_path / "rels.txt"
     path.write_text("D=2 N=3\n1*221 - 1*212\n1*211 - 1*121\n")

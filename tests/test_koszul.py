@@ -1,8 +1,14 @@
+from fractions import Fraction
+
 import pytest
 
+from _oracles import dense_rank
 from nhomalg.algebra import GradedAlgebra, Presentation, free_presentation
 from nhomalg.catalog import artin_schelter, paraboson, parafermion, plactic
 from nhomalg.koszul import (
+    _differential,
+    _dual_slice,
+    _splitting_matrices,
     build_contraction_slice,
     build_koszul_slice,
     contraction_dual_degrees,
@@ -11,7 +17,7 @@ from nhomalg.koszul import (
     homology,
     koszul_probe,
 )
-from nhomalg.linalg import Subspace
+from nhomalg.linalg import Matrix, Subspace
 from nhomalg.series import chi_direct
 
 
@@ -78,7 +84,7 @@ def test_contraction_reproduces_distinguished_slice(parafermi2):
         a = build_contraction_slice(parafermi2, parafermi2.N - 1, 0, n)
         b = build_koszul_slice(parafermi2, n)
         assert a.positions == b.positions and a.dims == b.dims
-        assert all(x.entries == y.entries for x, y in zip(a.matrices, b.matrices))
+        assert all(x == y for x, y in zip(a.matrices, b.matrices))
 
 
 def test_other_contractions(parafermi2):
@@ -115,7 +121,70 @@ def test_two_step_boundary_equals_composition(parafermi2):
         direct = _differential(parafermi2, n, 3, 2)
         first = _differential(parafermi2, n, 3, 1)
         second = _differential(parafermi2, n, 2, 1)
-        assert second.mul(first).entries == direct.entries
+        assert second.mul(first) == direct
+
+
+def _oracle_rank(matrix):
+    rows = [{(col + 1,): value for col, value in row.items()}
+            for row in matrix.rows.values()]
+    return dense_rank(rows, matrix.ncols, 1)
+
+
+def _dense(matrix):
+    return [[matrix.entry(i, j) for j in range(matrix.ncols)]
+            for i in range(matrix.nrows)]
+
+
+def test_slice_ranks_match_dense_oracle(parafermi2, parafermi3, plactic2):
+    generic = GradedAlgebra(artin_schelter(Fraction(682, 967), Fraction(361, 220)))
+    free = GradedAlgebra(free_presentation(2, 3))
+    matrices = []
+    for algebra, n_max in ((parafermi3, 5), (plactic2, 6), (generic, 6), (free, 5)):
+        for n in range(1, n_max + 1):
+            matrices.extend(build_koszul_slice(algebra, n).matrices)
+    for nu in range(9):
+        matrices.extend(_dual_slice(parafermi2, nu).matrices)
+    assert any(m.nrows == 0 or m.ncols == 0 for m in matrices)
+    assert sum(m.rank() for m in matrices) > 0
+    for matrix in matrices:
+        assert matrix.rank() == _oracle_rank(matrix), matrix
+
+
+def test_differential_is_the_sum_of_prefix_krons(parafermi3, plactic2):
+    # Rebuild each boundary densely: sum over prefixes of right
+    # multiplication by the prefix, Kronecker the tail coordinates.
+    generic = GradedAlgebra(artin_schelter(Fraction(-3, 7), Fraction(5, 2)))
+    for algebra in (parafermi3, plactic2, generic):
+        for n, m, j in ((3, 1, 1), (4, 3, 2), (5, 4, 1), (5, 3, 2)):
+            target_a = algebra.component_dim(n - m + j)
+            source_a = algebra.component_dim(n - m)
+            rows = target_a * algebra.dual_dim(m - j)
+            cols = source_a * algebra.dual_dim(m)
+            total = [[Fraction(0)] * cols for _ in range(rows)]
+            for prefix, tails in _splitting_matrices(algebra, m, j).items():
+                right = _dense(algebra.word_matrix(n - m, prefix, "right"))
+                tail = _dense(tails)
+                for i, right_row in enumerate(right):
+                    for c, a in enumerate(right_row):
+                        for k, tail_row in enumerate(tail):
+                            for l, b in enumerate(tail_row):
+                                total[i * tails.nrows + k][c * tails.ncols + l] += a * b
+            assert _dense(_differential(algebra, n, m, j)) == total
+
+
+def test_differential_empty_shapes(parafermi2):
+    # W_6 = 0 for two generators: no source columns.
+    empty = _differential(parafermi2, 7, 6, 2)
+    assert (empty.nrows, empty.ncols) == (6, 0)
+    assert empty.rank() == 0
+    # The free algebra has W_3 = 0.
+    free = GradedAlgebra(free_presentation(2, 3))
+    assert _differential(free, 4, 3, 2) == Matrix.zero(16, 0)
+    # Full relations kill A_3: no target rows.
+    full = GradedAlgebra(Presentation(2, 3, Subspace.full(2, 3)))
+    assert _differential(full, 3, 1, 1) == Matrix.zero(0, 8)
+    for n in range(1, 6):
+        assert homology(build_koszul_slice(full, n)).is_acyclic
 
 
 def test_homology_report_euler(parafermi3):

@@ -249,12 +249,53 @@ def test_format_vector():
 
 
 def test_matrix_rank_and_kron():
-    m = Matrix(2, 2, [[Fraction(1), Fraction(2)], [Fraction(2), Fraction(4)]])
+    m = Matrix(2, 2, {0: {0: Fraction(1), 1: Fraction(2)},
+                      1: {0: Fraction(2), 1: Fraction(4)}})
     assert m.rank() == 1
-    eye = Matrix.identity(3)
+    eye = Matrix(3, 3, {i: {i: Fraction(1)} for i in range(3)})
     assert eye.rank() == 3
     k = eye.kron(m)
     assert (k.nrows, k.ncols) == (6, 6)
     assert k.rank() == 3
     assert m.mul(Matrix.zero(2, 5)).is_zero()
-    assert m.transpose().entries[0][1] == 2
+    assert m.transpose().entry(0, 1) == 2
+
+
+def test_matrix_stores_nonzeros_only():
+    assert Matrix(2, 2, {0: {0: Fraction(0)}, 1: {}}) == Matrix.zero(2, 2)
+    a = Matrix(2, 2, {0: {1: Fraction(1, 2)}, 1: {0: Fraction(-3)}})
+    b = Matrix(1, 2, {0: {0: Fraction(2), 1: Fraction(5)}})
+    minus_a = Matrix(2, 2, {i: {j: -v for j, v in row.items()}
+                            for i, row in a.rows.items()})
+    assert Matrix.kron_sum(2, 4, [(a, b), (minus_a, b)]).is_zero()
+    assert Matrix.kron_sum(2, 4, [(a, b)]) == a.kron(b)
+    assert a.kron(b).entry(0, 2) == 1 and a.kron(b).entry(1, 1) == -15
+    assert a.mul(a) == Matrix(2, 2, {0: {0: Fraction(-3, 2)}, 1: {1: Fraction(-3, 2)}})
+    assert a.transpose().transpose() == a
+    assert a.rank() == 2 and b.rank() == 1
+
+
+def test_matrix_sum_and_dense_view():
+    a = Matrix(2, 2, {0: {1: Fraction(1, 2)}, 1: {0: Fraction(-3)}})
+    b = Matrix(2, 2, {0: {0: Fraction(1), 1: Fraction(-1, 2)}})
+    assert a + b == Matrix(2, 2, {0: {0: Fraction(1)}, 1: {0: Fraction(-3)}})
+    assert (a + b).rows == {0: {0: 1}, 1: {0: -3}}
+    assert a.entries == [[0, Fraction(1, 2)], [Fraction(-3), 0]]
+    assert Matrix.zero(2, 0).entries == [[], []]
+    with pytest.raises(ValueError):
+        a + Matrix.zero(2, 3)
+
+
+def test_matrix_empty_shapes():
+    for nrows, ncols in ((0, 0), (0, 3), (3, 0)):
+        m = Matrix.zero(nrows, ncols)
+        assert m.rank() == 0 and m.is_zero()
+        assert m.transpose() == Matrix.zero(ncols, nrows)
+    eye = Matrix(2, 2, {0: {0: Fraction(1)}, 1: {1: Fraction(1)}})
+    assert eye.kron(Matrix.zero(0, 3)) == Matrix.zero(0, 6)
+    assert Matrix.zero(3, 0).mul(Matrix.zero(0, 2)) == Matrix.zero(3, 2)
+    assert Matrix.kron_sum(0, 4, []) == Matrix.zero(0, 4)
+    with pytest.raises(ValueError):
+        Matrix.zero(2, 3).mul(Matrix.zero(2, 3))
+    with pytest.raises(ValueError):
+        Matrix.kron_sum(4, 4, [(eye, Matrix.zero(2, 3))])
