@@ -47,6 +47,7 @@ from .linalg import (
     annihilator,
     intersect,
     rref,
+    shift,
     shifted_span,
     word_vector,
     zero_vector,

@@ -6,6 +6,12 @@ the ambient word space modulo the corresponding component of the
 two-sided ideal, with the non-pivot words as a normal monomial basis.
 The dual-side components (annihilator presentation and the intersection
 spaces underlying the canonical complexes) live here as well.
+
+Both families are built one degree at a time from the previous one:
+I_n = I_{n-1} (x) E + E^(n-N) (x) R and
+W_n = (W_{n-1} (x) E) cap (E^(n-N) (x) R).  The direct routes (the
+union, respectively the intersection, of all n-N+1 shifts of R) are
+cross-checks in :mod:`nhomalg.checks` and the tests.
 """
 
 from __future__ import annotations
@@ -25,7 +31,7 @@ from .linalg import (
     intersect,
     order_key,
     rref,
-    shifted_span,
+    shift,
     word_vector,
 )
 
@@ -96,7 +102,6 @@ class GradedAlgebra:
         self.word_limit = word_limit
         self._lock = threading.Lock()
         self._ideal: dict[int, Subspace] = {}
-        self._dims: dict[int, int] = {}
         self._normal: dict[int, tuple[Word, ...]] = {}
         self._dual: dict[int, Subspace] = {}
         self._word_mats: dict[tuple, Matrix] = {}
@@ -127,35 +132,31 @@ class GradedAlgebra:
             self.guard(n)
             if n < self.N:
                 return Subspace.zero(self.D, n, self.order)
-            with self._lock:
-                dead = any(self._dims.get(m) == 0 for m in range(self.N, n))
-            if dead:
-                # Once some graded piece vanishes, so do all higher ones
-                # (the algebra is generated in degree 1).
-                return Subspace.full(self.D, n, self.order)
-            vectors = []
-            relations = self.presentation.relations
-            for r in range(n - self.N + 1):
-                vectors.extend(shifted_span(relations, r, n - self.N - r))
-            return rref(vectors, self.D, n, self.order)
+            if n == self.N:
+                return self.presentation.relations
+            return self.ideal_component_stepwise(n)
         return self._cached(self._ideal, n, compute)
 
     def ideal_component_stepwise(self, n: int) -> Subspace:
-        """Recompute the ideal component from the previous degree.
+        """I_n = I_{n-1} (x) E + E^(n-N) (x) R, from the cached degree n - 1.
 
-        Consistency route only; the direct union of shifts is normative.
+        The rows of I_{n-1} (x) E are already reduced (see :func:`shift`),
+        so only the D^(n-N) dim R shifted relations are eliminated.
+        :meth:`ideal_component` caches this step.
         """
+        self.guard(n)
         if n <= self.N:
             return self.ideal_component(n)
         prev = self.ideal_component(n - 1)
-        vectors = shifted_span(prev, 1, 0) + shifted_span(prev, 0, 1)
-        return rref(vectors, self.D, n, self.order)
+        if prev.codim() == 0:
+            # Once some graded piece vanishes, so do all higher ones
+            # (the algebra is generated in degree 1).
+            return Subspace.full(self.D, n, self.order)
+        relations = shift(self.presentation.relations, n - self.N, 0)
+        return shift(prev, 0, 1).extend(relations.rows)
 
     def component_dim(self, n: int) -> int:
-        dim = self.D ** n - self.ideal_component(n).dim
-        with self._lock:
-            self._dims.setdefault(n, dim)
-        return dim
+        return self.ideal_component(n).codim()
 
     def normal_basis(self, n: int) -> tuple[Word, ...]:
         """Non-pivot words of the ideal component, ascending in the word order."""
@@ -208,12 +209,13 @@ class GradedAlgebra:
     # -- dual side ----------------------------------------------------------
 
     def dual_space(self, n: int) -> Subspace:
-        """Intersection of all shifted relation spaces in degree n.
+        """W_n, the intersection of E^r (x) R (x) E^(n-N-r) over all r.
 
-        Full space below the relation degree, the relations themselves at
-        degree N, and the iterated intersection above.  These spaces nest:
-        each one sits inside the previous one tensored with a letter on
-        either side, so once one vanishes all higher ones do.
+        Full space below the relation degree and the relations themselves
+        at degree N.  Above, W_n = (W_{n-1} (x) E) cap (E^(n-N) (x) R):
+        the shifts with r < n - N are exactly W_{n-1} (x) E, so one
+        intersection per degree suffices.  Once one W_n vanishes all
+        higher ones do.
         """
         def compute():
             self.guard(n)
@@ -222,16 +224,10 @@ class GradedAlgebra:
             relations = self.presentation.relations
             if n == self.N:
                 return relations
-            if self.dual_dim(n - 1) == 0:
+            prev = self.dual_space(n - 1)
+            if prev.dim == 0:
                 return Subspace.zero(self.D, n, self.order)
-            space = rref(shifted_span(relations, 0, n - self.N), self.D, n, self.order)
-            for r in range(1, n - self.N + 1):
-                if space.dim == 0:
-                    break
-                shifted = rref(shifted_span(relations, r, n - self.N - r),
-                               self.D, n, self.order)
-                space = intersect(space, shifted)
-            return space
+            return intersect(shift(prev, 0, 1), shift(relations, n - self.N, 0))
         return self._cached(self._dual, n, compute)
 
     def dual_dim(self, n: int) -> int:

@@ -82,6 +82,19 @@ class TensorVector:
         self.degree = degree
         self.terms = {word: c for word, c in acc.items() if c}
 
+    @classmethod
+    def _trusted(cls, degree: int, terms: dict[Word, Fraction]) -> "TensorVector":
+        """Wrap ``terms`` as they are, without the checks of the constructor.
+
+        For internal results that are valid by construction: distinct
+        words of length ``degree`` over positive letters, each with a
+        nonzero Fraction.  The dict is taken over, not copied.
+        """
+        v = cls.__new__(cls)
+        v.degree = degree
+        v.terms = terms
+        return v
+
     def is_zero(self) -> bool:
         return not self.terms
 
@@ -175,7 +188,7 @@ def _primitive(row: _IntRow) -> _IntRow:
 def _int_row(terms: dict) -> dict:
     """Primitive integer multiple of a nonzero row of rationals."""
     den = lcm(*(c.denominator for c in terms.values()))
-    return _primitive({w: int(c * den) for w, c in terms.items()})
+    return _primitive({w: c.numerator * (den // c.denominator) for w, c in terms.items()})
 
 
 def _int_rows(vectors: Iterable[TensorVector]) -> list[_IntRow]:
@@ -186,7 +199,7 @@ def _combine(row: _IntRow, other: _IntRow, word: Word) -> _IntRow:
     """Return ``a*row - b*other`` killing ``word`` (a, b its coefficients)."""
     a = other[word]
     b = row[word]
-    new = {w: a * c for w, c in row.items()}
+    new = dict(row) if a == 1 else {w: a * c for w, c in row.items()}
     for w, c in other.items():
         nc = new.get(w, 0) - b * c
         if nc:
@@ -196,9 +209,15 @@ def _combine(row: _IntRow, other: _IntRow, word: Word) -> _IntRow:
     return _primitive(new) if new else new
 
 
-def _echelon(rows: list[_IntRow], key) -> dict[Word, _IntRow]:
-    """Forward pass: map pivot word -> row whose support is <= that pivot."""
-    pivots: dict[Word, _IntRow] = {}
+def _echelon(rows: list[_IntRow], key,
+             pivots: dict[Word, _IntRow] | None = None) -> dict[Word, _IntRow]:
+    """Forward pass: map pivot word -> row whose support is <= that pivot.
+
+    ``pivots``, if given, already holds echelon rows; it is extended in
+    place by the new ones and returned.
+    """
+    if pivots is None:
+        pivots = {}
     for row in rows:
         row = dict(row)
         while row:
@@ -230,7 +249,7 @@ class Subspace:
     Invariants: each row has coefficient 1 at its pivot (its greatest word
     under the span's order), no row has support at another row's pivot,
     and rows are listed with strictly decreasing pivots.  Built through
-    :func:`rref`; instances are immutable.
+    :func:`rref`, :meth:`extend` or :func:`shift`; instances are immutable.
     """
 
     __slots__ = ("alphabet", "degree", "order", "rows", "pivots", "_by_pivot")
@@ -243,6 +262,19 @@ class Subspace:
         self.rows = tuple(rows)
         self.pivots = tuple(max(r.terms, key=key) for r in self.rows)
         self._by_pivot = dict(zip(self.pivots, self.rows))
+
+    @classmethod
+    def _trusted(cls, alphabet: int, degree: int, rows, pivots,
+                 order: str) -> "Subspace":
+        """Wrap rows that already satisfy the invariants, with their pivots."""
+        space = cls.__new__(cls)
+        space.alphabet = alphabet
+        space.degree = degree
+        space.order = order
+        space.rows = tuple(rows)
+        space.pivots = tuple(pivots)
+        space._by_pivot = dict(zip(space.pivots, space.rows))
+        return space
 
     @classmethod
     def zero(cls, alphabet: int, degree: int, order: str = "lex") -> "Subspace":
@@ -282,7 +314,32 @@ class Subspace:
                     rem[k] = nc
                 elif k in rem:
                     del rem[k]
-        return TensorVector(self.degree, rem)
+        return TensorVector._trusted(self.degree, rem)
+
+    def extend(self, vectors: Iterable[TensorVector]) -> "Subspace":
+        """Row-reduced span of this space and ``vectors``.
+
+        The rows here are already reduced, so they seed the pivots and
+        only the new vectors are eliminated; a row of this space changes
+        only if it holds a new pivot word, and is reused as it is if not.
+        """
+        vectors = list(vectors)
+        for v in vectors:
+            self._check(v)
+        key = order_key(self.order)
+        seeds = {p: _int_row(row.terms) for p, row in self._by_pivot.items()}
+        done = _full_reduce(_echelon(_int_rows(vectors), key, dict(seeds)), key)
+        pivots = sorted(done, key=key, reverse=True)
+        rows = []
+        for w in pivots:
+            row = done[w]
+            if row is seeds.get(w):
+                rows.append(self._by_pivot[w])
+            else:
+                lead = row[w]
+                rows.append(TensorVector._trusted(
+                    self.degree, {k: Fraction(c, lead) for k, c in row.items()}))
+        return Subspace._trusted(self.alphabet, self.degree, rows, pivots, self.order)
 
     def contains(self, v: TensorVector) -> bool:
         return self.reduce(v).is_zero()
@@ -323,21 +380,11 @@ def rref(vectors: Iterable[TensorVector], alphabet: int, degree: int | None = No
         if not vectors:
             raise ValueError("degree is required for an empty span")
         degree = vectors[0].degree
-    key = order_key(order)
     for v in vectors:
         if v.degree != degree:
             raise DegreeMismatchError(
                 f"mixed degrees in span: {v.degree} != {degree}")
-        for word in v.terms:
-            if any(letter > alphabet for letter in word):
-                raise ValueError(f"word {word} uses letters above {alphabet}")
-    done = _full_reduce(_echelon(_int_rows(vectors), key), key)
-    rows = []
-    for w in sorted(done, key=key, reverse=True):
-        row = done[w]
-        lead = row[w]
-        rows.append(TensorVector(degree, {k: Fraction(c, lead) for k, c in row.items()}))
-    return Subspace(alphabet, degree, rows, order)
+    return Subspace.zero(alphabet, degree, order).extend(vectors)
 
 
 def _annihilator_vectors(space: Subspace) -> list[TensorVector]:
@@ -355,7 +402,7 @@ def _annihilator_vectors(space: Subspace) -> list[TensorVector]:
         for word, coeff in row.terms.items():
             if word != pivot:
                 vecs[word][pivot] = -coeff
-    return [TensorVector(space.degree, terms) for terms in vecs.values()]
+    return [TensorVector._trusted(space.degree, terms) for terms in vecs.values()]
 
 
 def annihilator(space: Subspace) -> Subspace:
@@ -378,18 +425,33 @@ def intersect(s1: Subspace, s2: Subspace) -> Subspace:
     return annihilator(constraints)
 
 
-def shifted_span(space: Subspace, left: int, right: int) -> list[TensorVector]:
-    """Spanning set of E^(x left) (x) space (x) E^(x right)."""
+def shift(space: Subspace, left: int, right: int) -> Subspace:
+    """E^(x left) (x) space (x) E^(x right), with no elimination.
+
+    Under either word order, prefixing u and suffixing w keeps the order
+    of equal-length words, so the row ``u.r.w`` has pivot ``u.p.w`` for
+    the pivot p of r, and it meets no other shifted row's pivot: the
+    shifted rows are already the reduced row-echelon form.
+    """
     if left < 0 or right < 0:
         raise ValueError("shift lengths must be nonnegative")
+    key = order_key(space.order)
+    prefixes = sorted(all_words(space.alphabet, left), key=key, reverse=True)
+    suffixes = sorted(all_words(space.alphabet, right), key=key, reverse=True)
     degree = left + space.degree + right
-    out = []
-    for u in all_words(space.alphabet, left):
-        for row in space.rows:
-            for w in all_words(space.alphabet, right):
-                out.append(TensorVector(
-                    degree, {u + word + w: c for word, c in row.terms.items()}))
-    return out
+    rows, pivots = [], []
+    for u in prefixes:
+        for p, row in zip(space.pivots, space.rows):
+            for w in suffixes:
+                rows.append(TensorVector._trusted(
+                    degree, {u + x + w: c for x, c in row.terms.items()}))
+                pivots.append(u + p + w)
+    return Subspace._trusted(space.alphabet, degree, rows, pivots, space.order)
+
+
+def shifted_span(space: Subspace, left: int, right: int) -> list[TensorVector]:
+    """Spanning set of E^(x left) (x) space (x) E^(x right): the rows of :func:`shift`."""
+    return list(shift(space, left, right).rows)
 
 
 # ---------------------------------------------------------------------------

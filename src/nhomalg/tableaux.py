@@ -152,9 +152,8 @@ def tableaux_of_shape(shape, max_letter: int):
     yield from fill_row(0)
 
 
-def enumerate_tableaux(D: int, n: int,
-                       word_limit: int = DEFAULT_WORD_LIMIT) -> list[Tableau]:
-    """Every tableau with n cells and entries up to D, by shape then filling.
+def _all_tableaux(D: int, n: int, word_limit: int):
+    """Iterate the tableaux with n cells and entries up to D, by shape then filling.
 
     The same degree cap as the algebra side applies: the tableau count is
     bounded by the word count D^n, which must stay under the limit.
@@ -165,14 +164,19 @@ def enumerate_tableaux(D: int, n: int,
         raise MemoryGuardError(
             f"cell count {n} needs up to D^n = {D ** n} tableaux, "
             f"above the configured limit of {word_limit}")
-    out = []
     for shape in partitions(n):
-        out.extend(tableaux_of_shape(shape, D))
-    return out
+        yield from tableaux_of_shape(shape, D)
+
+
+def enumerate_tableaux(D: int, n: int,
+                       word_limit: int = DEFAULT_WORD_LIMIT) -> list[Tableau]:
+    """Every tableau with n cells and entries up to D, by shape then filling."""
+    return list(_all_tableaux(D, n, word_limit))
 
 
 def count_tableaux(D: int, n: int, word_limit: int = DEFAULT_WORD_LIMIT) -> int:
-    return len(enumerate_tableaux(D, n, word_limit))
+    """Number of tableaux with n cells and entries up to D, in flat memory."""
+    return sum(1 for _ in _all_tableaux(D, n, word_limit))
 
 
 @dataclass(frozen=True)
@@ -197,7 +201,7 @@ def dimension_cross_check(D: int, n_max: int,
     parafermi_algebra = GradedAlgebra(parafermion(D), word_limit=word_limit)
     counts = []
     for n in range(n_max + 1):
-        tableaux = count_tableaux(D, n)
+        tableaux = count_tableaux(D, n, word_limit)
         from_plactic = plactic_algebra.component_dim(n)
         from_parafermion = parafermi_algebra.component_dim(n)
         if not tableaux == from_plactic == from_parafermion:

@@ -1,10 +1,13 @@
 """Independent oracles for the test suite.
 
-Everything here is deliberately written without importing the package's
-linear algebra or series code: dense textbook Gaussian elimination over
-Fractions, plain list-based polynomial arithmetic, and direct expansions
-of the defining relation sets.  Tests freeze values computed by these
-oracles and compare the package against them.
+Everything here except the last section is deliberately written without
+importing the package's linear algebra or series code: dense textbook
+Gaussian elimination over Fractions, plain list-based polynomial
+arithmetic, and direct expansions of the defining relation sets.  Tests
+freeze values computed by these oracles and compare the package against
+them.  The last section keeps the direct, slower route to the dual
+spaces on top of the package's ``rref`` and ``intersect``, which the
+tests check against the dense oracle.
 """
 
 from fractions import Fraction
@@ -145,3 +148,19 @@ def knuth_moves(word):
         if x <= z < y or y <= z < x:
             out.append(word[:i] + (y, x, z) + word[i + 3:])
     return out
+
+
+# -- direct routes on the package's exact kernels ---------------------------
+
+def iterated_intersection(relations, n):
+    """W_n as E^0 (x) R (x) E^(n-N) met with every further shift in turn."""
+    from nhomalg.linalg import Subspace, intersect, rref, shifted_span
+
+    D, N, order = relations.alphabet, relations.degree, relations.order
+    if n < N:
+        return Subspace.full(D, n, order)
+    space = rref(shifted_span(relations, 0, n - N), D, n, order)
+    for r in range(1, n - N + 1):
+        shifted = rref(shifted_span(relations, r, n - N - r), D, n, order)
+        space = intersect(space, shifted)
+    return space

@@ -9,16 +9,17 @@ from nhomalg.algebra import (
     dual_presentation,
     free_presentation,
 )
-from nhomalg.catalog import paraboson, parafermion, plactic
+from nhomalg.catalog import artin_schelter, paraboson, parafermion, plactic
+from nhomalg.checks import direct_ideal_component
 from nhomalg.linalg import (
     Subspace,
     TensorVector,
     rref,
-    shifted_span,
+    shift,
     word_vector,
 )
 
-from _oracles import bracket_vectors, dense_rank, parafermion_dims
+from _oracles import bracket_vectors, dense_rank, iterated_intersection, parafermion_dims
 
 
 @pytest.fixture(scope="module")
@@ -161,8 +162,8 @@ def test_dual_space_nesting(parafermi3):
     for n in (4, 5):
         space = parafermi3.dual_space(n)
         prev = parafermi3.dual_space(n - 1)
-        left = rref(shifted_span(prev, 1, 0), 3, n)
-        right = rref(shifted_span(prev, 0, 1), 3, n)
+        left = shift(prev, 1, 0)
+        right = shift(prev, 0, 1)
         for row in space.rows:
             assert left.contains(row)
             assert right.contains(row)
@@ -172,6 +173,37 @@ def test_ideal_component_stepwise_agrees(parafermi2, plactic3):
     for algebra, top in ((parafermi2, 6), (plactic3, 5)):
         for n in range(algebra.N + 1, top + 1):
             assert algebra.ideal_component_stepwise(n) == algebra.ideal_component(n)
+            assert algebra.ideal_component(n) == direct_ideal_component(algebra, n)
+
+
+CATALOGUE_ROUTES = (
+    pytest.param(lambda: parafermion(2), 7, id="parafermion2"),
+    pytest.param(lambda: parafermion(3), 5, id="parafermion3"),
+    pytest.param(lambda: paraboson(3), 5, id="paraboson3"),
+    pytest.param(lambda: plactic(2), 7, id="plactic2"),
+    pytest.param(lambda: plactic(3), 5, id="plactic3"),
+    pytest.param(lambda: artin_schelter(Fraction(3, 7), Fraction(-5, 2)), 7,
+                 id="as-3/7,-5/2"),
+)
+
+
+@pytest.mark.parametrize("order", ["lex", "revlex"])
+@pytest.mark.parametrize("make, top", CATALOGUE_ROUTES)
+def test_stepwise_routes_equal_direct_routes_on_catalogue(make, top, order):
+    presentation = make()
+    for pres in (presentation, presentation.dual()):
+        algebra = GradedAlgebra(pres, order=order)
+        for n in range(top + 1):
+            assert algebra.ideal_component(n) == direct_ideal_component(algebra, n)
+            assert algebra.dual_space(n) == iterated_intersection(
+                algebra.presentation.relations, n)
+
+
+def test_memory_guard_fires_before_lower_degrees_are_built():
+    algebra = GradedAlgebra(parafermion(2), word_limit=100)
+    with pytest.raises(MemoryGuardError, match="128"):
+        algebra.ideal_component(7)
+    assert not algebra._ideal
 
 
 def test_memory_guard():

@@ -13,6 +13,7 @@ from nhomalg.linalg import (
     format_vector,
     intersect,
     rref,
+    shift,
     shifted_span,
     word_vector,
     zero_vector,
@@ -158,8 +159,8 @@ def test_intersect_trivial_identities():
 def test_intersect_shifted_bracket_spans():
     # (E (x) R) meets (R (x) E) in a line for two generators.
     relations = rref([tv(3, t) for t in bracket_vectors(2)], alphabet=2)
-    left = rref(shifted_span(relations, 1, 0), alphabet=2, degree=4)
-    right = rref(shifted_span(relations, 0, 1), alphabet=2, degree=4)
+    left = shift(relations, 1, 0)
+    right = shift(relations, 0, 1)
     meet = intersect(left, right)
     assert meet.dim == 1
     assert left.contains_subspace(meet) and right.contains_subspace(meet)
@@ -217,6 +218,36 @@ def test_shifted_span_counts():
     vectors = shifted_span(big, 1, 1)
     assert len(vectors) == 3 * 8 * 3
     assert all(v.degree == 5 for v in vectors)
+    with pytest.raises(ValueError, match="nonnegative"):
+        shift(big, -1, 0)
+
+
+@pytest.mark.parametrize("order", ["lex", "revlex"])
+def test_extend_equals_rref_of_the_union(order):
+    rng = random.Random(5)
+    words = list(all_words(2, 4))
+    for _ in range(20):
+        old = [tv(4, {w: rng.randint(-2, 2) for w in rng.sample(words, 4)})
+               for _ in range(rng.randint(0, 6))]
+        new = [tv(4, {w: Fraction(rng.randint(-3, 3), rng.randint(1, 4))
+                      for w in rng.sample(words, 3)})
+               for _ in range(rng.randint(0, 6))]
+        base = rref(old, alphabet=2, degree=4, order=order)
+        extended = base.extend(new)
+        assert extended == rref(old + new, alphabet=2, degree=4, order=order)
+        assert extended.pivots == rref(old + new, 2, 4, order).pivots
+    with pytest.raises(DegreeMismatchError):
+        base.extend([word_vector((1, 2))])
+    with pytest.raises(ValueError, match="letters above"):
+        base.extend([word_vector((1, 2, 3, 1))])
+
+
+def test_extend_reuses_untouched_rows():
+    base = rref([tv(2, {(2, 2): 1, (1, 1): 1}), tv(2, {(2, 1): 1})], alphabet=2)
+    extended = base.extend([tv(2, {(1, 1): 1})])
+    assert extended.dim == 3
+    assert extended.rows[1] is base.rows[1]  # (2, 1) holds no new pivot word
+    assert extended.rows[0] is not base.rows[0]  # (1, 1) was eliminated from it
 
 
 def test_rref_matches_dense_oracle_rank():

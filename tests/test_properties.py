@@ -1,0 +1,105 @@
+"""Property tests: the stepwise routes against the direct ones on random
+presentations with D = 1..3 generators, relations in degree N = 2..4
+(empty, full, or spanned by random integer and p/q vectors), under both
+word orders, in degrees with at most 729 words."""
+
+from fractions import Fraction
+
+from hypothesis import example, given, strategies as st
+
+from nhomalg.algebra import GradedAlgebra, Presentation
+from nhomalg.checks import direct_ideal_component
+from nhomalg.linalg import ORDERS, Subspace, TensorVector, all_words, rref, shift, shifted_span
+
+from _oracles import iterated_intersection
+
+MAX_WORDS = 729
+
+coefficients = st.one_of(
+    st.integers(-3, 3),
+    st.fractions(min_value=-3, max_value=3, max_denominator=5))
+
+
+def top_degree(D, cap):
+    """Largest degree up to ``cap`` with at most MAX_WORDS words."""
+    n = 0
+    while n < cap and D ** (n + 1) <= MAX_WORDS:
+        n += 1
+    return n
+
+
+@st.composite
+def subspaces(draw, D, degree, order):
+    kind = draw(st.sampled_from(["random", "empty", "full"]))
+    if kind == "empty":
+        return Subspace.zero(D, degree, order)
+    if kind == "full":
+        return Subspace.full(D, degree, order)
+    words = list(all_words(D, degree))
+    vectors = []
+    for _ in range(draw(st.integers(1, 8))):
+        support = draw(st.lists(st.sampled_from(words), min_size=1, max_size=4))
+        vectors.append(TensorVector(degree, [(w, draw(coefficients)) for w in support]))
+    return rref(vectors, D, degree, order)
+
+
+@st.composite
+def algebras(draw):
+    # Listed largest first: the one-generator algebras are the least telling.
+    D = draw(st.sampled_from([3, 2, 1]))
+    N = draw(st.sampled_from([2, 3, 4]))
+    order = draw(st.sampled_from(ORDERS))
+    relations = draw(subspaces(D, N, order))
+    top = draw(st.integers(N, max(N, top_degree(D, N + 4))))
+    return GradedAlgebra(Presentation(D, N, relations), order=order), top
+
+
+def rational_quadratic_case():
+    """Three p/q relations among three generators in degree 2, up to degree 6."""
+    vectors = [
+        TensorVector(2, {(1, 2): 1, (2, 1): Fraction(-2, 3)}),
+        TensorVector(2, {(3, 3): Fraction(1, 2), (1, 3): 1, (2, 2): -1}),
+        TensorVector(2, {(3, 1): 1, (1, 1): Fraction(5, 4)}),
+    ]
+    relations = rref(vectors, 3, 2, "revlex")
+    return GradedAlgebra(Presentation(3, 2, relations), order="revlex"), 6
+
+
+@given(algebras())
+@example(rational_quadratic_case())
+def test_stepwise_ideal_equals_union_of_shifts(case):
+    algebra, top = case
+    for n in range(top + 1):
+        assert algebra.ideal_component(n) == direct_ideal_component(algebra, n)
+
+
+@given(algebras())
+@example(rational_quadratic_case())
+def test_stepwise_dual_equals_iterated_intersection(case):
+    algebra, top = case
+    relations = algebra.presentation.relations
+    for n in range(top + 1):
+        assert algebra.dual_space(n) == iterated_intersection(relations, n)
+
+
+@st.composite
+def shift_cases(draw):
+    D = draw(st.sampled_from([3, 2, 1]))
+    degree = draw(st.integers(1, 3))
+    order = draw(st.sampled_from(ORDERS))
+    space = draw(subspaces(D, degree, order))
+    room = top_degree(D, 8) - degree
+    left = draw(st.integers(0, max(0, room)))
+    right = draw(st.integers(0, max(0, room - left)))
+    return space, left, right
+
+
+@given(shift_cases())
+def test_shift_equals_reduced_shifted_span(case):
+    space, left, right = case
+    degree = left + space.degree + right
+    shifted = shift(space, left, right)
+    direct = rref(shifted_span(space, left, right), space.alphabet, degree, space.order)
+    assert shifted == direct
+    assert shifted.pivots == direct.pivots
+    assert shifted.dim == space.alphabet ** (left + right) * space.dim

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from nhomalg.algebra import GradedAlgebra
+from nhomalg.algebra import GradedAlgebra, MemoryGuardError
 from nhomalg.catalog import plactic
 from nhomalg.linalg import InternalConsistencyError, all_words, word_vector
 from nhomalg.tableaux import (
@@ -121,6 +121,16 @@ def test_enumeration_counts():
     assert [count_tableaux(1, n) for n in range(6)] == [1] * 6
 
 
+def test_count_tableaux_builds_no_list(monkeypatch):
+    import nhomalg.tableaux as module
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("count_tableaux must not build the list")
+
+    monkeypatch.setattr(module, "enumerate_tableaux", refuse)
+    assert module.count_tableaux(4, 8) == parafermion_dims(4, 8)[8]
+
+
 def test_counts_match_distinct_normal_forms():
     for D in (2, 3):
         for n in range(5):
@@ -133,6 +143,13 @@ def test_dimension_cross_check():
     assert report.counts == (1, 2, 4, 6, 9, 12, 16, 20)
     assert dimension_cross_check(3, 5).counts == (1, 3, 9, 19, 39, 69)
     assert dimension_cross_check(1, 5).counts == (1,) * 6
+
+
+def test_dimension_cross_check_honours_word_limit():
+    # 2^7 = 128 cells' worth of tableaux exceed the limit; the tableau
+    # side refuses before the algebra side is asked for degree 7.
+    with pytest.raises(MemoryGuardError, match="cell count"):
+        dimension_cross_check(2, 7, word_limit=100)
 
 
 def test_oracle_agreement_with_algebraic_reduction():
@@ -165,8 +182,8 @@ def test_oracle_agreement_on_sampled_pairs():
 def test_cross_check_reports_offending_degree(monkeypatch):
     import nhomalg.tableaux as module
 
-    def corrupted(D, n):
-        return count_tableaux(D, n) + (1 if n == 3 else 0)
+    def corrupted(D, n, word_limit):
+        return count_tableaux(D, n, word_limit) + (1 if n == 3 else 0)
 
     monkeypatch.setattr(module, "count_tableaux", corrupted)
     with pytest.raises(InternalConsistencyError, match="degree 3"):
