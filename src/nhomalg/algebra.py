@@ -83,7 +83,9 @@ def free_presentation(D: int, N: int, order: str = "lex") -> Presentation:
 class GradedAlgebra:
     """Degreewise view of the quotient algebra with memoised components.
 
-    All cached values are immutable once stored.  Cache fills use
+    All cached values are immutable once stored (a cached
+    :class:`Subspace` may still make its Fraction rows on their first
+    read, which is race-safe; see there).  Cache fills use
     double-checked locking: a value may be recomputed under a race but
     computation is referentially transparent, so readers always see
     equal results.
@@ -103,6 +105,7 @@ class GradedAlgebra:
         self._lock = threading.Lock()
         self._ideal: dict[int, Subspace] = {}
         self._normal: dict[int, tuple[Word, ...]] = {}
+        self._normal_index: dict[int, dict[Word, int]] = {}
         self._dual: dict[int, Subspace] = {}
         self._word_mats: dict[tuple, Matrix] = {}
 
@@ -141,8 +144,8 @@ class GradedAlgebra:
         """I_n = I_{n-1} (x) E + E^(n-N) (x) R, from the cached degree n - 1.
 
         The rows of I_{n-1} (x) E are already reduced (see :func:`shift`),
-        so only the D^(n-N) dim R shifted relations are eliminated.
-        :meth:`ideal_component` caches this step.
+        so only the D^(n-N) dim R shifted relations are eliminated, on
+        integer rows.  :meth:`ideal_component` caches this step.
         """
         self.guard(n)
         if n <= self.N:
@@ -152,8 +155,7 @@ class GradedAlgebra:
             # Once some graded piece vanishes, so do all higher ones
             # (the algebra is generated in degree 1).
             return Subspace.full(self.D, n, self.order)
-        relations = shift(self.presentation.relations, n - self.N, 0)
-        return shift(prev, 0, 1).extend(relations.rows)
+        return shift(prev, 0, 1).join(shift(self.presentation.relations, n - self.N, 0))
 
     def component_dim(self, n: int) -> int:
         return self.ideal_component(n).codim()
@@ -166,6 +168,11 @@ class GradedAlgebra:
             return tuple(w for w in sorted(all_words(self.D, n), key=key)
                          if w not in pivots)
         return self._cached(self._normal, n, compute)
+
+    def _normal_positions(self, n: int) -> dict[Word, int]:
+        """Position of each normal word of degree n in :meth:`normal_basis`."""
+        return self._cached(self._normal_index, n, lambda: {
+            w: i for i, w in enumerate(self.normal_basis(n))})
 
     def reduce_to_normal(self, v: TensorVector) -> TensorVector:
         """Canonical representative of v modulo the ideal component."""
@@ -190,14 +197,15 @@ class GradedAlgebra:
 
         def compute():
             source = self.normal_basis(n)
-            target_dim = self.component_dim(n + len(word))
+            target = self._normal_positions(n + len(word))
             rows: dict[int, dict[int, Fraction]] = {}
             for j, b in enumerate(source):
                 product_word = b + word if side == "right" else word + b
-                for i, c in enumerate(self.normal_coordinates(word_vector(product_word))):
-                    if c:
-                        rows.setdefault(i, {})[j] = c
-            return Matrix(target_dim, len(source), rows)
+                remainder = self.reduce_to_normal(word_vector(product_word))
+                # Ascending i, the row order a scan of the normal basis gives.
+                for i, c in sorted((target[w], c) for w, c in remainder.terms.items()):
+                    rows.setdefault(i, {})[j] = c
+            return Matrix(len(target), len(source), rows)
         return self._cached(self._word_mats, (n, word, side), compute)
 
     def generator_matrix(self, n: int, k: int, side: str = "right") -> Matrix:

@@ -12,9 +12,12 @@ the pivot of a row is its greatest word, which makes the non-pivot
 compares with the letter order reversed; it exists so callers can verify
 that exported quantities do not depend on this section choice.
 
-Row reduction internally works on integer-scaled primitive rows (fraction
-free elimination); only the exported rows and coordinates are Fractions,
-always in lowest terms.
+Row reduction works on integer-scaled primitive rows (fraction-free
+elimination), and a :class:`Subspace` carries its rows in that form from
+one degree to the next: extensions, shifts, annihilators and
+intersections never leave the integers.  Fraction rows, always in lowest
+terms, are made only when something reads them (``rows``, ``reduce``,
+``coordinates``).
 """
 
 from __future__ import annotations
@@ -63,7 +66,10 @@ class TensorVector:
     """Sparse exact vector in a fixed tensor-power degree.
 
     Immutable by convention: no method mutates ``terms`` after
-    construction, so instances are safe to share across threads.
+    construction, so instances are safe to share across threads.  The
+    rows of a :class:`Subspace` are made on their first read; two threads
+    racing on that read may each make them, and get equal vectors, not
+    necessarily the same objects.
     """
 
     __slots__ = ("degree", "terms")
@@ -231,14 +237,21 @@ def _echelon(rows: list[_IntRow], key,
 
 
 def _full_reduce(pivots: dict[Word, _IntRow], key) -> dict[Word, _IntRow]:
-    """Backward pass: eliminate every pivot from every other row."""
+    """Backward pass: eliminate every pivot from every other row.
+
+    Each finished row is made to have a positive pivot coefficient, so it
+    is the unique primitive integer multiple of its reduced Fraction row.
+    """
     done: dict[Word, _IntRow] = {}
     for w in sorted(pivots, key=key):
         row = pivots[w]
         # A finished row's support is its pivot plus free words only, so a
-        # single pass over the current pivot hits suffices.
+        # single pass over the current pivot hits suffices.  Their pivot
+        # coefficients are positive, so combining keeps the sign at w.
         for hit in [k for k in row if k != w and k in done]:
             row = _combine(row, done[hit], hit)
+        if row[w] < 0:
+            row = {k: -c for k, c in row.items()}
         done[w] = row
     return done
 
@@ -249,31 +262,44 @@ class Subspace:
     Invariants: each row has coefficient 1 at its pivot (its greatest word
     under the span's order), no row has support at another row's pivot,
     and rows are listed with strictly decreasing pivots.  Built through
-    :func:`rref`, :meth:`extend` or :func:`shift`; instances are immutable.
+    :func:`rref`, :meth:`extend`, :meth:`join` or :func:`shift`.
+
+    The rows are held in one of two forms: the primitive integer rows,
+    each with a positive pivot coefficient and keyed by its pivot, which
+    extensions, shifts, annihilators and intersections read and build;
+    and the Fraction rows of :attr:`rows`, which :meth:`reduce` and
+    :meth:`coordinates` read.  The first read of :attr:`rows` converts the
+    integer rows and drops them, so a space holds one form at a time, and
+    the integer rows of a space in Fraction form are made anew on each
+    use.  Both forms are the same rows, so a space never changes value.
+    Threads racing on the first read may both convert, with equal rows,
+    so spaces are safe to share.
     """
 
-    __slots__ = ("alphabet", "degree", "order", "rows", "pivots", "_by_pivot")
+    __slots__ = ("alphabet", "degree", "order", "pivots", "_ints", "_rows",
+                 "_by_pivot")
 
     def __init__(self, alphabet: int, degree: int, rows, order: str = "lex"):
         key = order_key(order)
+        rows = tuple(rows)
+        self._fill(alphabet, degree, order, tuple(max(r.terms, key=key) for r in rows),
+                   None, rows)
+
+    def _fill(self, alphabet, degree, order, pivots, ints, rows):
         self.alphabet = alphabet
         self.degree = degree
         self.order = order
-        self.rows = tuple(rows)
-        self.pivots = tuple(max(r.terms, key=key) for r in self.rows)
-        self._by_pivot = dict(zip(self.pivots, self.rows))
+        self.pivots = pivots
+        self._ints = ints
+        self._rows = rows
+        self._by_pivot = None
 
     @classmethod
-    def _trusted(cls, alphabet: int, degree: int, rows, pivots,
-                 order: str) -> "Subspace":
-        """Wrap rows that already satisfy the invariants, with their pivots."""
+    def _from_ints(cls, alphabet: int, degree: int, ints: dict[Word, _IntRow],
+                   order: str) -> "Subspace":
+        """Wrap canonical integer rows keyed by pivot, pivots decreasing."""
         space = cls.__new__(cls)
-        space.alphabet = alphabet
-        space.degree = degree
-        space.order = order
-        space.rows = tuple(rows)
-        space.pivots = tuple(pivots)
-        space._by_pivot = dict(zip(space.pivots, space.rows))
+        space._fill(alphabet, degree, order, tuple(ints), ints, None)
         return space
 
     @classmethod
@@ -287,8 +313,31 @@ class Subspace:
         return cls(alphabet, degree, [word_vector(w) for w in words], order)
 
     @property
+    def rows(self) -> tuple[TensorVector, ...]:
+        """The rows as Fraction vectors, made on the first read."""
+        rows = self._rows
+        if rows is None:
+            ints = self._ints
+            if ints is None:  # another thread converted them meanwhile
+                return self._rows
+            rows = self._rows = tuple(
+                TensorVector._trusted(self.degree,
+                                      {k: Fraction(c, row[p]) for k, c in row.items()})
+                for p, row in ints.items())
+            # Set before dropped: a reader never finds both forms missing.
+            self._ints = None
+        return rows
+
+    def _int_form(self) -> dict[Word, _IntRow]:
+        """The canonical integer rows keyed by pivot."""
+        ints = self._ints
+        if ints is None:
+            ints = {p: _int_row(row.terms) for p, row in zip(self.pivots, self._rows)}
+        return ints
+
+    @property
     def dim(self) -> int:
-        return len(self.rows)
+        return len(self.pivots)
 
     def codim(self) -> int:
         return self.alphabet ** self.degree - self.dim
@@ -300,13 +349,22 @@ class Subspace:
             if any(letter > self.alphabet for letter in word):
                 raise ValueError(f"word {word} uses letters above {self.alphabet}")
 
+    def _check_ambient(self, other: "Subspace"):
+        if other.degree != self.degree:
+            raise DegreeMismatchError(f"{self.degree} != {other.degree}")
+        if other.alphabet != self.alphabet or other.order != self.order:
+            raise ValueError("subspaces live in different ambients")
+
     def reduce(self, v: TensorVector) -> TensorVector:
         """Canonical remainder of ``v``: no pivot word left in its support."""
         self._check(v)
+        by_pivot = self._by_pivot
+        if by_pivot is None:
+            by_pivot = self._by_pivot = dict(zip(self.pivots, self.rows))
         rem = dict(v.terms)
-        for w in [w for w in rem if w in self._by_pivot]:
+        for w in [w for w in rem if w in by_pivot]:
             c = rem.pop(w)
-            for k, rc in self._by_pivot[w].terms.items():
+            for k, rc in by_pivot[w].terms.items():
                 if k == w:
                     continue
                 nc = rem.get(k, _ZERO) - c * rc
@@ -317,29 +375,28 @@ class Subspace:
         return TensorVector._trusted(self.degree, rem)
 
     def extend(self, vectors: Iterable[TensorVector]) -> "Subspace":
-        """Row-reduced span of this space and ``vectors``.
-
-        The rows here are already reduced, so they seed the pivots and
-        only the new vectors are eliminated; a row of this space changes
-        only if it holds a new pivot word, and is reused as it is if not.
-        """
+        """Row-reduced span of this space and ``vectors``."""
         vectors = list(vectors)
         for v in vectors:
             self._check(v)
+        return self._extend(_int_rows(vectors))
+
+    def join(self, other: "Subspace") -> "Subspace":
+        """Row-reduced sum of this space and ``other``, on integer rows."""
+        self._check_ambient(other)
+        return self._extend(list(other._int_form().values()))
+
+    def _extend(self, rows: list[_IntRow]) -> "Subspace":
+        """Span of this space and the integer ``rows``.
+
+        The rows here are already reduced, so they seed the pivots and
+        only the new rows are eliminated; a row of this space changes
+        only if it holds a new pivot word, and is reused as it is if not.
+        """
         key = order_key(self.order)
-        seeds = {p: _int_row(row.terms) for p, row in self._by_pivot.items()}
-        done = _full_reduce(_echelon(_int_rows(vectors), key, dict(seeds)), key)
-        pivots = sorted(done, key=key, reverse=True)
-        rows = []
-        for w in pivots:
-            row = done[w]
-            if row is seeds.get(w):
-                rows.append(self._by_pivot[w])
-            else:
-                lead = row[w]
-                rows.append(TensorVector._trusted(
-                    self.degree, {k: Fraction(c, lead) for k, c in row.items()}))
-        return Subspace._trusted(self.alphabet, self.degree, rows, pivots, self.order)
+        done = _full_reduce(_echelon(rows, key, dict(self._int_form())), key)
+        ints = {w: done[w] for w in sorted(done, key=key, reverse=True)}
+        return Subspace._from_ints(self.alphabet, self.degree, ints, self.order)
 
     def contains(self, v: TensorVector) -> bool:
         return self.reduce(v).is_zero()
@@ -355,13 +412,16 @@ class Subspace:
         return [v.coefficient(p) for p in self.pivots]
 
     def __eq__(self, other) -> bool:
+        # Canonical integer rows are equal exactly when the Fraction rows
+        # are, and comparing them makes no Fraction rows.
         return (isinstance(other, Subspace)
                 and self.alphabet == other.alphabet
                 and self.degree == other.degree
-                and self.rows == other.rows)
+                and self.pivots == other.pivots
+                and self._int_form() == other._int_form())
 
     def __hash__(self):
-        return hash((self.alphabet, self.degree, self.rows))
+        return hash((self.alphabet, self.degree, self.pivots))
 
     def __repr__(self):
         return (f"Subspace(D={self.alphabet}, degree={self.degree}, "
@@ -387,22 +447,29 @@ def rref(vectors: Iterable[TensorVector], alphabet: int, degree: int | None = No
     return Subspace.zero(alphabet, degree, order).extend(vectors)
 
 
-def _annihilator_vectors(space: Subspace) -> list[TensorVector]:
-    """Raw spanning set of the annihilator, one vector per free word.
+def _annihilator_rows(space: Subspace) -> list[_IntRow]:
+    """Raw spanning set of the annihilator, one integer row per free word.
 
-    With the self-dual word pairing, a row ``e_p + sum c_f e_f`` forces
-    ``w_p = -c_f`` on the functional that is 1 at free word f.
+    With the self-dual word pairing, a reduced row with integer pivot
+    coefficient L_p and coefficient a_f at free word f forces
+    ``w_p = -a_f / L_p`` on the functional that is 1 at f; scaled by the
+    lcm m of those L_p, that functional is ``m e_f - sum a_f (m // L_p) e_p``.
     """
-    pivotset = set(space.pivots)
-    vecs: dict[Word, dict[Word, Fraction]] = {
-        w: {w: Fraction(1)}
-        for w in all_words(space.alphabet, space.degree) if w not in pivotset
-    }
-    for pivot, row in zip(space.pivots, space.rows):
-        for word, coeff in row.terms.items():
+    ints = space._int_form()
+    hits: dict[Word, list[tuple[Word, int, int]]] = {
+        w: [] for w in all_words(space.alphabet, space.degree) if w not in ints}
+    for pivot, row in ints.items():
+        lead = row[pivot]
+        for word, coeff in row.items():
             if word != pivot:
-                vecs[word][pivot] = -coeff
-    return [TensorVector._trusted(space.degree, terms) for terms in vecs.values()]
+                hits[word].append((pivot, coeff, lead))
+    rows = []
+    for free, entries in hits.items():
+        m = lcm(*(lead for _, _, lead in entries))
+        row = {pivot: -coeff * (m // lead) for pivot, coeff, lead in entries}
+        row[free] = m
+        rows.append(row)
+    return rows
 
 
 def annihilator(space: Subspace) -> Subspace:
@@ -410,18 +477,15 @@ def annihilator(space: Subspace) -> Subspace:
 
     dim(space) + dim(annihilator) = alphabet ** degree.
     """
-    return rref(_annihilator_vectors(space), space.alphabet, space.degree,
-                space.order)
+    return Subspace.zero(space.alphabet, space.degree, space.order)._extend(
+        _annihilator_rows(space))
 
 
 def intersect(s1: Subspace, s2: Subspace) -> Subspace:
     """Intersection, computed by stacking the two annihilators."""
-    if s1.degree != s2.degree:
-        raise DegreeMismatchError(f"{s1.degree} != {s2.degree}")
-    if s1.alphabet != s2.alphabet or s1.order != s2.order:
-        raise ValueError("subspaces live in different ambients")
-    constraints = rref(_annihilator_vectors(s1) + _annihilator_vectors(s2),
-                       s1.alphabet, s1.degree, s1.order)
+    s1._check_ambient(s2)
+    constraints = Subspace.zero(s1.alphabet, s1.degree, s1.order)._extend(
+        _annihilator_rows(s1) + _annihilator_rows(s2))
     return annihilator(constraints)
 
 
@@ -438,15 +502,14 @@ def shift(space: Subspace, left: int, right: int) -> Subspace:
     key = order_key(space.order)
     prefixes = sorted(all_words(space.alphabet, left), key=key, reverse=True)
     suffixes = sorted(all_words(space.alphabet, right), key=key, reverse=True)
-    degree = left + space.degree + right
-    rows, pivots = [], []
+    ints = space._int_form()
+    shifted = {}
     for u in prefixes:
-        for p, row in zip(space.pivots, space.rows):
+        for p, row in ints.items():
             for w in suffixes:
-                rows.append(TensorVector._trusted(
-                    degree, {u + x + w: c for x, c in row.terms.items()}))
-                pivots.append(u + p + w)
-    return Subspace._trusted(space.alphabet, degree, rows, pivots, space.order)
+                shifted[u + p + w] = {u + x + w: c for x, c in row.items()}
+    return Subspace._from_ints(space.alphabet, left + space.degree + right, shifted,
+                               space.order)
 
 
 def shifted_span(space: Subspace, left: int, right: int) -> list[TensorVector]:

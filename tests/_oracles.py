@@ -5,9 +5,9 @@ importing the package's linear algebra or series code: dense textbook
 Gaussian elimination over Fractions, plain list-based polynomial
 arithmetic, and direct expansions of the defining relation sets.  Tests
 freeze values computed by these oracles and compare the package against
-them.  The last section keeps the direct, slower route to the dual
-spaces on top of the package's ``rref`` and ``intersect``, which the
-tests check against the dense oracle.
+them.  The last section keeps the direct, slower routes on top of the
+package's ``rref``: the dual spaces by iterated intersection, and the
+annihilator and intersection through Fraction spanning vectors.
 """
 
 from fractions import Fraction
@@ -164,3 +164,38 @@ def iterated_intersection(relations, n):
         shifted = rref(shifted_span(relations, r, n - N - r), D, n, order)
         space = intersect(space, shifted)
     return space
+
+
+def _fraction_annihilator_vectors(space):
+    """One Fraction vector per free word spanning the annihilator.
+
+    With the self-dual word pairing, a row ``e_p + sum c_f e_f`` forces
+    ``w_p = -c_f`` on the functional that is 1 at free word f.
+    """
+    from nhomalg.linalg import TensorVector
+
+    pivots = set(space.pivots)
+    vecs = {w: {w: Fraction(1)} for w in all_words(space.alphabet, space.degree)
+            if w not in pivots}
+    for pivot, row in zip(space.pivots, space.rows):
+        for word, coeff in row.terms.items():
+            if word != pivot:
+                vecs[word][pivot] = -coeff
+    return [TensorVector(space.degree, terms) for terms in vecs.values()]
+
+
+def fraction_annihilator(space):
+    """The annihilator, by ``rref`` of its Fraction spanning vectors."""
+    from nhomalg.linalg import rref
+
+    return rref(_fraction_annihilator_vectors(space), space.alphabet, space.degree,
+                space.order)
+
+
+def fraction_intersect(s1, s2):
+    """The intersection, as the annihilator of both stacked annihilators."""
+    from nhomalg.linalg import rref
+
+    constraints = rref(_fraction_annihilator_vectors(s1) + _fraction_annihilator_vectors(s2),
+                       s1.alphabet, s1.degree, s1.order)
+    return fraction_annihilator(constraints)

@@ -11,6 +11,7 @@ from nhomalg.algebra import (
 )
 from nhomalg.catalog import artin_schelter, paraboson, parafermion, plactic
 from nhomalg.checks import direct_ideal_component
+from nhomalg.series import poincare_series
 from nhomalg.linalg import (
     Subspace,
     TensorVector,
@@ -241,3 +242,13 @@ def test_paraboson_dims_match_parafermion():
         top = 7 if D == 2 else 5
         assert [bos.component_dim(n) for n in range(top + 1)] == \
             [fer.component_dim(n) for n in range(top + 1)]
+
+
+def test_poincare_series_makes_no_fraction_rows_above_the_relations():
+    # The ideal components above degree N are carried as integer rows
+    # only; the series reads their dimensions, never their rows.
+    algebra = GradedAlgebra(parafermion(3))
+    assert list(poincare_series(algebra, 8).coefficients()) == parafermion_dims(3, 8)
+    assert sorted(algebra._ideal) == list(range(9))
+    for n in range(algebra.N + 1, 9):
+        assert algebra._ideal[n]._rows is None

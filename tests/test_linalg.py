@@ -242,12 +242,32 @@ def test_extend_equals_rref_of_the_union(order):
         base.extend([word_vector((1, 2, 3, 1))])
 
 
+def test_join_equals_rref_of_the_union():
+    rng = random.Random(9)
+    words = list(all_words(3, 2))
+    for order in ("lex", "revlex"):
+        for _ in range(10):
+            s1, s2 = (rref([tv(2, {w: Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+                                   for w in rng.sample(words, 3)})
+                            for _ in range(rng.randint(0, 4))], 3, 2, order)
+                      for _ in range(2))
+            union = rref(list(s1.rows) + list(s2.rows), 3, 2, order)
+            assert s1.join(s2) == union and s1.join(s2).pivots == union.pivots
+    with pytest.raises(DegreeMismatchError):
+        s1.join(Subspace.zero(3, 3, "revlex"))
+    with pytest.raises(ValueError, match="ambients"):
+        s1.join(Subspace.zero(3, 2, "lex"))
+
+
 def test_extend_reuses_untouched_rows():
     base = rref([tv(2, {(2, 2): 1, (1, 1): 1}), tv(2, {(2, 1): 1})], alphabet=2)
     extended = base.extend([tv(2, {(1, 1): 1})])
     assert extended.dim == 3
-    assert extended.rows[1] is base.rows[1]  # (2, 1) holds no new pivot word
-    assert extended.rows[0] is not base.rows[0]  # (1, 1) was eliminated from it
+    # The integer row of pivot 21 holds no new pivot word and is reused
+    # as it is; (1, 1) was eliminated from the row of pivot 22.
+    old, new = base._int_form(), extended._int_form()
+    assert new[(2, 1)] is old[(2, 1)]
+    assert new[(2, 2)] is not old[(2, 2)]
 
 
 def test_rref_matches_dense_oracle_rank():

@@ -1,7 +1,9 @@
 """Property tests: the stepwise routes against the direct ones on random
 presentations with D = 1..3 generators, relations in degree N = 2..4
 (empty, full, or spanned by random integer and p/q vectors), under both
-word orders, in degrees with at most 729 words."""
+word orders, in degrees with at most 729 words; and the integer-row
+annihilator and intersection against the Fraction route on random
+spaces of the same kind."""
 
 from fractions import Fraction
 
@@ -9,9 +11,19 @@ from hypothesis import example, given, strategies as st
 
 from nhomalg.algebra import GradedAlgebra, Presentation
 from nhomalg.checks import direct_ideal_component
-from nhomalg.linalg import ORDERS, Subspace, TensorVector, all_words, rref, shift, shifted_span
+from nhomalg.linalg import (
+    ORDERS,
+    Subspace,
+    TensorVector,
+    all_words,
+    annihilator,
+    intersect,
+    rref,
+    shift,
+    shifted_span,
+)
 
-from _oracles import iterated_intersection
+from _oracles import fraction_annihilator, fraction_intersect, iterated_intersection
 
 MAX_WORDS = 729
 
@@ -103,3 +115,35 @@ def test_shift_equals_reduced_shifted_span(case):
     assert shifted == direct
     assert shifted.pivots == direct.pivots
     assert shifted.dim == space.alphabet ** (left + right) * space.dim
+
+
+@st.composite
+def space_pairs(draw):
+    D = draw(st.sampled_from([3, 2, 1]))
+    degree = draw(st.integers(1, top_degree(D, 4)))
+    order = draw(st.sampled_from(ORDERS))
+    return draw(subspaces(D, degree, order)), draw(subspaces(D, degree, order))
+
+
+@given(space_pairs())
+def test_integer_annihilator_and_intersection_equal_fraction_route(pair):
+    s1, s2 = pair
+    for got, want in ((annihilator(s1), fraction_annihilator(s1)),
+                      (intersect(s1, s2), fraction_intersect(s1, s2))):
+        assert got == want
+        assert got.pivots == want.pivots
+        assert got.rows == want.rows
+
+
+@given(space_pairs())
+def test_rows_made_on_demand_equal_the_public_construction(pair):
+    space, _ = pair
+    untouched = shift(space, 0, 0)  # integer rows only, no Fraction rows yet
+    public = Subspace(space.alphabet, space.degree, space.rows, space.order)
+    assert untouched == public and public == untouched
+    assert hash(untouched) == hash(public)
+    assert untouched._rows is None  # comparing made no Fraction rows
+    assert untouched.rows == public.rows
+    assert untouched._ints is None  # reading the rows dropped the integer form
+    assert untouched == public and hash(untouched) == hash(public)
+    assert space == public and hash(space) == hash(public)
