@@ -16,7 +16,6 @@ cross-checks in :mod:`nhomalg.checks` and the tests.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -40,6 +39,24 @@ DEFAULT_WORD_LIMIT = 10_000_000
 
 class MemoryGuardError(RuntimeError):
     """A requested degree needs more basis words than the configured limit."""
+
+
+def guard_words(D: int, degree: int, word_limit: int):
+    """Refuse a degree whose D^degree basis words exceed ``word_limit``.
+
+    The count is bounded below by 2^(degree (b - 1)), b the bit length
+    of D: past the limit by that bound it is not computed, and from
+    2^4096 on it is written as a power.
+    """
+    low_bits = degree * (D.bit_length() - 1)  # D^degree >= 2^low_bits
+    if low_bits <= max(4096, word_limit.bit_length()):
+        count = D ** degree
+        if count <= word_limit:
+            return
+    estimate = count if low_bits < 4096 else f"{D}^{degree}"
+    raise MemoryGuardError(
+        f"degree {degree} needs D^n = {estimate} basis words, "
+        f"above the configured limit of {word_limit}")
 
 
 @dataclass(frozen=True)
@@ -83,12 +100,8 @@ def free_presentation(D: int, N: int, order: str = "lex") -> Presentation:
 class GradedAlgebra:
     """Degreewise view of the quotient algebra with memoised components.
 
-    All cached values are immutable once stored (a cached
-    :class:`Subspace` may still make its Fraction rows on their first
-    read, which is race-safe; see there).  Cache fills use
-    double-checked locking: a value may be recomputed under a race but
-    computation is referentially transparent, so readers always see
-    equal results.
+    Each component is computed once, on first request, and cached by
+    degree (word matrices by degree, word and side).
     """
 
     def __init__(self, presentation: Presentation,
@@ -102,7 +115,6 @@ class GradedAlgebra:
         self.N = presentation.N
         self.order = order
         self.word_limit = word_limit
-        self._lock = threading.Lock()
         self._ideal: dict[int, Subspace] = {}
         self._normal: dict[int, tuple[Word, ...]] = {}
         self._normal_index: dict[int, dict[Word, int]] = {}
@@ -113,19 +125,12 @@ class GradedAlgebra:
 
     def guard(self, degree: int):
         """Refuse degrees whose ambient basis exceeds the word limit."""
-        estimate = self.D ** degree
-        if estimate > self.word_limit:
-            raise MemoryGuardError(
-                f"degree {degree} needs D^n = {estimate} basis words, "
-                f"above the configured limit of {self.word_limit}")
+        guard_words(self.D, degree, self.word_limit)
 
     def _cached(self, cache: dict, key, compute):
-        with self._lock:
-            if key in cache:
-                return cache[key]
-        value = compute()
-        with self._lock:
-            return cache.setdefault(key, value)
+        if key not in cache:
+            cache[key] = compute()
+        return cache[key]
 
     # -- quotient side ------------------------------------------------------
 

@@ -17,7 +17,8 @@ from fractions import Fraction
 import click
 
 from . import catalog, checks as checks_mod, koszul, relfile, series, tableaux
-from .algebra import DEFAULT_WORD_LIMIT, GradedAlgebra, MemoryGuardError
+from .algebra import (DEFAULT_WORD_LIMIT, GradedAlgebra, MemoryGuardError,
+                      guard_words)
 from .linalg import InternalConsistencyError
 
 SCHEMA_VERSION = 1
@@ -58,9 +59,6 @@ def algebra_options(fn):
                      show_default=True),
         click.option("--format", "fmt", type=click.Choice(("table", "json")),
                      default="table", show_default=True),
-        click.option("--jobs", type=click.IntRange(min=1), default=1,
-                     show_default=True,
-                     help="worker threads for per-degree computations"),
         click.option("--word-limit", type=click.IntRange(min=1),
                      default=DEFAULT_WORD_LIMIT, show_default=True,
                      help="refuse degrees needing more basis words than this"),
@@ -70,7 +68,11 @@ def algebra_options(fn):
 
 
 def resolve_algebra(algebra_name, generators, q, r, relation_file, word_limit):
-    """Build the graded algebra and a JSON-friendly identity record."""
+    """Build the graded algebra and a JSON-friendly identity record.
+
+    The relation degree itself must fit the word limit: the relations,
+    and the annihilator behind the dual, span D^N words.
+    """
     if (algebra_name is None) == (relation_file is None):
         raise click.UsageError("choose exactly one of --algebra or --file")
     if relation_file is not None:
@@ -80,11 +82,14 @@ def resolve_algebra(algebra_name, generators, q, r, relation_file, word_limit):
             presentation = relfile.parse_relation_file(relation_file)
         except relfile.RelationParseError as err:
             raise click.ClickException(f"{relation_file}: {err}") from err
+        guard_words(presentation.D, presentation.N, word_limit)
         identity = {"source": "file", "path": str(relation_file),
                     "D": presentation.D, "N": presentation.N}
         entry = None
     else:
         name = "artin_schelter" if algebra_name == "as" else algebra_name
+        if generators is not None:
+            guard_words(generators, 3, word_limit)  # every family is cubic
         try:
             entry = catalog.make_entry(name, D=generators, q=q, r=r)
         except ValueError as err:
@@ -151,7 +156,7 @@ def main():
 @algebra_options
 @guarded
 def hilbert(algebra_name, generators, q, r, relation_file, max_degree, fmt,
-            jobs, word_limit):
+            word_limit):
     """Graded dimensions (the Poincare series coefficients)."""
     algebra, identity, _ = resolve_algebra(algebra_name, generators, q, r,
                                            relation_file, word_limit)
@@ -168,7 +173,7 @@ def hilbert(algebra_name, generators, q, r, relation_file, max_degree, fmt,
 @algebra_options
 @guarded
 def dual(algebra_name, generators, q, r, relation_file, max_degree, fmt,
-         jobs, word_limit):
+         word_limit):
     """Dual algebra dimensions by both routes, plus the explicit-span check."""
     algebra, identity, entry = resolve_algebra(algebra_name, generators, q, r,
                                                relation_file, word_limit)
@@ -204,7 +209,7 @@ def dual(algebra_name, generators, q, r, relation_file, max_degree, fmt,
 @algebra_options
 @guarded
 def chi(algebra_name, generators, q, r, relation_file, max_degree, fmt,
-        jobs, word_limit):
+        word_limit):
     """Euler-characteristic series by both routes and the Koszulity
     necessary condition."""
     algebra, identity, _ = resolve_algebra(algebra_name, generators, q, r,
@@ -241,12 +246,12 @@ def _homology_rows(report):
 @algebra_options
 @guarded
 def koszul_cmd(algebra_name, generators, q, r, relation_file, max_degree, fmt,
-               jobs, word_limit):
+               word_limit):
     """Koszulity probe: homology of every slice up to the degree bound."""
     require_positive_degree(max_degree)
     algebra, identity, _ = resolve_algebra(algebra_name, generators, q, r,
                                            relation_file, word_limit)
-    probe = koszul.koszul_probe(algebra, max_degree, jobs=jobs)
+    probe = koszul.koszul_probe(algebra, max_degree)
     payload = base_payload("koszul", identity, max_degree)
     payload["verdict"] = probe.describe()
     payload["consistent"] = probe.consistent
@@ -262,12 +267,12 @@ def koszul_cmd(algebra_name, generators, q, r, relation_file, max_degree, fmt,
 @algebra_options
 @guarded
 def homology(algebra_name, generators, q, r, relation_file, max_degree, fmt,
-             jobs, word_limit):
+             word_limit):
     """Per-degree homology tables of the distinguished contraction."""
     require_positive_degree(max_degree)
     algebra, identity, _ = resolve_algebra(algebra_name, generators, q, r,
                                            relation_file, word_limit)
-    probe = koszul.koszul_probe(algebra, max_degree, jobs=jobs)
+    probe = koszul.koszul_probe(algebra, max_degree)
     payload = base_payload("homology", identity, max_degree)
     payload["perDegree"] = [_homology_rows(rep) for rep in probe.reports]
     lines = []
@@ -285,7 +290,7 @@ def homology(algebra_name, generators, q, r, relation_file, max_degree, fmt,
 @algebra_options
 @guarded
 def gorenstein(algebra_name, generators, q, r, relation_file, max_degree, fmt,
-               jobs, word_limit):
+               word_limit):
     """Gorenstein probe on the dualised finite resolution (cubic only)."""
     require_positive_degree(max_degree)
     algebra, identity, _ = resolve_algebra(algebra_name, generators, q, r,
@@ -360,7 +365,7 @@ def count(generators, max_degree, fmt):
 @click.pass_context
 @guarded
 def checks_cmd(ctx, algebra_name, generators, q, r, relation_file, max_degree,
-               fmt, jobs, word_limit):
+               fmt, word_limit):
     """Run the full invariant suite; exit 0 only if everything passes."""
     algebra, identity, entry = resolve_algebra(algebra_name, generators, q, r,
                                                relation_file, word_limit)

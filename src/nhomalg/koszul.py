@@ -13,7 +13,6 @@ sparse matrix in a single pass.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 from .algebra import GradedAlgebra
@@ -179,26 +178,17 @@ class KoszulProbeReport:
         return f"nonzero homology at degree {self.first_nonacyclic}"
 
 
-def koszul_probe(algebra: GradedAlgebra, n_max: int, jobs: int = 1) -> KoszulProbeReport:
-    """Homology of every positive-degree slice up to n_max.
+def koszul_probe(algebra: GradedAlgebra, n_max: int) -> KoszulProbeReport:
+    """Homology of every positive-degree slice up to n_max, by degree.
 
-    Slices for distinct degrees are independent, so they may be built in
-    parallel; results are reported by degree.  The verdict is checked
-    against the series-level necessary condition: whenever chi refutes
-    Koszulity the probe must have found homology no later.
+    The verdict is checked against the series-level necessary condition:
+    whenever chi refutes Koszulity the probe must have found homology no
+    later.
     """
     if n_max < 1:
         raise ValueError("need n_max >= 1")
-    degrees = range(1, n_max + 1)
-
-    def run(n):
-        return homology(build_koszul_slice(algebra, n))
-
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            reports = tuple(pool.map(run, degrees))
-    else:
-        reports = tuple(run(n) for n in degrees)
+    reports = tuple(homology(build_koszul_slice(algebra, n))
+                    for n in range(1, n_max + 1))
     first = next((r.total_degree for r in reports if not r.is_acyclic), None)
     necessary = koszul_necessary(algebra, n_max)
     if necessary.refuted_at is not None and (first is None or first > necessary.refuted_at):

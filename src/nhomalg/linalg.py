@@ -66,10 +66,7 @@ class TensorVector:
     """Sparse exact vector in a fixed tensor-power degree.
 
     Immutable by convention: no method mutates ``terms`` after
-    construction, so instances are safe to share across threads.  The
-    rows of a :class:`Subspace` are made on their first read; two threads
-    racing on that read may each make them, and get equal vectors, not
-    necessarily the same objects.
+    construction.
     """
 
     __slots__ = ("degree", "terms")
@@ -272,8 +269,6 @@ class Subspace:
     integer rows and drops them, so a space holds one form at a time, and
     the integer rows of a space in Fraction form are made anew on each
     use.  Both forms are the same rows, so a space never changes value.
-    Threads racing on the first read may both convert, with equal rows,
-    so spaces are safe to share.
     """
 
     __slots__ = ("alphabet", "degree", "order", "pivots", "_ints", "_rows",
@@ -315,18 +310,13 @@ class Subspace:
     @property
     def rows(self) -> tuple[TensorVector, ...]:
         """The rows as Fraction vectors, made on the first read."""
-        rows = self._rows
-        if rows is None:
-            ints = self._ints
-            if ints is None:  # another thread converted them meanwhile
-                return self._rows
-            rows = self._rows = tuple(
+        if self._rows is None:
+            self._rows = tuple(
                 TensorVector._trusted(self.degree,
                                       {k: Fraction(c, row[p]) for k, c in row.items()})
-                for p, row in ints.items())
-            # Set before dropped: a reader never finds both forms missing.
+                for p, row in self._ints.items())
             self._ints = None
-        return rows
+        return self._rows
 
     def _int_form(self) -> dict[Word, _IntRow]:
         """The canonical integer rows keyed by pivot."""

@@ -7,9 +7,9 @@
 The header fixes the generator count and the relation degree.  Each
 following nonblank line is one relation: terms ``coeff*word`` joined by
 ``+`` or ``-``, coefficients integers or ``p/q`` rationals, words digit
-strings over ``1..D`` (single-digit letters, so D <= 9).  Lines starting
-with ``#`` are comments.  Parse errors carry 1-based line and column
-numbers.
+strings over ``1..D`` (single-digit letters, so D <= 9); all digits are
+ASCII.  Lines starting with ``#`` are comments.  Every malformed input
+raises :class:`RelationParseError`, with 1-based line and column numbers.
 """
 
 from __future__ import annotations
@@ -30,23 +30,32 @@ class RelationParseError(ValueError):
         super().__init__(f"line {line}, column {column}: {message}")
 
 
-_HEADER_RE = re.compile(r"\s*D\s*=\s*(\d+)\s+N\s*=\s*(\d+)\s*$")
+_HEADER_RE = re.compile(r"\s*D\s*=\s*(\d+)\s+N\s*=\s*(\d+)\s*$", re.ASCII)
 _TERM_RE = re.compile(
-    r"\s*(?P<sign>[+-])?\s*(?P<num>\d+)(?:\s*/\s*(?P<den>\d+))?\s*\*\s*(?P<word>\d+)")
+    r"\s*(?P<sign>[+-])?\s*(?P<num>\d+)(?:\s*/\s*(?P<den>\d+))?\s*\*\s*(?P<word>\d+)",
+    re.ASCII)
+
+
+def _numeral(match: re.Match, group, lineno: int) -> int:
+    """The integer value of a matched digit string."""
+    try:
+        return int(match.group(group))
+    except ValueError as err:  # over the interpreter's int digit limit
+        raise RelationParseError(lineno, match.start(group) + 1,
+                                 "numeral too long") from err
 
 
 def _parse_header(line: str, lineno: int) -> tuple[int, int]:
     match = _HEADER_RE.match(line)
     if not match:
         raise RelationParseError(lineno, 1, "expected header 'D=<int> N=<int>'")
-    D = int(match.group(1))
-    N = int(match.group(2))
+    D = _numeral(match, 1, lineno)
+    N = _numeral(match, 2, lineno)
     if not 1 <= D <= 9:
-        raise RelationParseError(lineno, line.index(match.group(1)) + 1,
+        raise RelationParseError(lineno, match.start(1) + 1,
                                  "D must be between 1 and 9 (single-digit letters)")
     if N < 2:
-        raise RelationParseError(lineno, line.rindex(match.group(2)) + 1,
-                                 "N must be at least 2")
+        raise RelationParseError(lineno, match.start(2) + 1, "N must be at least 2")
     return D, N
 
 
@@ -62,9 +71,9 @@ def _parse_relation(line: str, lineno: int, D: int, N: int) -> TensorVector:
         if not first and match.group("sign") is None:
             raise RelationParseError(lineno, match.start("num") + 1,
                                      "missing '+' or '-' between terms")
-        coeff = Fraction(int(match.group("num")))
+        coeff = Fraction(_numeral(match, "num", lineno))
         if match.group("den") is not None:
-            den = int(match.group("den"))
+            den = _numeral(match, "den", lineno)
             if den == 0:
                 raise RelationParseError(lineno, match.start("den") + 1,
                                          "zero denominator")

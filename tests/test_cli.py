@@ -63,7 +63,7 @@ def test_dual_reports_both_routes():
 
 def test_koszul_probe_command():
     result = run_cli("koszul", "--algebra", "plactic", "--D", "3",
-                     "--max-degree", "5", "--format", "json", "--jobs", "2")
+                     "--max-degree", "5", "--format", "json")
     assert result.exit_code == 0
     payload = json.loads(result.output)
     assert payload["consistent"] is False
@@ -73,7 +73,7 @@ def test_koszul_probe_command():
 
 def test_homology_command_orders_by_degree():
     result = run_cli("homology", "--algebra", "parafermion", "--D", "2",
-                     "--max-degree", "4", "--format", "json", "--jobs", "3")
+                     "--max-degree", "4", "--format", "json")
     payload = json.loads(result.output)
     degrees = [row["degree"] for row in payload["perDegree"]]
     assert degrees == [1, 2, 3, 4]
@@ -219,6 +219,44 @@ def test_memory_guard_refusal_mentions_estimate():
                      "--max-degree", "7", "--word-limit", "100")
     assert result.exit_code != 0
     assert "128" in result.output
+
+
+def test_relation_degree_refused_before_the_relations_are_built(tmp_path):
+    # Degrees 0..2 fit the limit; the D^3 = 8000 relation words do not.
+    result = run_cli("hilbert", "--algebra", "parafermion", "--D", "20",
+                     "--max-degree", "2", "--word-limit", "1000")
+    _assert_clean_error(result)
+    assert "degree 3 needs D^n = 8000 basis words" in result.output
+    # The annihilator behind `dual` spans all 2^12 words of the relation degree.
+    path = tmp_path / "long.txt"
+    path.write_text("D=2 N=12\n1*121212121212 - 1*212121212121\n")
+    result = run_cli("dual", "--file", str(path), "--word-limit", "1000")
+    _assert_clean_error(result)
+    assert "degree 12 needs D^n = 4096 basis words" in result.output
+
+
+def test_relation_degree_too_large_to_write_out_is_refused(tmp_path):
+    path = tmp_path / "huge.txt"
+    path.write_text("D=2 N=20000\n")
+    result = run_cli("hilbert", "--file", str(path))
+    _assert_clean_error(result)
+    assert "degree 20000 needs D^n = 2^20000 basis words" in result.output
+
+
+def test_overlong_numeral_in_a_file_is_a_clean_error(tmp_path):
+    path = tmp_path / "long_numeral.txt"
+    path.write_text("D=2 N=3\n" + "9" * 5000 + "*121\n")
+    result = run_cli("hilbert", "--file", str(path))
+    _assert_clean_error(result)
+    assert "line 2, column 1: numeral too long" in result.output
+
+
+def test_jobs_option_is_gone():
+    result = run_cli("koszul", "--algebra", "plactic", "--D", "2",
+                     "--max-degree", "3", "--jobs", "2")
+    assert result.exit_code == 2  # click's usage error
+    assert "No such option" in result.output and "--jobs" in result.output
+    assert "Traceback" not in result.output
 
 
 def test_module_entry_point():

@@ -1,9 +1,11 @@
 """Property tests: the stepwise routes against the direct ones on random
 presentations with D = 1..3 generators, relations in degree N = 2..4
 (empty, full, or spanned by random integer and p/q vectors), under both
-word orders, in degrees with at most 729 words; and the integer-row
-annihilator and intersection against the Fraction route on random
-spaces of the same kind."""
+word orders, in degrees with at most 729 words; the dual dimensions by
+quotient and by intersection, lex against revlex, chi by two routes and
+the relation-file round trip on the same presentations; and the
+integer-row annihilator and intersection against the Fraction route on
+random spaces of the same kind."""
 
 from fractions import Fraction
 
@@ -22,6 +24,8 @@ from nhomalg.linalg import (
     shift,
     shifted_span,
 )
+from nhomalg.relfile import format_presentation, parse_relations
+from nhomalg.series import chi_via_product
 
 from _oracles import fraction_annihilator, fraction_intersect, iterated_intersection
 
@@ -92,6 +96,38 @@ def test_stepwise_dual_equals_iterated_intersection(case):
     relations = algebra.presentation.relations
     for n in range(top + 1):
         assert algebra.dual_space(n) == iterated_intersection(relations, n)
+
+
+@given(algebras())
+@example(rational_quadratic_case())
+def test_dual_dims_and_chi_agree_by_both_routes(case):
+    algebra, top = case
+    quotient = GradedAlgebra(algebra.presentation.dual(), order=algebra.order)
+    for n in range(top + 1):
+        assert quotient.component_dim(n) == algebra.dual_dim(n)
+    chi_via_product(algebra, top)  # raises if it differs from chi_direct
+
+
+@given(algebras())
+@example(rational_quadratic_case())
+def test_dimensions_do_not_depend_on_the_word_order(case):
+    algebra, top = case
+    other = "revlex" if algebra.order == "lex" else "lex"
+    reordered = GradedAlgebra(algebra.presentation, order=other)
+    for n in range(top + 1):
+        assert reordered.component_dim(n) == algebra.component_dim(n)
+        assert reordered.dual_dim(n) == algebra.dual_dim(n)
+
+
+@given(algebras())
+@example(rational_quadratic_case())
+def test_relation_file_round_trips(case):
+    presentation = case[0].presentation
+    relations = presentation.relations
+    parsed = parse_relations(format_presentation(presentation), relations.order)
+    assert (parsed.D, parsed.N) == (presentation.D, presentation.N)
+    assert parsed.relations == relations
+    assert parsed.relations.rows == relations.rows
 
 
 @st.composite

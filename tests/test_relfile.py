@@ -1,6 +1,7 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, strategies as st
 
 from nhomalg.algebra import GradedAlgebra
 from nhomalg.catalog import artin_schelter, parafermion, plactic
@@ -86,3 +87,45 @@ def test_format_is_canonical():
     assert text.splitlines()[0] == "D=2 N=3"
     assert "1*221 - 1*212" in text
     assert "1*211 - 1*121" in text
+
+
+LONG = "9" * 5000  # more digits than int() converts by default
+
+
+@pytest.mark.parametrize("text, line, column", [
+    (f"D={LONG} N=3\n", 1, 3),
+    (f"D=2 N={LONG}\n", 1, 7),
+    (f"D=2 N=3\n1*121 - {LONG}*211\n", 2, 9),
+    (f"D=2 N=3\n1/{LONG}*121\n", 2, 3),
+], ids=["D", "N", "coefficient", "denominator"])
+def test_overlong_numeral_is_a_parse_error(text, line, column):
+    with pytest.raises(RelationParseError, match="numeral too long") as info:
+        parse_relations(text)
+    assert (info.value.line, info.value.column) == (line, column)
+
+
+def test_non_ascii_digits_are_rejected():
+    # Arabic-Indic digits: str.isdigit() and int() accept them, the format does not.
+    with pytest.raises(RelationParseError) as info:
+        parse_relations("D=2 N=3\n1*\u0661\u0662\u0661\n")
+    assert (info.value.line, info.value.column) == (2, 1)
+    with pytest.raises(RelationParseError, match="header"):
+        parse_relations("D=\u0662 N=3\n")
+
+
+# The file alphabet, a few non-ASCII decimal digits, and an overlong numeral.
+_FILE_TEXT = st.lists(
+    st.sampled_from(list("0123456789D=N*/+-# \n") + ["\u0661", "\u0663", "\uff12", LONG]),
+    max_size=60).map("".join)
+
+
+@given(st.one_of(_FILE_TEXT,
+                 st.tuples(st.sampled_from(["D=2 N=3", "D=1 N=2", "D=3 N=2"]),
+                           _FILE_TEXT).map("\n".join)))
+@example(f"D=2 N=3\n1/{LONG}*121")
+@example(f"D={LONG} N=3")
+def test_fuzzed_text_raises_only_parse_errors(text):
+    try:
+        parse_relations(text)
+    except RelationParseError:
+        pass
