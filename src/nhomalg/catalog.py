@@ -26,19 +26,28 @@ from .linalg import (
 CATALOG_NAMES = ("parafermion", "paraboson", "plactic", "artin_schelter")
 
 
+def _span(D: int, rows, order: str) -> Subspace:
+    """Span of degree-3 rows of ``(word, integer coeff)`` terms; repeated
+    words are added up and cancelled ones dropped, so no row needs checks."""
+    vectors = []
+    for terms in rows:
+        acc: dict = {}
+        for word, coeff in terms:
+            acc[word] = acc.get(word, 0) + coeff
+        row = {word: Fraction(c) for word, c in acc.items() if c}
+        if row:
+            vectors.append(TensorVector._trusted(3, row))
+    return rref(vectors, D, 3, order)
+
+
 def parafermion(D: int, order: str = "lex") -> Presentation:
     """Relations [[x,y],z] = 0: the span of ijk - jik - kij + kji."""
     if D < 1:
         raise ValueError("D must be positive")
     letters = range(1, D + 1)
-    vectors = []
-    for i in letters:
-        for j in letters:
-            for k in letters:
-                vectors.append(TensorVector(3, [
-                    ((i, j, k), 1), ((j, i, k), -1), ((k, i, j), -1), ((k, j, i), 1),
-                ]))
-    return Presentation(D, 3, rref(vectors, D, 3, order))
+    rows = ((((i, j, k), 1), ((j, i, k), -1), ((k, i, j), -1), ((k, j, i), 1))
+            for i in letters for j in letters for k in letters)
+    return Presentation(D, 3, _span(D, rows, order))
 
 
 def paraboson(D: int, order: str = "lex") -> Presentation:
@@ -46,14 +55,9 @@ def paraboson(D: int, order: str = "lex") -> Presentation:
     if D < 1:
         raise ValueError("D must be positive")
     letters = range(1, D + 1)
-    vectors = []
-    for i in letters:
-        for j in letters:
-            for k in letters:
-                vectors.append(TensorVector(3, [
-                    ((i, j, k), 1), ((j, i, k), 1), ((k, i, j), -1), ((k, j, i), -1),
-                ]))
-    return Presentation(D, 3, rref(vectors, D, 3, order))
+    rows = ((((i, j, k), 1), ((j, i, k), 1), ((k, i, j), -1), ((k, j, i), -1))
+            for i in letters for j in letters for k in letters)
+    return Presentation(D, 3, _span(D, rows, order))
 
 
 def plactic(D: int, order: str = "lex") -> Presentation:
@@ -61,15 +65,15 @@ def plactic(D: int, order: str = "lex") -> Presentation:
     if D < 1:
         raise ValueError("D must be positive")
     letters = range(1, D + 1)
-    vectors = []
+    rows = []
     for k in letters:
         for l in letters:
             for m in letters:
                 if k < l <= m:
-                    vectors.append(TensorVector(3, [((l, m, k), 1), ((l, k, m), -1)]))
+                    rows.append((((l, m, k), 1), ((l, k, m), -1)))
                 if k <= l < m:
-                    vectors.append(TensorVector(3, [((k, m, l), 1), ((m, k, l), -1)]))
-    return Presentation(D, 3, rref(vectors, D, 3, order))
+                    rows.append((((k, m, l), 1), ((m, k, l), -1)))
+    return Presentation(D, 3, _span(D, rows, order))
 
 
 def artin_schelter(q, r, order: str = "lex") -> Presentation:
@@ -256,12 +260,13 @@ def gl_invariance(relations: Subspace, D: int | None = None) -> GlInvarianceRepo
         raise ValueError(f"D = {D} does not match the relation alphabet "
                          f"{relations.alphabet}")
     key = order_key(relations.order)
+    rows = relations.rows
     results = []
     failures = []
     for i in range(1, D + 1):
         for j in range(1, D + 1):
             ok = True
-            for index, row in enumerate(relations.rows):
+            for index, row in enumerate(rows):
                 image = apply_derivation(row, i, j)
                 remainder = relations.reduce(image)
                 if not remainder.is_zero():

@@ -14,9 +14,10 @@ sparse matrix in a single pass.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 
 from .algebra import GradedAlgebra
-from .linalg import InternalConsistencyError, Matrix, TensorVector
+from .linalg import InternalConsistencyError, Matrix
 from .series import chi_direct, koszul_necessary
 
 
@@ -74,27 +75,27 @@ def _splitting_matrices(algebra: GradedAlgebra, m: int, j: int) -> dict[tuple, M
 
     Every row of the degree-m dual space splits as a sum of prefix words
     tensor tails, and nesting guarantees each tail lies in the degree
-    m - j dual space; a tail escaping it is a construction bug.
+    m - j dual space; a tail escaping it is a construction bug.  On the
+    integer rows, the coordinate of a tail of row c (pivot coefficient L)
+    over the target row of pivot p is the tail's coefficient at p over L.
     """
     source = algebra.dual_space(m)
     target = algebra.dual_space(m - j)
+    index = {p: i for i, p in enumerate(target.pivots)}
     by_prefix: dict[tuple, dict[int, dict]] = {}
-    for c, row in enumerate(source.rows):
+    for c, (pivot, row) in enumerate(source._ints.items()):
+        lead = row[pivot]
         tails: dict[tuple, dict] = {}
-        for word, coeff in row.terms.items():
-            tail = tails.setdefault(word[:j], {})
-            suffix = word[j:]
-            tail[suffix] = tail.get(suffix, 0) + coeff
-        for prefix, terms in tails.items():
-            coords = target.coordinates(TensorVector(m - j, terms))
-            if coords is None:
+        for word, coeff in row.items():
+            tails.setdefault(word[:j], {})[word[j:]] = coeff
+        for prefix, tail in tails.items():
+            if target._remainder(tail)[0]:
                 raise InternalConsistencyError(
                     f"tail of a degree-{m} dual row escapes the degree-{m - j} "
                     "dual space")
             rows = by_prefix.setdefault(prefix, {})
-            for i, value in enumerate(coords):
-                if value:
-                    rows.setdefault(i, {})[c] = value
+            for i, value in sorted((index[p], v) for p, v in tail.items() if p in index):
+                rows.setdefault(i, {})[c] = Fraction(value, lead)
     return {prefix: Matrix(target.dim, source.dim, rows)
             for prefix, rows in by_prefix.items()}
 

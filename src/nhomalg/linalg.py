@@ -13,11 +13,11 @@ compares with the letter order reversed; it exists so callers can verify
 that exported quantities do not depend on this section choice.
 
 Row reduction works on integer-scaled primitive rows (fraction-free
-elimination), and a :class:`Subspace` carries its rows in that form from
-one degree to the next: extensions, shifts, annihilators and
-intersections never leave the integers.  Fraction rows, always in lowest
-terms, are made only when something reads them (``rows``, ``reduce``,
-``coordinates``).
+elimination), and a :class:`Subspace` stores its rows in that form only:
+extensions, shifts, annihilators, intersections, remainders and
+membership tests never leave the integers.  Fractions, always in lowest
+terms, are made only in the vectors handed back to callers (``rows``,
+``reduce``, ``coordinates``).
 """
 
 from __future__ import annotations
@@ -256,78 +256,66 @@ def _full_reduce(pivots: dict[Word, _IntRow], key) -> dict[Word, _IntRow]:
 class Subspace:
     """Canonical row-reduced span inside one tensor power.
 
-    Invariants: each row has coefficient 1 at its pivot (its greatest word
-    under the span's order), no row has support at another row's pivot,
-    and rows are listed with strictly decreasing pivots.  Built through
-    :func:`rref`, :meth:`extend`, :meth:`join` or :func:`shift`.
+    Invariants: each row's pivot is its greatest word under the span's
+    order, no row has support at another row's pivot, and rows are listed
+    with strictly decreasing pivots.  Built through :func:`rref`,
+    :meth:`extend`, :meth:`join` or :func:`shift`.
 
-    The rows are held in one of two forms: the primitive integer rows,
-    each with a positive pivot coefficient and keyed by its pivot, which
-    extensions, shifts, annihilators and intersections read and build;
-    and the Fraction rows of :attr:`rows`, which :meth:`reduce` and
-    :meth:`coordinates` read.  The first read of :attr:`rows` converts the
-    integer rows and drops them, so a space holds one form at a time, and
-    the integer rows of a space in Fraction form are made anew on each
-    use.  Both forms are the same rows, so a space never changes value.
+    The rows are stored in one form only: primitive integer rows, each
+    with a positive pivot coefficient, keyed by pivot.  Each is the unique
+    such multiple of the reduced row with coefficient 1 at its pivot, so
+    equal spans store equal rows.  Every operation reads and builds these
+    rows; Fractions are made only in what a method returns
+    (:attr:`rows`, :meth:`reduce`, :meth:`coordinates`).
     """
 
-    __slots__ = ("alphabet", "degree", "order", "pivots", "_ints", "_rows",
-                 "_by_pivot")
+    __slots__ = ("alphabet", "degree", "order", "_ints")
 
     def __init__(self, alphabet: int, degree: int, rows, order: str = "lex"):
         key = order_key(order)
-        rows = tuple(rows)
-        self._fill(alphabet, degree, order, tuple(max(r.terms, key=key) for r in rows),
-                   None, rows)
+        self._fill(alphabet, degree, order,
+                   {max(r.terms, key=key): _int_row(r.terms) for r in rows})
 
-    def _fill(self, alphabet, degree, order, pivots, ints, rows):
+    def _fill(self, alphabet, degree, order, ints):
         self.alphabet = alphabet
         self.degree = degree
         self.order = order
-        self.pivots = pivots
         self._ints = ints
-        self._rows = rows
-        self._by_pivot = None
 
     @classmethod
     def _from_ints(cls, alphabet: int, degree: int, ints: dict[Word, _IntRow],
                    order: str) -> "Subspace":
         """Wrap canonical integer rows keyed by pivot, pivots decreasing."""
         space = cls.__new__(cls)
-        space._fill(alphabet, degree, order, tuple(ints), ints, None)
+        space._fill(alphabet, degree, order, ints)
         return space
 
     @classmethod
     def zero(cls, alphabet: int, degree: int, order: str = "lex") -> "Subspace":
-        return cls(alphabet, degree, (), order)
+        return cls._from_ints(alphabet, degree, {}, order)
 
     @classmethod
     def full(cls, alphabet: int, degree: int, order: str = "lex") -> "Subspace":
         key = order_key(order)
         words = sorted(all_words(alphabet, degree), key=key, reverse=True)
-        return cls(alphabet, degree, [word_vector(w) for w in words], order)
+        return cls._from_ints(alphabet, degree, {w: {w: 1} for w in words}, order)
+
+    @property
+    def pivots(self) -> tuple[Word, ...]:
+        return tuple(self._ints)
 
     @property
     def rows(self) -> tuple[TensorVector, ...]:
-        """The rows as Fraction vectors, made on the first read."""
-        if self._rows is None:
-            self._rows = tuple(
-                TensorVector._trusted(self.degree,
-                                      {k: Fraction(c, row[p]) for k, c in row.items()})
-                for p, row in self._ints.items())
-            self._ints = None
-        return self._rows
-
-    def _int_form(self) -> dict[Word, _IntRow]:
-        """The canonical integer rows keyed by pivot."""
-        ints = self._ints
-        if ints is None:
-            ints = {p: _int_row(row.terms) for p, row in zip(self.pivots, self._rows)}
-        return ints
+        """The rows as Fraction vectors with coefficient 1 at the pivot,
+        made anew on each read."""
+        return tuple(
+            TensorVector._trusted(self.degree,
+                                  {k: Fraction(c, row[p]) for k, c in row.items()})
+            for p, row in self._ints.items())
 
     @property
     def dim(self) -> int:
-        return len(self.pivots)
+        return len(self._ints)
 
     def codim(self) -> int:
         return self.alphabet ** self.degree - self.dim
@@ -345,24 +333,36 @@ class Subspace:
         if other.alphabet != self.alphabet or other.order != self.order:
             raise ValueError("subspaces live in different ambients")
 
+    def _remainder(self, num: _IntRow) -> tuple[_IntRow, int]:
+        """``(rem, m)`` with rem / m the canonical remainder of ``num``.
+
+        No row meets another's pivot, so the coordinates are num_p / L_p,
+        L_p the pivot coefficients hit; with m their lcm, fraction-free,
+        ``rem = m num - sum num_p (m // L_p) row_p``.
+        """
+        ints = self._ints
+        hits = [(p, ints[p]) for p in num if p in ints]
+        m = lcm(*(row[p] for p, row in hits))
+        rem = {w: m * c for w, c in num.items()}
+        for p, row in hits:
+            a = num[p] * (m // row[p])
+            for k, c in row.items():
+                nc = rem.get(k, 0) - a * c
+                if nc:
+                    rem[k] = nc
+                else:
+                    del rem[k]
+        return rem, m
+
     def reduce(self, v: TensorVector) -> TensorVector:
         """Canonical remainder of ``v``: no pivot word left in its support."""
         self._check(v)
-        by_pivot = self._by_pivot
-        if by_pivot is None:
-            by_pivot = self._by_pivot = dict(zip(self.pivots, self.rows))
-        rem = dict(v.terms)
-        for w in [w for w in rem if w in by_pivot]:
-            c = rem.pop(w)
-            for k, rc in by_pivot[w].terms.items():
-                if k == w:
-                    continue
-                nc = rem.get(k, _ZERO) - c * rc
-                if nc:
-                    rem[k] = nc
-                elif k in rem:
-                    del rem[k]
-        return TensorVector._trusted(self.degree, rem)
+        den = lcm(*(c.denominator for c in v.terms.values()))
+        rem, m = self._remainder(
+            {w: c.numerator * (den // c.denominator) for w, c in v.terms.items()})
+        den *= m
+        return TensorVector._trusted(self.degree,
+                                     {w: Fraction(c, den) for w, c in rem.items()})
 
     def extend(self, vectors: Iterable[TensorVector]) -> "Subspace":
         """Row-reduced span of this space and ``vectors``."""
@@ -374,7 +374,7 @@ class Subspace:
     def join(self, other: "Subspace") -> "Subspace":
         """Row-reduced sum of this space and ``other``, on integer rows."""
         self._check_ambient(other)
-        return self._extend(list(other._int_form().values()))
+        return self._extend(list(other._ints.values()))
 
     def _extend(self, rows: list[_IntRow]) -> "Subspace":
         """Span of this space and the integer ``rows``.
@@ -384,7 +384,7 @@ class Subspace:
         only if it holds a new pivot word, and is reused as it is if not.
         """
         key = order_key(self.order)
-        done = _full_reduce(_echelon(rows, key, dict(self._int_form())), key)
+        done = _full_reduce(_echelon(rows, key, dict(self._ints)), key)
         ints = {w: done[w] for w in sorted(done, key=key, reverse=True)}
         return Subspace._from_ints(self.alphabet, self.degree, ints, self.order)
 
@@ -392,23 +392,22 @@ class Subspace:
         return self.reduce(v).is_zero()
 
     def contains_subspace(self, other: "Subspace") -> bool:
-        return all(self.contains(row) for row in other.rows)
+        self._check_ambient(other)
+        return all(not self._remainder(row)[0] for row in other._ints.values())
 
     def coordinates(self, v: TensorVector) -> list[Fraction] | None:
         """Coefficients of ``v`` over the rows, or None if v is outside."""
-        if not self.reduce(v).is_zero():
+        if not self.contains(v):
             return None
         # In full RREF the coordinate over a row is v's pivot coefficient.
         return [v.coefficient(p) for p in self.pivots]
 
     def __eq__(self, other) -> bool:
-        # Canonical integer rows are equal exactly when the Fraction rows
-        # are, and comparing them makes no Fraction rows.
         return (isinstance(other, Subspace)
                 and self.alphabet == other.alphabet
                 and self.degree == other.degree
                 and self.pivots == other.pivots
-                and self._int_form() == other._int_form())
+                and self._ints == other._ints)
 
     def __hash__(self):
         return hash((self.alphabet, self.degree, self.pivots))
@@ -445,7 +444,7 @@ def _annihilator_rows(space: Subspace) -> list[_IntRow]:
     ``w_p = -a_f / L_p`` on the functional that is 1 at f; scaled by the
     lcm m of those L_p, that functional is ``m e_f - sum a_f (m // L_p) e_p``.
     """
-    ints = space._int_form()
+    ints = space._ints
     hits: dict[Word, list[tuple[Word, int, int]]] = {
         w: [] for w in all_words(space.alphabet, space.degree) if w not in ints}
     for pivot, row in ints.items():
@@ -492,7 +491,7 @@ def shift(space: Subspace, left: int, right: int) -> Subspace:
     key = order_key(space.order)
     prefixes = sorted(all_words(space.alphabet, left), key=key, reverse=True)
     suffixes = sorted(all_words(space.alphabet, right), key=key, reverse=True)
-    ints = space._int_form()
+    ints = space._ints
     shifted = {}
     for u in prefixes:
         for p, row in ints.items():

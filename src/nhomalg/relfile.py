@@ -19,7 +19,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from .algebra import Presentation
-from .linalg import TensorVector, format_word, order_key, rref
+from .linalg import TensorVector, format_vector, rref
 
 
 class RelationParseError(ValueError):
@@ -124,20 +124,9 @@ def format_presentation(presentation: Presentation) -> str:
     """Canonical text for a presentation; parses back to equal relations."""
     if presentation.D > 9:
         raise ValueError("the file format supports single-digit letters only")
-    lines = [f"D={presentation.D} N={presentation.N}"]
     relations = presentation.relations
-    key = order_key(relations.order)
-    for row in relations.rows:
-        parts = []
-        for word, coeff in sorted(row.terms.items(), key=lambda t: key(t[0]),
-                                  reverse=True):
-            parts.append(("-" if coeff < 0 else "+",
-                          f"{abs(coeff)}*{format_word(word)}"))
-        sign, term = parts[0]
-        text = ("-" if sign == "-" else "") + term
-        for sign, term in parts[1:]:
-            text += f" {sign} {term}"
-        lines.append(text)
+    lines = [f"D={presentation.D} N={presentation.N}"]
+    lines.extend(format_vector(row, relations.order) for row in relations.rows)
     return "\n".join(lines) + "\n"
 
 

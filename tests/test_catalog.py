@@ -15,9 +15,9 @@ from nhomalg.catalog import (
     parafermion,
     plactic,
 )
-from nhomalg.linalg import TensorVector, word_vector
+from nhomalg.linalg import ORDERS, TensorVector, rref, word_vector
 
-from _oracles import anti_bracket_vectors, dense_rank, knuth_vectors
+from _oracles import anti_bracket_vectors, bracket_vectors, dense_rank, knuth_vectors
 
 
 def test_parafermion_degenerate_and_small():
@@ -52,6 +52,18 @@ def test_relation_dimensions_agree_across_families():
         assert plactic(D).relations.dim == dim
         assert paraboson(D).relations.dim == dim
         assert dim == D * (D * D - 1) // 3
+
+
+@pytest.mark.parametrize("order", ORDERS)
+@pytest.mark.parametrize("D", [1, 2, 3, 4])
+def test_relations_equal_the_direct_expansions(D, order):
+    for build, expand in ((parafermion, bracket_vectors),
+                          (paraboson, anti_bracket_vectors),
+                          (plactic, knuth_vectors)):
+        relations = build(D, order).relations
+        vectors = [TensorVector(3, terms) for terms in expand(D)]
+        assert relations == rref(vectors, D, 3, order)
+        assert relations.order == order
 
 
 def test_family_specialisations_are_subspace_equalities():

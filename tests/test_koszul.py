@@ -17,7 +17,7 @@ from nhomalg.koszul import (
     homology,
     koszul_probe,
 )
-from nhomalg.linalg import Matrix, Subspace
+from nhomalg.linalg import Matrix, Subspace, TensorVector
 from nhomalg.series import chi_direct
 
 
@@ -170,6 +170,26 @@ def test_differential_is_the_sum_of_prefix_krons(parafermi3, plactic2):
                             for l, b in enumerate(tail_row):
                                 total[i * tails.nrows + k][c * tails.ncols + l] += a * b
             assert _dense(_differential(algebra, n, m, j)) == total
+
+
+def test_splitting_matrices_rebuild_the_dual_rows(parafermi3):
+    # Prefix (x) (tail coordinates times the target rows) gives back each
+    # source row; the generic member's dual rows have pivot coefficients
+    # other than 1 in their integer form.
+    generic = GradedAlgebra(artin_schelter(Fraction(-3, 7), Fraction(5, 2)))
+    assert any(row[p] > 1 for p, row in generic.dual_space(4)._ints.items())
+    for algebra in (parafermi3, generic):
+        for m, j in ((3, 1), (3, 2), (4, 1), (4, 3)):
+            source = algebra.dual_space(m).rows
+            target = algebra.dual_space(m - j).rows
+            rebuilt = [{} for _ in source]
+            for prefix, tails in _splitting_matrices(algebra, m, j).items():
+                for i, row in tails.rows.items():
+                    for c, value in row.items():
+                        for word, coeff in target[i].terms.items():
+                            word = prefix + word
+                            rebuilt[c][word] = rebuilt[c].get(word, 0) + value * coeff
+            assert [TensorVector(m, terms) for terms in rebuilt] == list(source)
 
 
 def test_differential_empty_shapes(parafermi2):

@@ -265,7 +265,7 @@ def test_extend_reuses_untouched_rows():
     assert extended.dim == 3
     # The integer row of pivot 21 holds no new pivot word and is reused
     # as it is; (1, 1) was eliminated from the row of pivot 22.
-    old, new = base._int_form(), extended._int_form()
+    old, new = base._ints, extended._ints
     assert new[(2, 1)] is old[(2, 1)]
     assert new[(2, 2)] is not old[(2, 2)]
 

@@ -3,9 +3,10 @@ presentations with D = 1..3 generators, relations in degree N = 2..4
 (empty, full, or spanned by random integer and p/q vectors), under both
 word orders, in degrees with at most 729 words; the dual dimensions by
 quotient and by intersection, lex against revlex, chi by two routes and
-the relation-file round trip on the same presentations; and the
-integer-row annihilator and intersection against the Fraction route on
-random spaces of the same kind."""
+the relation-file round trip on the same presentations; the integer-row
+annihilator and intersection against the Fraction route, and remainders
+and coordinates against the dense oracle, on random spaces of the same
+kind."""
 
 from fractions import Fraction
 
@@ -27,7 +28,12 @@ from nhomalg.linalg import (
 from nhomalg.relfile import format_presentation, parse_relations
 from nhomalg.series import chi_via_product
 
-from _oracles import fraction_annihilator, fraction_intersect, iterated_intersection
+from _oracles import (
+    dense_rank,
+    fraction_annihilator,
+    fraction_intersect,
+    iterated_intersection,
+)
 
 MAX_WORDS = 729
 
@@ -172,14 +178,67 @@ def test_integer_annihilator_and_intersection_equal_fraction_route(pair):
 
 
 @given(space_pairs())
-def test_rows_made_on_demand_equal_the_public_construction(pair):
-    space, _ = pair
-    untouched = shift(space, 0, 0)  # integer rows only, no Fraction rows yet
+def test_reading_a_space_leaves_its_integer_rows(pair):
+    space, other = pair
+    untouched = shift(space, 0, 0)
     public = Subspace(space.alphabet, space.degree, space.rows, space.order)
     assert untouched == public and public == untouched
     assert hash(untouched) == hash(public)
-    assert untouched._rows is None  # comparing made no Fraction rows
+    stored = untouched._ints
+    snapshot = {p: dict(row) for p, row in stored.items()}
+    for row in other.rows:
+        untouched.reduce(row)
+        untouched.coordinates(row)
     assert untouched.rows == public.rows
-    assert untouched._ints is None  # reading the rows dropped the integer form
+    assert untouched._ints is stored and stored == snapshot
     assert untouched == public and hash(untouched) == hash(public)
     assert space == public and hash(space) == hash(public)
+
+
+# Ratios for spans whose reduced rows have pivot coefficients other than 1.
+ratios = st.sampled_from([Fraction(p, q) for p in (3, -2, 5, -1) for q in (7, 2, 3, 1)])
+
+
+@st.composite
+def reduce_cases(draw):
+    """A space, a vector that often meets its pivots, and weights for a
+    random element of the span."""
+    D = draw(st.sampled_from([3, 2, 1]))
+    degree = draw(st.integers(1, top_degree(D, 3)))
+    order = draw(st.sampled_from(ORDERS))
+    words = list(all_words(D, degree))
+    if draw(st.booleans()):
+        space = draw(subspaces(D, degree, order))
+    else:
+        rows = draw(st.lists(st.dictionaries(st.sampled_from(words), ratios,
+                                             min_size=min(2, len(words)), max_size=4),
+                             min_size=1, max_size=6))
+        space = rref([TensorVector(degree, row) for row in rows], D, degree, order)
+    support = draw(st.lists(st.sampled_from(list(space.pivots) + words), max_size=6))
+    v = TensorVector(degree, [(w, draw(coefficients)) for w in support])
+    weights = draw(st.lists(coefficients, min_size=space.dim, max_size=space.dim))
+    return space, v, weights
+
+
+def combination(degree, coords, rows):
+    total = TensorVector(degree)
+    for c, row in zip(coords, rows):
+        total = total + row * c
+    return total
+
+
+@given(reduce_cases())
+def test_reduce_and_coordinates_are_exact(case):
+    space, v, weights = case
+    rows = space.rows
+    remainder = space.reduce(v)
+    assert not remainder.support() & set(space.pivots)
+    assert dense_rank([row.terms for row in rows] + [(v - remainder).terms],
+                      space.alphabet, space.degree) == space.dim
+    s = combination(space.degree, weights, rows)
+    assert space.reduce(v + s) == remainder
+    assert combination(space.degree, space.coordinates(s), rows) == s
+    coords = space.coordinates(v)
+    assert (coords is None) == (not remainder.is_zero())
+    if coords is not None:
+        assert combination(space.degree, coords, rows) == v
