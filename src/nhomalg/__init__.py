@@ -11,7 +11,6 @@ from .algebra import (
     GradedAlgebra,
     MemoryGuardError,
     Presentation,
-    dual_presentation,
     free_presentation,
 )
 from .catalog import (
@@ -50,7 +49,6 @@ from .linalg import (
     shift,
     shifted_span,
     word_vector,
-    zero_vector,
 )
 from .tableaux import (
     Tableau,

@@ -88,10 +88,6 @@ class Presentation:
         return Presentation(self.D, self.N, annihilator(self.relations))
 
 
-def dual_presentation(presentation: Presentation) -> Presentation:
-    return presentation.dual()
-
-
 def free_presentation(D: int, N: int, order: str = "lex") -> Presentation:
     """Tensor algebra on D generators viewed as N-homogeneous (no relations)."""
     return Presentation(D, N, Subspace.zero(D, N, order))
@@ -117,16 +113,11 @@ class GradedAlgebra:
         self.order = order
         self.word_limit = word_limit
         self._ideal: dict[int, Subspace] = {}
-        self._normal: dict[int, tuple[Word, ...]] = {}
-        self._normal_index: dict[int, dict[Word, int]] = {}
+        self._normal: dict[int, dict[Word, int]] = {}
         self._dual: dict[int, Subspace] = {}
         self._word_mats: dict[tuple, Matrix] = {}
 
     # -- plumbing -----------------------------------------------------------
-
-    def guard(self, degree: int):
-        """Refuse degrees whose ambient basis exceeds the word limit."""
-        guard_words(self.D, degree, self.word_limit)
 
     def _cached(self, cache: dict, key, compute):
         if key not in cache:
@@ -138,7 +129,7 @@ class GradedAlgebra:
     def ideal_component(self, n: int) -> Subspace:
         """Degree-n piece of the two-sided ideal generated by the relations."""
         def compute():
-            self.guard(n)
+            guard_words(self.D, n, self.word_limit)
             if n < self.N:
                 return Subspace.zero(self.D, n, self.order)
             if n == self.N:
@@ -153,7 +144,7 @@ class GradedAlgebra:
         so only the D^(n-N) dim R shifted relations are eliminated, on
         integer rows.  :meth:`ideal_component` caches this step.
         """
-        self.guard(n)
+        guard_words(self.D, n, self.word_limit)
         if n <= self.N:
             return self.ideal_component(n)
         prev = self.ideal_component(n - 1)
@@ -166,19 +157,14 @@ class GradedAlgebra:
     def component_dim(self, n: int) -> int:
         return self.ideal_component(n).codim()
 
-    def normal_basis(self, n: int) -> tuple[Word, ...]:
-        """Non-pivot words of the ideal component, ascending in the word order."""
+    def normal_basis(self, n: int) -> dict[Word, int]:
+        """Non-pivot words of the ideal component, ascending in the word
+        order, each mapped to its position."""
         def compute():
             pivots = set(self.ideal_component(n).pivots)
-            key = order_key(self.order)
-            return tuple(w for w in sorted(all_words(self.D, n), key=key)
-                         if w not in pivots)
+            words = sorted(all_words(self.D, n), key=order_key(self.order))
+            return {w: i for i, w in enumerate(w for w in words if w not in pivots)}
         return self._cached(self._normal, n, compute)
-
-    def _normal_positions(self, n: int) -> dict[Word, int]:
-        """Position of each normal word of degree n in :meth:`normal_basis`."""
-        return self._cached(self._normal_index, n, lambda: {
-            w: i for i, w in enumerate(self.normal_basis(n))})
 
     def reduce_to_normal(self, v: TensorVector) -> TensorVector:
         """Canonical representative of v modulo the ideal component."""
@@ -203,7 +189,7 @@ class GradedAlgebra:
 
         def compute():
             source = self.normal_basis(n)
-            target = self._normal_positions(n + len(word))
+            target = self.normal_basis(n + len(word))
             rows: dict[int, dict[int, Fraction]] = {}
             for j, b in enumerate(source):
                 product_word = b + word if side == "right" else word + b
@@ -213,12 +199,6 @@ class GradedAlgebra:
                     rows.setdefault(i, {})[j] = c
             return Matrix(len(target), len(source), rows)
         return self._cached(self._word_mats, (n, word, side), compute)
-
-    def generator_matrix(self, n: int, k: int, side: str = "right") -> Matrix:
-        """Multiplication by the k-th generator, degree n to degree n + 1."""
-        if not 1 <= k <= self.D:
-            raise ValueError(f"generator index {k} outside 1..{self.D}")
-        return self.word_matrix(n, (k,), side)
 
     # -- dual side ----------------------------------------------------------
 
@@ -232,7 +212,7 @@ class GradedAlgebra:
         higher ones do.
         """
         def compute():
-            self.guard(n)
+            guard_words(self.D, n, self.word_limit)
             if n < self.N:
                 return Subspace.full(self.D, n, self.order)
             relations = self.presentation.relations

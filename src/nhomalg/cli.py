@@ -10,8 +10,8 @@ errors.
 
 from __future__ import annotations
 
+import functools
 import json
-import sys
 from fractions import Fraction
 
 import click
@@ -120,20 +120,8 @@ def emit(payload, fmt, lines):
             click.echo(line)
 
 
-def base_payload(command, identity, max_degree):
-    return {"schemaVersion": SCHEMA_VERSION, "command": command,
-            "algebra": identity, "maxDegree": max_degree}
-
-
-def require_positive_degree(max_degree):
-    if max_degree < 1:
-        raise click.UsageError("--max-degree must be at least 1 for this command")
-
-
 def guarded(fn):
     """Translate refusals and internal failures into nonzero exits."""
-    import functools
-
     @functools.wraps(fn)
     def wrapper(*args, **kwargs):
         try:
@@ -152,37 +140,54 @@ def main():
     combinatorics."""
 
 
-@main.command()
-@algebra_options
-@guarded
-def hilbert(algebra_name, generators, q, r, relation_file, max_degree, fmt,
-            word_limit):
+def algebra_command(name, min_degree=0):
+    """Register ``compute`` as the algebra command ``name``.
+
+    The command takes the shared options, refuses a ``--max-degree``
+    below ``min_degree`` before building anything, resolves the algebra
+    and prints the report: ``compute(algebra, entry, max_degree,
+    payload)`` fills the JSON payload in and returns ``(lines,
+    failure)``, the table lines and an exception to raise once the
+    report is out, or None.
+    """
+    def register(compute):
+        def command(algebra_name, generators, q, r, relation_file, max_degree, fmt,
+                    word_limit):
+            if max_degree < min_degree:
+                raise click.UsageError(
+                    f"--max-degree must be at least {min_degree} for this command")
+            algebra, identity, entry = resolve_algebra(algebra_name, generators, q, r,
+                                                       relation_file, word_limit)
+            payload = {"schemaVersion": SCHEMA_VERSION, "command": name,
+                       "algebra": identity, "maxDegree": max_degree}
+            lines, failure = compute(algebra, entry, max_degree, payload)
+            emit(payload, fmt, lines)
+            if failure is not None:
+                raise failure
+        command.__doc__ = compute.__doc__
+        return main.command(name)(algebra_options(guarded(command)))
+    return register
+
+
+@algebra_command("hilbert")
+def hilbert(algebra, entry, max_degree, payload):
     """Graded dimensions (the Poincare series coefficients)."""
-    algebra, identity, _ = resolve_algebra(algebra_name, generators, q, r,
-                                           relation_file, word_limit)
     coeffs = series.poincare_series(algebra, max_degree).coefficients()
-    payload = base_payload("hilbert", identity, max_degree)
     payload["coefficients"] = list(coeffs)
     lines = ["degree  dimension"]
     lines += [f"{n:>6}  {c}" for n, c in enumerate(coeffs)]
     lines.append("series: " + ", ".join(str(c) for c in coeffs))
-    emit(payload, fmt, lines)
+    return lines, None
 
 
-@main.command()
-@algebra_options
-@guarded
-def dual(algebra_name, generators, q, r, relation_file, max_degree, fmt,
-         word_limit):
+@algebra_command("dual")
+def dual(algebra, entry, max_degree, payload):
     """Dual algebra dimensions by both routes, plus the explicit-span check."""
-    algebra, identity, entry = resolve_algebra(algebra_name, generators, q, r,
-                                               relation_file, word_limit)
     dual_algebra = GradedAlgebra(algebra.presentation.dual(),
-                                 word_limit=word_limit)
+                                 word_limit=algebra.word_limit)
     quotient = [dual_algebra.component_dim(n) for n in range(max_degree + 1)]
     intersection = [algebra.dual_dim(n) for n in range(max_degree + 1)]
     agree = quotient == intersection
-    payload = base_payload("dual", identity, max_degree)
     payload["dualDimsViaQuotient"] = quotient
     payload["dualDimsViaIntersection"] = intersection
     payload["routesAgree"] = agree
@@ -200,23 +205,16 @@ def dual(algebra_name, generators, q, r, relation_file, max_degree, fmt,
         }
         lines.append(f"explicit dual span check: "
                      f"{'pass' if report.passed else 'FAIL'}")
-    emit(payload, fmt, lines)
-    if not agree:
-        raise click.ClickException("dual dimension routes disagree")
+    return lines, (None if agree
+                   else click.ClickException("dual dimension routes disagree"))
 
 
-@main.command()
-@algebra_options
-@guarded
-def chi(algebra_name, generators, q, r, relation_file, max_degree, fmt,
-        word_limit):
+@algebra_command("chi")
+def chi(algebra, entry, max_degree, payload):
     """Euler-characteristic series by both routes and the Koszulity
     necessary condition."""
-    algebra, identity, _ = resolve_algebra(algebra_name, generators, q, r,
-                                           relation_file, word_limit)
     direct = series.chi_direct(algebra, max_degree)
     product = series.chi_via_product(algebra, max_degree)
-    payload = base_payload("chi", identity, max_degree)
     payload["chiDirect"] = list(direct.coefficients())
     payload["chiViaProduct"] = list(product.coefficients())
     lines = ["chi coefficients: " + ", ".join(str(c) for c in direct.coefficients())]
@@ -227,7 +225,7 @@ def chi(algebra_name, generators, q, r, relation_file, max_degree, fmt,
         lines.append(f"necessary condition: {verdict.describe()}")
     else:
         payload["koszulNecessary"] = None
-    emit(payload, fmt, lines)
+    return lines, None
 
 
 def _homology_rows(report):
@@ -242,17 +240,10 @@ def _homology_rows(report):
     }
 
 
-@main.command("koszul")
-@algebra_options
-@guarded
-def koszul_cmd(algebra_name, generators, q, r, relation_file, max_degree, fmt,
-               word_limit):
+@algebra_command("koszul", min_degree=1)
+def koszul_cmd(algebra, entry, max_degree, payload):
     """Koszulity probe: homology of every slice up to the degree bound."""
-    require_positive_degree(max_degree)
-    algebra, identity, _ = resolve_algebra(algebra_name, generators, q, r,
-                                           relation_file, word_limit)
     probe = koszul.koszul_probe(algebra, max_degree)
-    payload = base_payload("koszul", identity, max_degree)
     payload["verdict"] = probe.describe()
     payload["consistent"] = probe.consistent
     payload["firstNonacyclicDegree"] = probe.first_nonacyclic
@@ -260,20 +251,13 @@ def koszul_cmd(algebra_name, generators, q, r, relation_file, max_degree, fmt,
     lines = [f"degree {rep.total_degree}: homology {list(rep.homology_dims)}"
              for rep in probe.reports]
     lines.append(probe.describe())
-    emit(payload, fmt, lines)
+    return lines, None
 
 
-@main.command()
-@algebra_options
-@guarded
-def homology(algebra_name, generators, q, r, relation_file, max_degree, fmt,
-             word_limit):
+@algebra_command("homology", min_degree=1)
+def homology(algebra, entry, max_degree, payload):
     """Per-degree homology tables of the distinguished contraction."""
-    require_positive_degree(max_degree)
-    algebra, identity, _ = resolve_algebra(algebra_name, generators, q, r,
-                                           relation_file, word_limit)
     probe = koszul.koszul_probe(algebra, max_degree)
-    payload = base_payload("homology", identity, max_degree)
     payload["perDegree"] = [_homology_rows(rep) for rep in probe.reports]
     lines = []
     for rep in probe.reports:
@@ -283,23 +267,16 @@ def homology(algebra_name, generators, q, r, relation_file, max_degree, fmt,
         for i, (pos, dim) in enumerate(zip(rep.positions, rep.dims)):
             lines.append(f"  {str(pos):>15}  {dim:>3}  {rep.kernel_dims[i]:>6}  "
                          f"{rep.image_dims[i]:>5}  {rep.homology_dims[i]:>8}")
-    emit(payload, fmt, lines)
+    return lines, None
 
 
-@main.command()
-@algebra_options
-@guarded
-def gorenstein(algebra_name, generators, q, r, relation_file, max_degree, fmt,
-               word_limit):
+@algebra_command("gorenstein", min_degree=1)
+def gorenstein(algebra, entry, max_degree, payload):
     """Gorenstein probe on the dualised finite resolution (cubic only)."""
-    require_positive_degree(max_degree)
-    algebra, identity, _ = resolve_algebra(algebra_name, generators, q, r,
-                                           relation_file, word_limit)
     try:
         report = koszul.gorenstein_probe(algebra, max_degree)
     except ValueError as err:
         raise click.ClickException(str(err)) from err
-    payload = base_payload("gorenstein", identity, max_degree)
     payload["resolutionExact"] = report.resolution_exact
     payload["verdict"] = report.verdict
     payload["interiorCohomology"] = [list(w) for w in report.interior_witnesses]
@@ -312,7 +289,7 @@ def gorenstein(algebra_name, generators, q, r, relation_file, max_degree, fmt,
         lines.append("degree  cohomology (end, interior, interior, terminal)")
         for nu, dims in enumerate(report.cohomology):
             lines.append(f"{nu:>6}  {list(dims)}")
-    emit(payload, fmt, lines)
+    return lines, None
 
 
 @main.group("plactic")
@@ -360,27 +337,18 @@ def count(generators, max_degree, fmt):
     emit(payload, fmt, lines)
 
 
-@main.command("checks")
-@algebra_options
-@click.pass_context
-@guarded
-def checks_cmd(ctx, algebra_name, generators, q, r, relation_file, max_degree,
-               fmt, word_limit):
+@algebra_command("checks")
+def checks_cmd(algebra, entry, max_degree, payload):
     """Run the full invariant suite; exit 0 only if everything passes."""
-    algebra, identity, entry = resolve_algebra(algebra_name, generators, q, r,
-                                               relation_file, word_limit)
     results = checks_mod.run_checks(algebra, max_degree, entry)
     all_passed = all(result.passed for result in results)
-    payload = base_payload("checks", identity, max_degree)
     payload["results"] = [{"name": result.name, "passed": result.passed,
                            "detail": result.detail} for result in results]
     payload["allPassed"] = all_passed
     lines = [f"[{'pass' if result.passed else 'FAIL'}] {result.name}"
              for result in results]
     lines.append("all checks passed" if all_passed else "SOME CHECKS FAILED")
-    emit(payload, fmt, lines)
-    if not all_passed:
-        ctx.exit(1)
+    return lines, None if all_passed else click.exceptions.Exit(1)
 
 
 if __name__ == "__main__":

@@ -112,7 +112,7 @@ def _differential(algebra: GradedAlgebra, n: int, m: int, j: int) -> Matrix:
     target_a = algebra.component_dim(a + j) if a + j >= 0 else 0
     nrows, ncols = target_a * target_w, source_a * source_w
     if nrows == 0 or ncols == 0:
-        return Matrix.zero(nrows, ncols)
+        return Matrix(nrows, ncols)
     return Matrix.kron_sum(nrows, ncols, (
         (algebra.word_matrix(a, prefix, "right"), tails)
         for prefix, tails in sorted(_splitting_matrices(algebra, m, j).items())))
@@ -262,7 +262,7 @@ def _dual_slice(algebra: GradedAlgebra, nu: int) -> ComplexSlice:
                 for prefix, tails in sorted(
                     _splitting_matrices(algebra, _DUAL_PATTERN[i], j).items())))
         else:
-            delta = Matrix.zero(dims[i], dims[i - 1])
+            delta = Matrix(dims[i], dims[i - 1])
         deltas.append(delta)
     for i in range(len(deltas) - 1):
         if not deltas[i + 1].mul(deltas[i]).is_zero():

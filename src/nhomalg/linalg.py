@@ -12,9 +12,12 @@ the pivot of a row is its greatest word, which makes the non-pivot
 compares with the letter order reversed; it exists so callers can verify
 that exported quantities do not depend on this section choice.
 
-Row reduction works on integer-scaled primitive rows (fraction-free
-elimination), and a :class:`Subspace` stores its rows in that form only:
-extensions, shifts, annihilators, intersections, remainders and
+A span is built from vectors by :func:`rref` (the checked
+:class:`Subspace` constructor, which always eliminates) and from other
+spans by :meth:`Subspace.join`, :func:`shift`, :func:`annihilator` and
+:func:`intersect`.  Row reduction works on integer-scaled primitive rows
+(fraction-free elimination), and a span stores its rows in that form only:
+joins, shifts, annihilators, intersections, remainders and
 membership tests never leave the integers.  Fractions, always in lowest
 terms, are made only in the vectors handed back to callers (``rows``,
 ``reduce``, ``coordinates``).
@@ -43,9 +46,13 @@ class InternalConsistencyError(RuntimeError):
 
 
 def order_key(order: str):
-    """Sort key on words; the pivot of a row is the key-greatest word."""
+    """Sort key on words; the pivot of a row is the key-greatest word.
+
+    ``None`` for lex: tuples already compare lexicographically, so
+    ``max`` and ``sorted`` then compare words without a Python call.
+    """
     if order == "lex":
-        return lambda word: word
+        return None
     if order == "revlex":
         return lambda word: tuple(-letter for letter in word)
     raise ValueError(f"unknown word order {order!r}, expected one of {ORDERS}")
@@ -108,8 +115,8 @@ class TensorVector:
         return set(self.terms)
 
     def sorted_terms(self, order: str = "lex") -> list[tuple[Word, Fraction]]:
-        key = order_key(order)
-        return sorted(self.terms.items(), key=lambda item: key(item[0]), reverse=True)
+        return [(word, self.terms[word])
+                for word in sorted(self.terms, key=order_key(order), reverse=True)]
 
     def __add__(self, other: "TensorVector") -> "TensorVector":
         if not isinstance(other, TensorVector):
@@ -152,10 +159,6 @@ class TensorVector:
         return f"TensorVector({self.degree}, {format_vector(self)!r})"
 
 
-def zero_vector(degree: int) -> TensorVector:
-    return TensorVector(degree, ())
-
-
 def word_vector(word) -> TensorVector:
     word = tuple(word)
     return TensorVector(len(word), {word: Fraction(1)})
@@ -192,10 +195,6 @@ def _int_row(terms: dict) -> dict:
     """Primitive integer multiple of a nonzero row of rationals."""
     den = lcm(*(c.denominator for c in terms.values()))
     return _primitive({w: c.numerator * (den // c.denominator) for w, c in terms.items()})
-
-
-def _int_rows(vectors: Iterable[TensorVector]) -> list[_IntRow]:
-    return [_int_row(v.terms) for v in vectors if not v.is_zero()]
 
 
 def _combine(row: _IntRow, other: _IntRow, word: Word) -> _IntRow:
@@ -253,13 +252,23 @@ def _full_reduce(pivots: dict[Word, _IntRow], key) -> dict[Word, _IntRow]:
     return done
 
 
+def _reduced(rows: list[_IntRow], key,
+             pivots: dict[Word, _IntRow] | None = None) -> dict[Word, _IntRow]:
+    """Canonical rows of the span of ``pivots`` and ``rows``, pivots decreasing."""
+    done = _full_reduce(_echelon(rows, key, pivots), key)
+    return {w: done[w] for w in sorted(done, key=key, reverse=True)}
+
+
 class Subspace:
     """Canonical row-reduced span inside one tensor power.
 
     Invariants: each row's pivot is its greatest word under the span's
     order, no row has support at another row's pivot, and rows are listed
-    with strictly decreasing pivots.  Built through :func:`rref`,
-    :meth:`extend`, :meth:`join` or :func:`shift`.
+    with strictly decreasing pivots.  The constructor checks its vectors
+    and eliminates, so every span it builds keeps these invariants;
+    :func:`rref` is the same construction with the degree taken from the
+    vectors.  Other spans come from :meth:`join`, :func:`shift`,
+    :func:`annihilator` and :func:`intersect`.
 
     The rows are stored in one form only: primitive integer rows, each
     with a positive pivot coefficient, keyed by pivot.  Each is the unique
@@ -271,23 +280,33 @@ class Subspace:
 
     __slots__ = ("alphabet", "degree", "order", "_ints")
 
-    def __init__(self, alphabet: int, degree: int, rows, order: str = "lex"):
+    def __init__(self, alphabet: int, degree: int, vectors: Iterable[TensorVector],
+                 order: str = "lex"):
+        """Row-reduced span of ``vectors``, each of ``degree`` over ``1..alphabet``."""
         key = order_key(order)
-        self._fill(alphabet, degree, order,
-                   {max(r.terms, key=key): _int_row(r.terms) for r in rows})
-
-    def _fill(self, alphabet, degree, order, ints):
         self.alphabet = alphabet
         self.degree = degree
         self.order = order
-        self._ints = ints
+        rows = []
+        for v in vectors:
+            self._check(v)
+            if not v.is_zero():
+                rows.append(_int_row(v.terms))
+        self._ints = _reduced(rows, key)
 
     @classmethod
     def _from_ints(cls, alphabet: int, degree: int, ints: dict[Word, _IntRow],
                    order: str) -> "Subspace":
-        """Wrap canonical integer rows keyed by pivot, pivots decreasing."""
+        """Wrap canonical integer rows keyed by pivot, pivots decreasing.
+
+        The one path that skips elimination; only for rows that are
+        canonical by construction.
+        """
         space = cls.__new__(cls)
-        space._fill(alphabet, degree, order, ints)
+        space.alphabet = alphabet
+        space.degree = degree
+        space.order = order
+        space._ints = ints
         return space
 
     @classmethod
@@ -364,13 +383,6 @@ class Subspace:
         return TensorVector._trusted(self.degree,
                                      {w: Fraction(c, den) for w, c in rem.items()})
 
-    def extend(self, vectors: Iterable[TensorVector]) -> "Subspace":
-        """Row-reduced span of this space and ``vectors``."""
-        vectors = list(vectors)
-        for v in vectors:
-            self._check(v)
-        return self._extend(_int_rows(vectors))
-
     def join(self, other: "Subspace") -> "Subspace":
         """Row-reduced sum of this space and ``other``, on integer rows."""
         self._check_ambient(other)
@@ -383,10 +395,9 @@ class Subspace:
         only the new rows are eliminated; a row of this space changes
         only if it holds a new pivot word, and is reused as it is if not.
         """
-        key = order_key(self.order)
-        done = _full_reduce(_echelon(rows, key, dict(self._ints)), key)
-        ints = {w: done[w] for w in sorted(done, key=key, reverse=True)}
-        return Subspace._from_ints(self.alphabet, self.degree, ints, self.order)
+        return Subspace._from_ints(
+            self.alphabet, self.degree,
+            _reduced(rows, order_key(self.order), dict(self._ints)), self.order)
 
     def contains(self, v: TensorVector) -> bool:
         return self.reduce(v).is_zero()
@@ -419,7 +430,7 @@ class Subspace:
 
 def rref(vectors: Iterable[TensorVector], alphabet: int, degree: int | None = None,
          order: str = "lex") -> Subspace:
-    """Row-reduced span of the given vectors.
+    """Row-reduced span of the given vectors: :class:`Subspace` itself.
 
     ``degree`` is required when the span is empty; otherwise it is taken
     from the vectors (which must all agree).
@@ -429,11 +440,7 @@ def rref(vectors: Iterable[TensorVector], alphabet: int, degree: int | None = No
         if not vectors:
             raise ValueError("degree is required for an empty span")
         degree = vectors[0].degree
-    for v in vectors:
-        if v.degree != degree:
-            raise DegreeMismatchError(
-                f"mixed degrees in span: {v.degree} != {degree}")
-    return Subspace.zero(alphabet, degree, order).extend(vectors)
+    return Subspace(alphabet, degree, vectors, order)
 
 
 def _annihilator_rows(space: Subspace) -> list[_IntRow]:
@@ -529,10 +536,6 @@ class Matrix:
             row = {j: value for j, value in row.items() if value}
             if row:
                 self.rows[i] = row
-
-    @classmethod
-    def zero(cls, nrows: int, ncols: int) -> "Matrix":
-        return cls(nrows, ncols)
 
     @classmethod
     def kron_sum(cls, nrows: int, ncols: int, pairs) -> "Matrix":

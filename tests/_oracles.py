@@ -42,9 +42,18 @@ def dense_rank(vectors, D, degree):
         for i in range(len(rows)):
             if i != rank and rows[i][col]:
                 factor = rows[i][col] / lead
-                rows[i] = [a - factor * b for a, b in zip(rows[i], rows[rank])]
+                rows[i] = [a - factor * b if b else a
+                           for a, b in zip(rows[i], rows[rank])]
         rank += 1
     return rank
+
+
+def dense_matrix_rank(matrix):
+    """Rank of a sparse ``{i: {j: value}}`` matrix, by the same dense
+    elimination, with column j as the one-letter word (j + 1,)."""
+    rows = [{(col + 1,): value for col, value in row.items()}
+            for row in matrix.rows.values()]
+    return dense_rank(rows, matrix.ncols, 1)
 
 
 # -- polynomial helpers (plain integer lists, index = degree) ---------------

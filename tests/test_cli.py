@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 from click.testing import CliRunner
 
@@ -129,6 +130,57 @@ def test_checks_exit_nonzero_on_violation(tmp_path, monkeypatch):
     result = run_cli("checks", "--algebra", "parafermion", "--D", "2")
     assert result.exit_code == 1
     assert "SOME CHECKS FAILED" in result.output
+    # The report is printed in full and the failure adds no error message.
+    result = run_cli("checks", "--algebra", "parafermion", "--D", "2",
+                     "--format", "json")
+    assert result.exit_code == 1
+    assert json.loads(result.stdout)["allPassed"] is False
+    assert result.stderr == ""
+
+
+def test_dual_prints_its_report_before_failing_on_disagreeing_routes(monkeypatch):
+    monkeypatch.setattr("nhomalg.algebra.GradedAlgebra.dual_dim", lambda self, n: -1)
+    result = run_cli("dual", "--algebra", "paraboson", "--D", "2",
+                     "--max-degree", "3", "--format", "json")
+    assert result.exit_code == 1
+    payload = json.loads(result.stdout)
+    assert payload["dualDimsViaIntersection"] == [-1, -1, -1, -1]
+    assert payload["routesAgree"] is False
+    assert result.stderr == "Error: dual dimension routes disagree\n"
+
+
+def test_slice_commands_need_a_positive_degree():
+    for command in ("koszul", "homology", "gorenstein"):
+        result = run_cli(command, "--algebra", "plactic", "--D", "2",
+                         "--max-degree", "0")
+        assert result.exit_code == 2  # click's usage error
+        assert result.stdout == ""
+        assert "Error: --max-degree must be at least 1 for this command" in result.stderr
+
+
+def test_gorenstein_refuses_a_quadratic_file(tmp_path):
+    path = tmp_path / "quadratic.txt"
+    path.write_text("D=2 N=2\n1*12 - 1*21\n")
+    result = run_cli("gorenstein", "--file", str(path), "--max-degree", "3")
+    assert result.exit_code == 1
+    assert result.stdout == ""
+    assert result.stderr == "Error: the Gorenstein probe needs a cubic algebra\n"
+
+
+HELP_COMMANDS = ([], ["hilbert"], ["dual"], ["chi"], ["koszul"], ["homology"],
+                 ["gorenstein"], ["checks"], ["plactic"], ["plactic", "normal-form"],
+                 ["plactic", "count"])
+
+
+def test_help_texts_are_pinned():
+    """Every command's --help, at an 80-column terminal, as in cli_help.txt."""
+    texts = []
+    for command in HELP_COMMANDS:
+        result = CliRunner().invoke(main, command + ["--help"], terminal_width=80)
+        assert result.exit_code == 0
+        texts.append(f"$ nhomalg {' '.join(command + ['--help'])}\n" + result.stdout)
+    pinned = Path(__file__).with_name("cli_help.txt").read_text()
+    assert "\n".join(texts) == pinned
 
 
 def test_plactic_normal_form():

@@ -16,7 +16,6 @@ from nhomalg.linalg import (
     shift,
     shifted_span,
     word_vector,
-    zero_vector,
 )
 
 from _oracles import bracket_vectors, dense_rank
@@ -35,7 +34,7 @@ def test_tensor_vector_basics():
     assert (2 * v).coefficient((2, 1, 1)) == -2
     w = word_vector((1, 2)).tensor(word_vector((1,)))
     assert w == word_vector((1, 2, 1))
-    assert zero_vector(2).is_zero()
+    assert TensorVector(2).is_zero()
 
 
 def test_tensor_vector_merges_duplicate_terms():
@@ -89,7 +88,7 @@ def test_rref_pivot_unique_across_rows():
 def test_reduce_against_trivial_cases():
     space = rref([tv(3, {(2, 2, 1): 1, (2, 1, 2): -1}),
                   tv(3, {(1, 2, 1): 1, (2, 1, 1): -1})], alphabet=2)
-    assert space.reduce(zero_vector(3)).is_zero()
+    assert space.reduce(TensorVector(3)).is_zero()
     for row in space.rows:
         assert space.reduce(row).is_zero()
         assert space.contains(row)
@@ -141,7 +140,7 @@ def test_coordinates_recover_membership():
     v = rows[0] * Fraction(3, 2) - rows[1] * 5
     coords = space.coordinates(v)
     assert coords is not None
-    rebuilt = zero_vector(3)
+    rebuilt = TensorVector(3)
     for c, row in zip(coords, space.rows):
         rebuilt = rebuilt + c * row
     assert rebuilt == v
@@ -233,13 +232,13 @@ def test_extend_equals_rref_of_the_union(order):
                       for w in rng.sample(words, 3)})
                for _ in range(rng.randint(0, 6))]
         base = rref(old, alphabet=2, degree=4, order=order)
-        extended = base.extend(new)
+        extended = base.join(rref(new, 2, 4, order))
         assert extended == rref(old + new, alphabet=2, degree=4, order=order)
         assert extended.pivots == rref(old + new, 2, 4, order).pivots
     with pytest.raises(DegreeMismatchError):
-        base.extend([word_vector((1, 2))])
+        Subspace(2, 4, [word_vector((1, 2))], order)
     with pytest.raises(ValueError, match="letters above"):
-        base.extend([word_vector((1, 2, 3, 1))])
+        Subspace(2, 4, [word_vector((1, 2, 3, 1))], order)
 
 
 def test_join_equals_rref_of_the_union():
@@ -261,7 +260,7 @@ def test_join_equals_rref_of_the_union():
 
 def test_extend_reuses_untouched_rows():
     base = rref([tv(2, {(2, 2): 1, (1, 1): 1}), tv(2, {(2, 1): 1})], alphabet=2)
-    extended = base.extend([tv(2, {(1, 1): 1})])
+    extended = base.join(rref([tv(2, {(1, 1): 1})], alphabet=2))
     assert extended.dim == 3
     # The integer row of pivot 21 holds no new pivot word and is reused
     # as it is; (1, 1) was eliminated from the row of pivot 22.
@@ -292,10 +291,25 @@ def test_mixed_degree_span_rejected():
         rref([word_vector((1,)), word_vector((1, 2))], alphabet=2)
 
 
+@pytest.mark.parametrize("order", ["lex", "revlex"])
+def test_the_constructor_eliminates(order):
+    # Both rows have the greatest word 22; a constructor that keyed each
+    # row by that word kept one row only.  The span is {22+11, 12-11}.
+    rows = [tv(2, {(2, 2): 1, (1, 1): 1}), tv(2, {(2, 2): 1, (1, 2): 1})]
+    space = Subspace(2, 2, rows, order)
+    assert space == rref(rows, 2, order=order)
+    assert space.dim == 2
+    assert space.contains(rows[0]) and space.contains(rows[1])
+    assert space.contains(tv(2, {(1, 2): 1, (1, 1): -1}))
+    assert not space.contains(word_vector((2, 2)))
+    assert Subspace(2, 2, rows + [word_vector((1, 1))], order).contains(
+        word_vector((2, 2)))
+
+
 def test_format_vector():
     v = tv(3, {(2, 1, 1): 1, (1, 2, 1): -1})
     assert format_vector(v) == "1*211 - 1*121"
-    assert format_vector(zero_vector(3)) == "0"
+    assert format_vector(TensorVector(3)) == "0"
     assert format_vector(tv(2, {(1, 2): Fraction(-1, 2)})) == "-1/2*12"
 
 
@@ -308,12 +322,12 @@ def test_matrix_rank_and_kron():
     k = eye.kron(m)
     assert (k.nrows, k.ncols) == (6, 6)
     assert k.rank() == 3
-    assert m.mul(Matrix.zero(2, 5)).is_zero()
+    assert m.mul(Matrix(2, 5)).is_zero()
     assert m.transpose().entry(0, 1) == 2
 
 
 def test_matrix_stores_nonzeros_only():
-    assert Matrix(2, 2, {0: {0: Fraction(0)}, 1: {}}) == Matrix.zero(2, 2)
+    assert Matrix(2, 2, {0: {0: Fraction(0)}, 1: {}}) == Matrix(2, 2)
     a = Matrix(2, 2, {0: {1: Fraction(1, 2)}, 1: {0: Fraction(-3)}})
     b = Matrix(1, 2, {0: {0: Fraction(2), 1: Fraction(5)}})
     minus_a = Matrix(2, 2, {i: {j: -v for j, v in row.items()}
@@ -332,21 +346,21 @@ def test_matrix_sum_and_dense_view():
     assert a + b == Matrix(2, 2, {0: {0: Fraction(1)}, 1: {0: Fraction(-3)}})
     assert (a + b).rows == {0: {0: 1}, 1: {0: -3}}
     assert a.entries == [[0, Fraction(1, 2)], [Fraction(-3), 0]]
-    assert Matrix.zero(2, 0).entries == [[], []]
+    assert Matrix(2, 0).entries == [[], []]
     with pytest.raises(ValueError):
-        a + Matrix.zero(2, 3)
+        a + Matrix(2, 3)
 
 
 def test_matrix_empty_shapes():
     for nrows, ncols in ((0, 0), (0, 3), (3, 0)):
-        m = Matrix.zero(nrows, ncols)
+        m = Matrix(nrows, ncols)
         assert m.rank() == 0 and m.is_zero()
-        assert m.transpose() == Matrix.zero(ncols, nrows)
+        assert m.transpose() == Matrix(ncols, nrows)
     eye = Matrix(2, 2, {0: {0: Fraction(1)}, 1: {1: Fraction(1)}})
-    assert eye.kron(Matrix.zero(0, 3)) == Matrix.zero(0, 6)
-    assert Matrix.zero(3, 0).mul(Matrix.zero(0, 2)) == Matrix.zero(3, 2)
-    assert Matrix.kron_sum(0, 4, []) == Matrix.zero(0, 4)
+    assert eye.kron(Matrix(0, 3)) == Matrix(0, 6)
+    assert Matrix(3, 0).mul(Matrix(0, 2)) == Matrix(3, 2)
+    assert Matrix.kron_sum(0, 4, []) == Matrix(0, 4)
     with pytest.raises(ValueError):
-        Matrix.zero(2, 3).mul(Matrix.zero(2, 3))
+        Matrix(2, 3).mul(Matrix(2, 3))
     with pytest.raises(ValueError):
-        Matrix.kron_sum(4, 4, [(eye, Matrix.zero(2, 3))])
+        Matrix.kron_sum(4, 4, [(eye, Matrix(2, 3))])

@@ -1,12 +1,13 @@
 """Property tests: the stepwise routes against the direct ones on random
 presentations with D = 1..3 generators, relations in degree N = 2..4
-(empty, full, or spanned by random integer and p/q vectors), under both
-word orders, in degrees with at most 729 words; the dual dimensions by
-quotient and by intersection, lex against revlex, chi by two routes and
-the relation-file round trip on the same presentations; the integer-row
-annihilator and intersection against the Fraction route, and remainders
-and coordinates against the dense oracle, on random spaces of the same
-kind."""
+(empty, full, or spanned by random integer and p/q vectors or by rows
+of mixed ratios), under both word orders, in degrees with at most 729
+words; the dual dimensions by quotient and by intersection, lex against
+revlex, chi by two routes, Koszul-slice ranks against the dense oracle
+and the relation-file round trip on the same presentations; the
+integer-row annihilator and intersection against the Fraction route,
+and remainders and coordinates against the dense oracle, on random
+spaces of the same kind."""
 
 from fractions import Fraction
 
@@ -14,6 +15,7 @@ from hypothesis import example, given, strategies as st
 
 from nhomalg.algebra import GradedAlgebra, Presentation
 from nhomalg.checks import direct_ideal_component
+from nhomalg.koszul import build_koszul_slice, euler_agrees_with_chi
 from nhomalg.linalg import (
     ORDERS,
     Subspace,
@@ -29,6 +31,7 @@ from nhomalg.relfile import format_presentation, parse_relations
 from nhomalg.series import chi_via_product
 
 from _oracles import (
+    dense_matrix_rank,
     dense_rank,
     fraction_annihilator,
     fraction_intersect,
@@ -50,14 +53,27 @@ def top_degree(D, cap):
     return n
 
 
+# Ratios for spans whose reduced rows have pivot coefficients other than 1.
+ratios = st.sampled_from([Fraction(p, q) for p in (3, -2, 5, -1) for q in (7, 2, 3, 1)])
+
+
 @st.composite
 def subspaces(draw, D, degree, order):
-    kind = draw(st.sampled_from(["random", "empty", "full"]))
+    """Empty, full, "random" or "scaled" spans.  The "scaled" rows mix the
+    ``ratios``, so their integer rows mostly have pivot coefficients above
+    1, which the integer kernels must scale by ("random" rows rarely do);
+    listed twice, they give about a third of the drawn spaces such rows."""
+    kind = draw(st.sampled_from(["scaled", "random", "scaled", "empty", "full"]))
     if kind == "empty":
         return Subspace.zero(D, degree, order)
     if kind == "full":
         return Subspace.full(D, degree, order)
     words = list(all_words(D, degree))
+    if kind == "scaled":
+        rows = draw(st.lists(st.dictionaries(st.sampled_from(words), ratios,
+                                             min_size=min(2, len(words)), max_size=4),
+                             min_size=1, max_size=6))
+        return rref([TensorVector(degree, row) for row in rows], D, degree, order)
     vectors = []
     for _ in range(draw(st.integers(1, 8))):
         support = draw(st.lists(st.sampled_from(words), min_size=1, max_size=4))
@@ -136,6 +152,18 @@ def test_relation_file_round_trips(case):
     assert parsed.relations.rows == relations.rows
 
 
+@given(algebras())
+@example(rational_quadratic_case())
+def test_koszul_slices_against_the_dense_oracle(case):
+    algebra, top = case
+    # At most 243 words per degree: the dense oracle is cubic in the size.
+    n_max = min(top, 6 if algebra.D < 3 else 5)
+    assert euler_agrees_with_chi(algebra, n_max)
+    for n in range(1, n_max + 1):
+        for matrix in build_koszul_slice(algebra, n).matrices:
+            assert matrix.rank() == dense_matrix_rank(matrix)
+
+
 @st.composite
 def shift_cases(draw):
     D = draw(st.sampled_from([3, 2, 1]))
@@ -195,10 +223,6 @@ def test_reading_a_space_leaves_its_integer_rows(pair):
     assert space == public and hash(space) == hash(public)
 
 
-# Ratios for spans whose reduced rows have pivot coefficients other than 1.
-ratios = st.sampled_from([Fraction(p, q) for p in (3, -2, 5, -1) for q in (7, 2, 3, 1)])
-
-
 @st.composite
 def reduce_cases(draw):
     """A space, a vector that often meets its pivots, and weights for a
@@ -207,13 +231,7 @@ def reduce_cases(draw):
     degree = draw(st.integers(1, top_degree(D, 3)))
     order = draw(st.sampled_from(ORDERS))
     words = list(all_words(D, degree))
-    if draw(st.booleans()):
-        space = draw(subspaces(D, degree, order))
-    else:
-        rows = draw(st.lists(st.dictionaries(st.sampled_from(words), ratios,
-                                             min_size=min(2, len(words)), max_size=4),
-                             min_size=1, max_size=6))
-        space = rref([TensorVector(degree, row) for row in rows], D, degree, order)
+    space = draw(subspaces(D, degree, order))
     support = draw(st.lists(st.sampled_from(list(space.pivots) + words), max_size=6))
     v = TensorVector(degree, [(w, draw(coefficients)) for w in support])
     weights = draw(st.lists(coefficients, min_size=space.dim, max_size=space.dim))
