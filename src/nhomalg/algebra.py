@@ -1,14 +1,19 @@
 """Graded quotients of a tensor algebra by homogeneous relations.
 
 A presentation is D generators and a subspace of relations in degree N.
-The quotient algebra is handled degree by degree: each graded piece is
-the ambient word space modulo the corresponding component of the
-two-sided ideal, with the non-pivot words as a normal monomial basis.
-The dual-side components (annihilator presentation and the intersection
-spaces underlying the canonical complexes) live here as well.
+The quotient algebra is handled degree by degree through a truncated
+reduced Groebner basis G of the two-sided ideal (Bergman's diamond
+lemma): the words that contain no leading word of G are a basis of each
+graded piece, and rewriting an occurrence of a leading word gives the
+normal form of every element.  G is built one degree at a time from the
+overlap ambiguities of its leading words, so nothing D^n wide is stored;
+the stepwise ideal component
+I_n = I_{n-1} (x) E + E^(n-N) (x) R is kept as the cross-check, built
+only by :mod:`nhomalg.checks` and the tests.
 
-Both families are built one degree at a time from the previous one:
-I_n = I_{n-1} (x) E + E^(n-N) (x) R and
+The dual-side components (annihilator presentation and the intersection
+spaces underlying the canonical complexes) live here as well, built one
+degree at a time from the previous one:
 W_n = (W_{n-1} (x) E) cap (E^(n-N) (x) R).  The direct routes (the
 union, respectively the intersection, of all n-N+1 shifts of R) are
 cross-checks in :mod:`nhomalg.checks` and the tests.
@@ -18,6 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 
 from .linalg import (
     DegreeMismatchError,
@@ -25,13 +31,14 @@ from .linalg import (
     Subspace,
     TensorVector,
     Word,
-    all_words,
+    _echelon,
+    _full_reduce,
+    _IntRow,
     annihilator,
     intersect,
     order_key,
     rref,  # not called here; perfbench/test_perfbench.py checks this traced binding
     shift,
-    word_vector,
 )
 
 DEFAULT_WORD_LIMIT = 10_000_000
@@ -57,6 +64,129 @@ def guard_words(D: int, degree: int, word_limit: int):
     raise MemoryGuardError(
         f"degree {degree} needs D^n = {estimate} basis words, "
         f"above the configured limit of {word_limit}")
+
+
+# ---------------------------------------------------------------------------
+# Rewriting by a truncated reduced Groebner basis.  A basis maps each
+# leading word to its primitive integer row, positive at the lead; the row
+# with lead p is the canonical row of the ideal component at pivot p.  A
+# normal form is ``(row, den)``: an integer row over normal words and a
+# positive denominator with no common factor, the vector row / den.
+
+_Form = tuple[_IntRow, int]
+
+
+def _occurrence(word: Word, basis: dict[Word, _IntRow],
+                lengths: tuple[int, ...]) -> tuple[int, Word] | None:
+    """Start and lead of the leftmost leading word of ``basis`` in ``word``.
+
+    ``lengths`` are the lead lengths, ascending.  No lead is a prefix of
+    another, so at most one starts at each position.
+    """
+    size = len(word)
+    for start in range(size):
+        for length in lengths:
+            if start + length > size:
+                break
+            lead = word[start:start + length]
+            if lead in basis:
+                return start, lead
+    return None
+
+
+def _combine_forms(terms: list[tuple[Word, int]], memo: dict[Word, _Form],
+                   scale: int) -> _Form:
+    """Normal form of ``sum c * word`` over ``terms``, divided by ``scale`` > 0.
+
+    Every word of ``terms`` must already have its form in ``memo``.
+    """
+    den = lcm(*(memo[word][1] for word, _ in terms))
+    acc: _IntRow = {}
+    for word, c in terms:
+        row, d = memo[word]
+        factor = c * (den // d)
+        for k, x in row.items():
+            acc[k] = acc.get(k, 0) + factor * x
+    row = {k: x for k, x in acc.items() if x}
+    den *= scale
+    g = gcd(den, *row.values())
+    if g > 1:
+        row = {k: x // g for k, x in row.items()}
+        den //= g
+    return row, den
+
+
+def _normal_form(word: Word, basis: dict[Word, _IntRow], lengths: tuple[int, ...],
+                 memo: dict[Word, _Form]) -> _Form:
+    """Normal form of ``word`` modulo the ideal that ``basis`` generates.
+
+    A word with no lead in it is its own normal form.  Otherwise the
+    leftmost occurrence u.p.w of a lead p is rewritten by the rest of p's
+    row, and the memoised forms of the tail words u.k.w, each smaller
+    than the word, are combined.  Normal forms are unique, so the choice
+    of occurrence changes no result.  Tails wait on an explicit stack:
+    rewriting chains can be longer than the recursion limit.
+    """
+    pending = [word]
+    while pending:
+        t = pending[-1]
+        if t in memo:
+            pending.pop()
+            continue
+        hit = _occurrence(t, basis, lengths)
+        if hit is None:
+            memo[t] = ({t: 1}, 1)
+            pending.pop()
+            continue
+        start, lead = hit
+        row = basis[lead]
+        u, w = t[:start], t[start + len(lead):]
+        tails = [(u + k + w, -c) for k, c in row.items() if k != lead]
+        missing = [tail for tail, _ in tails if tail not in memo]
+        if missing:
+            pending.extend(missing)
+            continue
+        memo[t] = _combine_forms(tails, memo, row[lead])
+        pending.pop()
+    return memo[word]
+
+
+def _extend_basis(basis: dict[Word, _IntRow], degree: int, key):
+    """Add to ``basis``, complete below ``degree``, its elements of that degree.
+
+    For leads a = x.y and b = y.z with y nonempty and |x.y.z| = degree,
+    the S-element L_b (g_a . z) - L_a (x . g_b) cancels at x.y.z; its
+    normal form modulo the lower basis is in the ideal.  The nonzero ones,
+    echeloned and fully reduced, are the new elements: each lead is longer
+    than the old ones and contains none of them, so the basis stays
+    reduced and has no inclusion ambiguities.
+    """
+    lengths = tuple(sorted({len(lead) for lead in basis}))
+    by_prefix: dict[Word, list[Word]] = {}
+    for b in basis:
+        for k in range(1, len(b)):
+            by_prefix.setdefault(b[:k], []).append(b)
+    memo: dict[Word, _Form] = {}
+    rows = []
+    for a, ga in basis.items():
+        for k in range(1, len(a)):
+            for b in by_prefix.get(a[len(a) - k:], ()):
+                if len(a) + len(b) - k != degree:
+                    continue
+                gb = basis[b]
+                x, z = a[:len(a) - k], b[k:]
+                la, lb = ga[a], gb[b]
+                s = {word + z: lb * c for word, c in ga.items()}
+                for word, c in gb.items():
+                    word = x + word
+                    s[word] = s.get(word, 0) - la * c
+                terms = [(word, c) for word, c in s.items() if c]
+                for word, _ in terms:
+                    _normal_form(word, basis, lengths, memo)
+                row, _ = _combine_forms(terms, memo, 1)
+                if row:
+                    rows.append(row)
+    basis.update(_full_reduce(_echelon(rows, key), key))
 
 
 @dataclass(frozen=True)
@@ -96,8 +226,10 @@ def free_presentation(D: int, N: int, order: str = "lex") -> Presentation:
 class GradedAlgebra:
     """Degreewise view of the quotient algebra with memoised components.
 
-    Each component is computed once, on first request, and cached by
-    degree (word matrices by degree, word and side).
+    The quotient side rests on the truncated reduced Groebner basis G,
+    extended degree by degree on first request; normal bases and normal
+    forms are cached by degree, word matrices by degree, word and side,
+    and the dual spaces by degree.
     """
 
     def __init__(self, presentation: Presentation,
@@ -113,7 +245,11 @@ class GradedAlgebra:
         self.order = order
         self.word_limit = word_limit
         self._ideal: dict[int, Subspace] = {}
+        self._basis: dict[Word, _IntRow] = {}
+        self._basis_degree = 0  # G is complete through this degree
+        self._lengths: tuple[int, ...] = ()
         self._normal: dict[int, dict[Word, int]] = {}
+        self._forms: dict[int, dict[Word, _Form]] = {}
         self._dual: dict[int, Subspace] = {}
         self._word_mats: dict[tuple, Matrix] = {}
 
@@ -126,8 +262,33 @@ class GradedAlgebra:
 
     # -- quotient side ------------------------------------------------------
 
+    def _complete_basis(self, n: int):
+        """Extend G through degree n: the relation rows at degree N, then the
+        reduced overlap S-elements of each higher degree."""
+        key = order_key(self.order)
+        for m in range(self._basis_degree + 1, n + 1):
+            if m == self.N:
+                self._basis.update(self.presentation.relations._ints)
+            elif m > self.N:
+                _extend_basis(self._basis, m, key)
+            self._basis_degree = m
+        self._lengths = tuple(sorted({len(lead) for lead in self._basis}))
+
+    def _form(self, word: Word) -> _Form:
+        """Normal form of a word, memoised by degree.  A degree's memo is
+        made only once G is complete to that degree."""
+        memo = self._forms.get(len(word))
+        if memo is None:
+            self._complete_basis(len(word))
+            memo = self._forms[len(word)] = {}
+        return _normal_form(word, self._basis, self._lengths, memo)
+
     def ideal_component(self, n: int) -> Subspace:
-        """Degree-n piece of the two-sided ideal generated by the relations."""
+        """Degree-n piece of the two-sided ideal generated by the relations.
+
+        Built stepwise as explicit rows; the cross-check of the Groebner
+        route, read by :mod:`nhomalg.checks` and the tests.
+        """
         def compute():
             guard_words(self.D, n, self.word_limit)
             if n < self.N:
@@ -155,20 +316,47 @@ class GradedAlgebra:
         return shift(prev, 0, 1).join(shift(self.presentation.relations, n - self.N, 0))
 
     def component_dim(self, n: int) -> int:
-        return self.ideal_component(n).codim()
+        return len(self.normal_basis(n))
 
     def normal_basis(self, n: int) -> dict[Word, int]:
-        """Non-pivot words of the ideal component, ascending in the word
-        order, each mapped to its position."""
+        """Words of degree n with no leading word of G in them, ascending in
+        the word order, each mapped to its position: a basis of A_n.
+
+        Each normal word of degree n - 1 is extended by one letter and kept
+        when no lead is a suffix.  They are the non-pivot words of the
+        stepwise ideal component, the cross-check.
+        """
         def compute():
-            pivots = set(self.ideal_component(n).pivots)
-            words = sorted(all_words(self.D, n), key=order_key(self.order))
-            return {w: i for i, w in enumerate(w for w in words if w not in pivots)}
+            guard_words(self.D, n, self.word_limit)
+            if n == 0:
+                return {(): 0}
+            self._complete_basis(n)
+            basis = self._basis
+            lengths = [k for k in self._lengths if k <= n]
+            letters = sorted(((x,) for x in range(1, self.D + 1)),
+                             key=order_key(self.order))
+            words = (w + x for w in self.normal_basis(n - 1) for x in letters)
+            normal = (w for w in words if not any(w[-k:] in basis for k in lengths))
+            return {w: i for i, w in enumerate(normal)}
         return self._cached(self._normal, n, compute)
 
     def reduce_to_normal(self, v: TensorVector) -> TensorVector:
-        """Canonical representative of v modulo the ideal component."""
-        return self.ideal_component(v.degree).reduce(v)
+        """Normal form of v: its canonical representative modulo the ideal,
+        supported on normal words.
+
+        Combines the memoised normal forms of v's words under G; the
+        stepwise ``ideal_component(v.degree).reduce(v)`` is the cross-check.
+        """
+        n = v.degree
+        guard_words(self.D, n, self.word_limit)
+        for word in v.terms:
+            if any(letter > self.D for letter in word):
+                raise ValueError(f"word {word} uses letters above {self.D}")
+        den = lcm(*(c.denominator for c in v.terms.values()))
+        terms = [(w, c.numerator * (den // c.denominator)) for w, c in v.terms.items()]
+        forms = {w: self._form(w) for w, _ in terms}
+        row, den = _combine_forms(terms, forms, den)
+        return TensorVector._trusted(n, {w: Fraction(c, den) for w, c in row.items()})
 
     def normal_coordinates(self, v: TensorVector) -> list[Fraction]:
         """Coordinates of v over the normal basis of its degree."""
@@ -188,15 +376,16 @@ class GradedAlgebra:
             raise ValueError(f"word {word} is not over 1..{self.D}")
 
         def compute():
+            guard_words(self.D, n, self.word_limit)
+            guard_words(self.D, n + len(word), self.word_limit)
             source = self.normal_basis(n)
             target = self.normal_basis(n + len(word))
             rows: dict[int, dict[int, Fraction]] = {}
             for j, b in enumerate(source):
-                product_word = b + word if side == "right" else word + b
-                remainder = self.reduce_to_normal(word_vector(product_word))
+                row, den = self._form(b + word if side == "right" else word + b)
                 # Ascending i, the row order a scan of the normal basis gives.
-                for i, c in sorted((target[w], c) for w, c in remainder.terms.items()):
-                    rows.setdefault(i, {})[j] = c
+                for i, c in sorted((target[w], c) for w, c in row.items()):
+                    rows.setdefault(i, {})[j] = Fraction(c, den)
             return Matrix(len(target), len(source), rows)
         return self._cached(self._word_mats, (n, word, side), compute)
 

@@ -208,3 +208,13 @@ def fraction_intersect(s1, s2):
     constraints = rref(_fraction_annihilator_vectors(s1) + _fraction_annihilator_vectors(s2),
                        s1.alphabet, s1.degree, s1.order)
     return fraction_annihilator(constraints)
+
+
+def stepwise_normal_words(algebra, n):
+    """The words of degree n that are not pivots of the stepwise ideal
+    component, ascending in the algebra's word order."""
+    from nhomalg.linalg import order_key
+
+    pivots = set(algebra.ideal_component(n).pivots)
+    return [w for w in sorted(all_words(algebra.D, n), key=order_key(algebra.order))
+            if w not in pivots]

@@ -19,7 +19,13 @@ from nhomalg.linalg import (
     word_vector,
 )
 
-from _oracles import bracket_vectors, dense_rank, iterated_intersection, parafermion_dims
+from _oracles import (
+    bracket_vectors,
+    dense_rank,
+    iterated_intersection,
+    parafermion_dims,
+    stepwise_normal_words,
+)
 
 
 @pytest.fixture(scope="module")
@@ -201,13 +207,29 @@ def test_stepwise_routes_equal_direct_routes_on_catalogue(make, top, order):
             assert algebra.ideal_component(n) == direct_ideal_component(algebra, n)
             assert algebra.dual_space(n) == iterated_intersection(
                 algebra.presentation.relations, n)
+            assert list(algebra.normal_basis(n)) == stepwise_normal_words(algebra, n)
+        for lead, row in algebra._basis.items():
+            assert algebra.ideal_component(len(lead))._ints[lead] == row
 
 
 def test_memory_guard_fires_before_lower_degrees_are_built():
     algebra = GradedAlgebra(parafermion(2), word_limit=100)
-    with pytest.raises(MemoryGuardError, match="128"):
-        algebra.ideal_component(7)
+    message = "degree 7 needs D^n = 128 basis words, above the configured limit of 100"
+    refused = (
+        lambda: algebra.ideal_component(7),
+        lambda: algebra.component_dim(7),
+        lambda: algebra.normal_basis(7),
+        lambda: algebra.reduce_to_normal(word_vector((1, 2) * 3 + (1,))),
+        lambda: algebra.word_matrix(6, (1,)),
+        lambda: algebra.word_matrix(4, (2, 1, 2), "left"),
+    )
+    for call in refused:
+        with pytest.raises(MemoryGuardError) as err:
+            call()
+        assert str(err.value) == message
     assert not algebra._ideal
+    assert not algebra._basis and not algebra._normal and not algebra._forms
+    assert not algebra._word_mats
 
 
 def test_memory_guard():

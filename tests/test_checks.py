@@ -1,9 +1,11 @@
 from fractions import Fraction
 
+from nhomalg import checks
 from nhomalg.algebra import GradedAlgebra
 from nhomalg.catalog import make_entry
 from nhomalg.checks import run_checks
 from nhomalg.relfile import parse_relations
+from nhomalg.series import IntSeries
 
 
 def test_run_checks_parafermion_all_pass():
@@ -47,3 +49,28 @@ def test_run_checks_on_file_algebra_without_entry():
     pres = parse_relations("D=2 N=3\n1*221 - 1*212\n1*211 - 1*121\n")
     results = run_checks(GradedAlgebra(pres), 4, None)
     assert results and all(r.passed for r in results)
+
+
+class DropsOneNormalWord(GradedAlgebra):
+    """A broken algebra: the normal basis of degree 4 misses its last word."""
+
+    def normal_basis(self, n):
+        words = list(super().normal_basis(n))
+        if n == 4:
+            words.pop()
+        return {w: i for i, w in enumerate(words)}
+
+
+def test_normal_basis_check_catches_a_dropped_word(monkeypatch):
+    # The product routes would trip over the missing word with a KeyError;
+    # they are checked elsewhere, so here they report success.
+    monkeypatch.setattr(checks.series, "chi_via_product", lambda algebra, n: IntSeries([], 0))
+    monkeypatch.setattr(checks.koszul, "euler_agrees_with_chi", lambda algebra, n: True)
+    entry = make_entry("parafermion", D=2)
+    for algebra, failed in ((GradedAlgebra(entry.presentation), []),
+                            (DropsOneNormalWord(entry.presentation),
+                             ["component dimension equals the normal basis size"])):
+        results = run_checks(algebra, 5, entry)
+        assert [r.name for r in results if not r.passed] == failed
+        assert any(r.name == "component dimension equals the normal basis size"
+                   and r.detail == "degrees 0..5" for r in results)

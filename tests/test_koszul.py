@@ -1,4 +1,5 @@
 from fractions import Fraction
+from itertools import combinations, permutations
 from math import comb
 
 import pytest
@@ -326,3 +327,45 @@ def test_symmetric_and_exterior_algebras(D):
         assert probe.consistent
         assert all(report.is_acyclic for report in probe.reports)
         assert list(chi_direct(algebra, n_max).coefficients()) == [1] + [0] * n_max
+
+
+def antisymmetric_tensors(D, N):
+    """A spanning set of Lambda^N E inside E^(x N): the antisymmetriser
+    applied to each increasing word of N letters."""
+    vectors = []
+    for letters in combinations(range(1, D + 1), N):
+        terms = {}
+        for word in permutations(letters):
+            inversions = sum(a > b for a, b in combinations(word, 2))
+            terms[word] = (-1) ** inversions
+        vectors.append(TensorVector(N, terms))
+    return vectors
+
+
+@pytest.mark.parametrize("order", ["lex", "revlex"])
+@pytest.mark.parametrize("D, N", [(3, 3), (4, 3), (4, 4), (5, 3)])
+def test_n_symmetric_algebras(D, N, order):
+    """R = Lambda^N E gives the N-symmetric algebra (Berger, J. Algebra 2001).
+
+    Its dual spaces are W_n = Lambda^n E for n >= N, so dual_dim(n) is
+    C(D, n), and it is N-Koszul: H(t) times
+    sum_k (C(D, Nk) t^(Nk) - C(D, Nk+1) t^(Nk+1)) is 1, with the k = 0
+    terms 1 - D t standing below N.
+    """
+    relations = rref(antisymmetric_tensors(D, N), D, N, order)
+    algebra = GradedAlgebra(Presentation(D, N, relations), order=order)
+    n_max = 7
+    q = [0] * (n_max + 1)
+    for k in range(n_max // N + 1):
+        q[N * k] = comb(D, N * k)
+        if N * k + 1 <= n_max:
+            q[N * k + 1] = -comb(D, N * k + 1)
+    hilbert = [1]
+    for n in range(1, n_max + 1):
+        hilbert.append(-sum(q[m] * hilbert[n - m] for m in range(1, n + 1)))
+    assert [algebra.component_dim(n) for n in range(n_max + 1)] == hilbert
+    dual_dims = [D ** n if n < N else comb(D, n) for n in range(n_max + 1)]
+    dual_quotient = GradedAlgebra(algebra.presentation.dual(), order=order)
+    assert [dual_quotient.component_dim(n) for n in range(n_max + 1)] == dual_dims
+    # The intersection route is D^n wide: two degrees above N suffice.
+    assert [algebra.dual_dim(n) for n in range(N + 2)] == dual_dims[:N + 2]

@@ -2,12 +2,13 @@
 presentations with D = 1..3 generators, relations in degree N = 2..4
 (empty, full, or spanned by random integer and p/q vectors or by rows
 of mixed ratios), under both word orders, in degrees with at most 729
-words; the dual dimensions by quotient and by intersection, lex against
-revlex, chi by two routes, Koszul-slice ranks against the dense oracle
-and the relation-file round trip on the same presentations; the
-integer-row annihilator and intersection against the Fraction route,
-and remainders and coordinates against the dense oracle, on random
-spaces of the same kind."""
+words; the Groebner route (normal words, normal forms, basis rows)
+against the stepwise ideal components; the dual dimensions by quotient
+and by intersection, lex against revlex, chi by two routes,
+Koszul-slice ranks against the dense oracle and the relation-file round
+trip on the same presentations; the integer-row annihilator and
+intersection against the Fraction route, and remainders and coordinates
+against the dense oracle, on random spaces of the same kind."""
 
 from fractions import Fraction
 
@@ -26,6 +27,7 @@ from nhomalg.linalg import (
     rref,
     shift,
     shifted_span,
+    word_vector,
 )
 from nhomalg.relfile import format_presentation, parse_relations
 from nhomalg.series import chi_via_product
@@ -36,6 +38,7 @@ from _oracles import (
     fraction_annihilator,
     fraction_intersect,
     iterated_intersection,
+    stepwise_normal_words,
 )
 
 MAX_WORDS = 729
@@ -109,6 +112,28 @@ def test_stepwise_ideal_equals_union_of_shifts(case):
     algebra, top = case
     for n in range(top + 1):
         assert algebra.ideal_component(n) == direct_ideal_component(algebra, n)
+
+
+@given(algebras())
+@example(rational_quadratic_case())
+def test_groebner_route_equals_the_stepwise_ideal(case):
+    algebra, top = case
+    for n in range(top + 1):
+        assert list(algebra.normal_basis(n)) == stepwise_normal_words(algebra, n)
+        if n == 0:
+            continue
+        # Words b.x with b normal: the products a word matrix reduces.
+        ideal = algebra.ideal_component(n)
+        products = [b + (x,) for b in list(algebra.normal_basis(n - 1))[:50]
+                    for x in range(1, algebra.D + 1)]
+        for word in products:
+            v = word_vector(word)
+            assert algebra.reduce_to_normal(v) == ideal.reduce(v)
+        mixed = TensorVector(n, [(word, Fraction((-1) ** i * (i + 2), 2 * i + 3))
+                                 for i, word in enumerate(products)])
+        assert algebra.reduce_to_normal(mixed) == ideal.reduce(mixed)
+    for lead, row in algebra._basis.items():
+        assert algebra.ideal_component(len(lead))._ints[lead] == row
 
 
 @given(algebras())
