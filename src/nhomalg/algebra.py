@@ -14,9 +14,12 @@ only by :mod:`nhomalg.checks` and the tests.
 The dual-side components (annihilator presentation and the intersection
 spaces underlying the canonical complexes) live here as well, built one
 degree at a time from the previous one:
-W_n = (W_{n-1} (x) E) cap (E^(n-N) (x) R).  The direct routes (the
-union, respectively the intersection, of all n-N+1 shifts of R) are
-cross-checks in :mod:`nhomalg.checks` and the tests.
+W_n = (W_{n-1} (x) E) cap (E^(n-N) (x) R), each meet the kernel of a
+remainder map on rows (:func:`nhomalg.linalg.intersect`), so no D^n-wide
+annihilator is built.  The direct routes are cross-checks: the union of
+all n-N+1 shifts of R in :mod:`nhomalg.checks` and the tests, their
+intersection in the tests only, where it runs through Fraction
+annihilators.
 """
 
 from __future__ import annotations
@@ -397,8 +400,10 @@ class GradedAlgebra:
         Full space below the relation degree and the relations themselves
         at degree N.  Above, W_n = (W_{n-1} (x) E) cap (E^(n-N) (x) R):
         the shifts with r < n - N are exactly W_{n-1} (x) E, so one
-        intersection per degree suffices.  Once one W_n vanishes all
-        higher ones do.
+        intersection per degree suffices.  It is the kernel of the
+        remainder map modulo one space on the rows of the other, so
+        nothing D^n wide is built beside the two shifted spaces.  Once
+        one W_n vanishes all higher ones do.
         """
         def compute():
             guard_words(self.D, n, self.word_limit)

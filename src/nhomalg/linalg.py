@@ -20,7 +20,10 @@ spans by :meth:`Subspace.join`, :func:`shift`, :func:`annihilator` and
 joins, shifts, annihilators, intersections, remainders and
 membership tests never leave the integers.  Fractions, always in lowest
 terms, are made only in the vectors handed back to callers (``rows``,
-``reduce``, ``coordinates``).
+``reduce``, ``coordinates``).  An intersection is the kernel of the
+remainder map on the rows of the smaller space, so it reads the rows of
+both spaces and nothing else; only the annihilator lists every word of
+its degree.
 """
 
 from __future__ import annotations
@@ -443,13 +446,14 @@ def rref(vectors: Iterable[TensorVector], alphabet: int, degree: int | None = No
     return Subspace(alphabet, degree, vectors, order)
 
 
-def _annihilator_rows(space: Subspace) -> list[_IntRow]:
-    """Raw spanning set of the annihilator, one integer row per free word.
+def annihilator(space: Subspace) -> Subspace:
+    """All dual vectors vanishing on the space, in the word basis.
 
-    With the self-dual word pairing, a reduced row with integer pivot
-    coefficient L_p and coefficient a_f at free word f forces
-    ``w_p = -a_f / L_p`` on the functional that is 1 at f; scaled by the
-    lcm m of those L_p, that functional is ``m e_f - sum a_f (m // L_p) e_p``.
+    dim(space) + dim(annihilator) = alphabet ** degree.  With the
+    self-dual word pairing, a reduced row with integer pivot coefficient
+    L_p and coefficient a_f at free word f forces ``w_p = -a_f / L_p`` on
+    the functional that is 1 at f; scaled by the lcm m of those L_p, that
+    functional is ``m e_f - sum a_f (m // L_p) e_p``, one row per free word.
     """
     ints = space._ints
     hits: dict[Word, list[tuple[Word, int, int]]] = {
@@ -465,24 +469,52 @@ def _annihilator_rows(space: Subspace) -> list[_IntRow]:
         row = {pivot: -coeff * (m // lead) for pivot, coeff, lead in entries}
         row[free] = m
         rows.append(row)
-    return rows
-
-
-def annihilator(space: Subspace) -> Subspace:
-    """All dual vectors vanishing on the space, in the word basis.
-
-    dim(space) + dim(annihilator) = alphabet ** degree.
-    """
-    return Subspace.zero(space.alphabet, space.degree, space.order)._extend(
-        _annihilator_rows(space))
+    return Subspace.zero(space.alphabet, space.degree, space.order)._extend(rows)
 
 
 def intersect(s1: Subspace, s2: Subspace) -> Subspace:
-    """Intersection, computed by stacking the two annihilators."""
+    """Intersection, as the kernel of the remainder map on the smaller space.
+
+    Let y_i be the rows of the smaller space, pivots decreasing, L_i the
+    pivot coefficient of y_i and ``(r_i, m_i)`` the remainder of y_i
+    modulo the other space, so r_i is the remainder of m_i y_i.  A vector
+    v = sum b_i y_i is fixed by its coordinates b_i L_i at the pivots,
+    which no other row meets, and its remainder is linear in v.  So the
+    row for m_i y_i holds r_i, keyed ``(1, word)``, and the coordinate
+    m_i L_i, keyed by the tag ``(0, -i)``: every word ranks above every
+    tag, and the tags rank as the pivots do.  An echelon row led by a
+    tag has no word left, so these rows span the intersection in pivot
+    coordinates; fully reduced, they are its canonical rows there, and
+    coordinates t_i give back the row sum (t_i / L_i) y_i.  Only the rows
+    of the two spaces are read, so nothing grows with alphabet ** degree.
+    """
     s1._check_ambient(s2)
-    constraints = Subspace.zero(s1.alphabet, s1.degree, s1.order)._extend(
-        _annihilator_rows(s1) + _annihilator_rows(s2))
-    return annihilator(constraints)
+    if s2.dim < s1.dim:
+        s1, s2 = s2, s1
+    ys = list(s1._ints.items())
+    tagged = []
+    for i, (p, y) in enumerate(ys):
+        rem, m = s2._remainder(y)
+        row = {(1, w): c for w, c in rem.items()}
+        row[(0, -i)] = m * y[p]
+        tagged.append(row)
+    coords = {tag: row for tag, row in _echelon(tagged, None).items() if tag[0] == 0}
+    meet: dict[Word, _IntRow] = {}
+    # Ascending i, so the pivots of the intersection come out decreasing.
+    for (_, minus_i), coord in sorted(_full_reduce(coords, None).items(), reverse=True):
+        terms = [(t, *ys[-minus_j]) for (_, minus_j), t in coord.items()]
+        scale = lcm(*(y[p] for _, p, y in terms))
+        vector: _IntRow = {}
+        for t, p, y in terms:
+            a = t * (scale // y[p])
+            for w, c in y.items():
+                nc = vector.get(w, 0) + a * c
+                if nc:
+                    vector[w] = nc
+                else:
+                    del vector[w]
+        meet[ys[-minus_i][0]] = _primitive(vector)
+    return Subspace._from_ints(s1.alphabet, s1.degree, meet, s1.order)
 
 
 def shift(space: Subspace, left: int, right: int) -> Subspace:

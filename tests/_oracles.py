@@ -6,8 +6,11 @@ Gaussian elimination over Fractions, plain list-based polynomial
 arithmetic, and direct expansions of the defining relation sets.  Tests
 freeze values computed by these oracles and compare the package against
 them.  The last section keeps the direct, slower routes on top of the
-package's ``rref``: the dual spaces by iterated intersection, and the
-annihilator and intersection through Fraction spanning vectors.
+package's ``rref``: the annihilator and the intersection through
+Fraction spanning vectors (the intersection as the annihilator of both
+stacked annihilators, D^n wide, where the package takes the kernel of a
+remainder map), and the dual spaces by iterated intersection on that
+Fraction route, so no dual oracle calls the package's ``intersect``.
 """
 
 from fractions import Fraction
@@ -161,20 +164,6 @@ def knuth_moves(word):
 
 # -- direct routes on the package's exact kernels ---------------------------
 
-def iterated_intersection(relations, n):
-    """W_n as E^0 (x) R (x) E^(n-N) met with every further shift in turn."""
-    from nhomalg.linalg import Subspace, intersect, rref, shifted_span
-
-    D, N, order = relations.alphabet, relations.degree, relations.order
-    if n < N:
-        return Subspace.full(D, n, order)
-    space = rref(shifted_span(relations, 0, n - N), D, n, order)
-    for r in range(1, n - N + 1):
-        shifted = rref(shifted_span(relations, r, n - N - r), D, n, order)
-        space = intersect(space, shifted)
-    return space
-
-
 def _fraction_annihilator_vectors(space):
     """One Fraction vector per free word spanning the annihilator.
 
@@ -208,6 +197,21 @@ def fraction_intersect(s1, s2):
     constraints = rref(_fraction_annihilator_vectors(s1) + _fraction_annihilator_vectors(s2),
                        s1.alphabet, s1.degree, s1.order)
     return fraction_annihilator(constraints)
+
+
+def iterated_intersection(relations, n):
+    """W_n as E^0 (x) R (x) E^(n-N) met with every further shift in turn,
+    each meet by :func:`fraction_intersect`."""
+    from nhomalg.linalg import Subspace, rref, shifted_span
+
+    D, N, order = relations.alphabet, relations.degree, relations.order
+    if n < N:
+        return Subspace.full(D, n, order)
+    space = rref(shifted_span(relations, 0, n - N), D, n, order)
+    for r in range(1, n - N + 1):
+        shifted = rref(shifted_span(relations, r, n - N - r), D, n, order)
+        space = fraction_intersect(space, shifted)
+    return space
 
 
 def stepwise_normal_words(algebra, n):

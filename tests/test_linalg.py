@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from nhomalg import linalg
 from nhomalg.linalg import (
     DegreeMismatchError,
     Matrix,
@@ -177,6 +178,24 @@ def test_intersect_dimension_formula():
         meet = intersect(s1, s2)
         assert join.dim + meet.dim == s1.dim + s2.dim
         assert intersect(s2, s1) == meet
+
+
+@pytest.mark.parametrize("order", ["lex", "revlex"])
+def test_intersect_of_two_rows_among_ten_million_words(order, monkeypatch):
+    # 10^7 words of degree 7 over 10 letters: the meet comes from the rows
+    # alone, so listing the words of the degree is an error here.
+    def no_words(alphabet, degree):
+        raise AssertionError(f"listed all {alphabet}^{degree} words")
+
+    monkeypatch.setattr(linalg, "all_words", no_words)
+    top, low, nine, two, five = (10,) * 7, (1,) * 7, (9,) * 7, (2,) * 7, (5,) * 7
+    u = tv(7, {top: 3, low: 2})
+    v = tv(7, {nine: 2, two: -5})
+    s1 = rref([u, v], 10, 7, order)
+    s2 = rref([u + v, word_vector(five)], 10, 7, order)
+    meet = intersect(s1, s2)
+    assert meet == rref([u + v], 10, 7, order)
+    assert intersect(s2, s1) == meet
 
 
 def test_annihilator_trivialities():

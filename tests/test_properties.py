@@ -7,12 +7,16 @@ against the stepwise ideal components; the dual dimensions by quotient
 and by intersection, lex against revlex, chi by two routes,
 Koszul-slice ranks against the dense oracle and the relation-file round
 trip on the same presentations; the integer-row annihilator and
-intersection against the Fraction route, and remainders and coordinates
-against the dense oracle, on random spaces of the same kind."""
+intersection against the Fraction route, the laws of the intersection,
+and remainders and coordinates against the dense oracle, on random
+spaces of the same kind; and, on denser presentations whose Groebner
+basis mostly grows past degree N, the Groebner route against the
+stepwise ideal and the dual spaces of their annihilator presentations
+against the Fraction oracle and the quotient of the double dual."""
 
 from fractions import Fraction
 
-from hypothesis import example, given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from nhomalg.algebra import GradedAlgebra, Presentation
 from nhomalg.checks import direct_ideal_component
@@ -285,3 +289,76 @@ def test_reduce_and_coordinates_are_exact(case):
     assert (coords is None) == (not remainder.is_zero())
     if coords is not None:
         assert combination(space.degree, coords, rows) == v
+
+
+def scaled_pair():
+    """A 3-row space whose integer rows have pivot coefficients 3, 2 and 5,
+    and a 2-row space meeting it in y1 + y2 only: y1 and y2 have
+    remainders 3 e_211 and -2 e_211 with scales 3 and 2, so the meet is
+    right only if each row is weighed by its own scale."""
+    larger = rref([TensorVector(3, {(2, 2, 2): 3, (1, 1, 1): 1}),
+                   TensorVector(3, {(2, 2, 1): 2, (1, 1, 2): 1}),
+                   TensorVector(3, {(2, 1, 2): 5, (1, 2, 1): 1})], 2, 3)
+    smaller = rref([TensorVector(3, {(2, 2, 2): 3, (1, 1, 1): 1, (2, 1, 1): 1}),
+                    TensorVector(3, {(2, 2, 1): 2, (1, 1, 2): 1, (2, 1, 1): -1})], 2, 3)
+    return larger, smaller
+
+
+@given(space_pairs())
+@example(scaled_pair())
+@example(scaled_pair()[::-1])
+def test_intersect_laws(pair):
+    s1, s2 = pair
+    meet = intersect(s1, s2)
+    assert intersect(s2, s1) == meet
+    assert s1.contains_subspace(meet) and s2.contains_subspace(meet)
+    assert meet.dim + s1.join(s2).dim == s1.dim + s2.dim
+
+
+@st.composite
+def dense_presentations(draw):
+    """One to three relations of three to five p/q terms among D = 2..3
+    generators in degree N = 2..4, up to degree N + 3 or the last one
+    with at most MAX_WORDS words.  Unlike most of ``algebras()``, most
+    of these grow their Groebner basis past degree N, and their
+    annihilator presentations have a proper, nonzero W_n in most degrees
+    above N."""
+    D = draw(st.sampled_from([3, 2]))
+    N = draw(st.sampled_from([2, 3, 4]))
+    order = draw(st.sampled_from(ORDERS))
+    words = list(all_words(D, N))
+    coefficient = st.fractions(min_value=-3, max_value=3, max_denominator=5).filter(bool)
+    # Sizes listed most telling first: the draws favour the first entry.
+    rows = []
+    for _ in range(draw(st.sampled_from([2, 3, 1]))):
+        size = min(len(words), draw(st.sampled_from([4, 5, 3])))
+        rows.append(draw(st.dictionaries(st.sampled_from(words), coefficient,
+                                         min_size=size, max_size=size)))
+    relations = rref([TensorVector(N, row) for row in rows], D, N, order)
+    return GradedAlgebra(Presentation(D, N, relations), order=order), top_degree(D, N + 3)
+
+
+# Fewer examples than the suite profile's 60: these cases run to 729
+# words, and the dual test compares with a D^n-wide Fraction oracle.
+@settings(max_examples=20)
+@given(dense_presentations())
+def test_groebner_route_on_dense_presentations(case):
+    algebra, top = case
+    for n in range(top + 1):
+        assert list(algebra.normal_basis(n)) == stepwise_normal_words(algebra, n)
+    for lead, row in algebra._basis.items():
+        assert algebra.ideal_component(len(lead))._ints[lead] == row
+
+
+@settings(max_examples=10)
+@given(dense_presentations())
+def test_dual_route_on_dense_annihilator_presentations(case):
+    algebra, top = case
+    dual = GradedAlgebra(algebra.presentation.dual(), order=algebra.order)
+    double = GradedAlgebra(dual.presentation.dual(), order=algebra.order)
+    relations = dual.presentation.relations
+    for n in range(top + 1):
+        assert dual.dual_dim(n) == double.component_dim(n)
+        # The oracle stacks D^n-wide Fraction annihilators: at most 243 words.
+        if algebra.D ** n <= 243:
+            assert dual.dual_space(n) == iterated_intersection(relations, n)
