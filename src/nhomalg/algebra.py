@@ -37,6 +37,7 @@ from .linalg import (
     _echelon,
     _full_reduce,
     _IntRow,
+    _over_lcm,
     annihilator,
     intersect,
     order_key,
@@ -355,10 +356,8 @@ class GradedAlgebra:
         for word in v.terms:
             if any(letter > self.D for letter in word):
                 raise ValueError(f"word {word} uses letters above {self.D}")
-        den = lcm(*(c.denominator for c in v.terms.values()))
-        terms = [(w, c.numerator * (den // c.denominator)) for w, c in v.terms.items()]
-        forms = {w: self._form(w) for w, _ in terms}
-        row, den = _combine_forms(terms, forms, den)
+        num, den = _over_lcm(v.terms)
+        row, den = _combine_forms(list(num.items()), {w: self._form(w) for w in num}, den)
         return TensorVector._trusted(n, {w: Fraction(c, den) for w, c in row.items()})
 
     def normal_coordinates(self, v: TensorVector) -> list[Fraction]:
@@ -383,13 +382,14 @@ class GradedAlgebra:
             guard_words(self.D, n + len(word), self.word_limit)
             source = self.normal_basis(n)
             target = self.normal_basis(n + len(word))
-            rows: dict[int, dict[int, Fraction]] = {}
-            for j, b in enumerate(source):
-                row, den = self._form(b + word if side == "right" else word + b)
+            forms = [self._form(b + word if side == "right" else word + b) for b in source]
+            scale = lcm(*(den for _, den in forms))
+            rows: dict[int, dict[int, int]] = {}
+            for j, (row, den) in enumerate(forms):
                 # Ascending i, the row order a scan of the normal basis gives.
                 for i, c in sorted((target[w], c) for w, c in row.items()):
-                    rows.setdefault(i, {})[j] = Fraction(c, den)
-            return Matrix(len(target), len(source), rows)
+                    rows.setdefault(i, {})[j] = c * (scale // den)
+            return Matrix._from_ints(len(target), len(source), rows, scale)
         return self._cached(self._word_mats, (n, word, side), compute)
 
     # -- dual side ----------------------------------------------------------

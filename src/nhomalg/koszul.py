@@ -3,18 +3,18 @@
 The boundary map sends a (x) (e_1 ... e_m) to (a e_1) (x) (e_2 ... e_m);
 contracting the resulting N-complex by alternating two powers of the
 boundary yields honest complexes.  This module builds their finite
-total-degree slices as explicit rational matrices, computes exact
-homology, runs the Koszulity probe (acyclicity of every positive-degree
-slice of the distinguished contraction), and runs the Gorenstein probe
-on the dualised resolution of a cubic algebra.  Each boundary map is a
-sum of Kronecker products, one per word prefix, accumulated into one
-sparse matrix in a single pass.
+total-degree slices as integer rows over one scale per matrix, computes
+exact homology, runs the Koszulity probe (acyclicity of every
+positive-degree slice of the distinguished contraction), and runs the
+Gorenstein probe on the dualised resolution of a cubic algebra.  Each
+boundary map is a sum of Kronecker products, one per word prefix,
+accumulated into one sparse matrix in a single pass.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
+from math import lcm
 
 from .algebra import GradedAlgebra
 from .linalg import InternalConsistencyError, Matrix
@@ -26,13 +26,21 @@ class ComplexSlice:
     """Total-degree slice of a contraction, as composable matrices.
 
     ``positions[i]`` is (algebra degree, dual degree); ``matrices[i]``
-    maps position i+1 into position i; consecutive compositions vanish.
+    maps position i+1 into position i; consecutive compositions vanish,
+    exactly, on the integer rows, or the slice is not made.
     """
 
     total_degree: int
     positions: tuple[tuple[int, int], ...]
     dims: tuple[int, ...]
     matrices: tuple[Matrix, ...]
+
+    def __post_init__(self):
+        for i in range(len(self.matrices) - 1):
+            if not self.matrices[i].mul(self.matrices[i + 1]).is_zero():
+                raise InternalConsistencyError(
+                    f"boundary composition nonzero between positions {i + 2} "
+                    f"and {i} of the degree-{self.total_degree} slice")
 
 
 @dataclass(frozen=True)
@@ -77,14 +85,16 @@ def _splitting_matrices(algebra: GradedAlgebra, m: int, j: int) -> dict[tuple, M
     tensor tails, and nesting guarantees each tail lies in the degree
     m - j dual space; a tail escaping it is a construction bug.  On the
     integer rows, the coordinate of a tail of row c (pivot coefficient L)
-    over the target row of pivot p is the tail's coefficient at p over L.
+    over the target row of pivot p is the tail's coefficient at p over L,
+    held as an integer over the lcm of the source rows' L.
     """
     source = algebra.dual_space(m)
     target = algebra.dual_space(m - j)
     index = {p: i for i, p in enumerate(target.pivots)}
+    scale = lcm(*(row[pivot] for pivot, row in source._ints.items()))
     by_prefix: dict[tuple, dict[int, dict]] = {}
     for c, (pivot, row) in enumerate(source._ints.items()):
-        lead = row[pivot]
+        factor = scale // row[pivot]
         tails: dict[tuple, dict] = {}
         for word, coeff in row.items():
             tails.setdefault(word[:j], {})[word[j:]] = coeff
@@ -95,8 +105,8 @@ def _splitting_matrices(algebra: GradedAlgebra, m: int, j: int) -> dict[tuple, M
                     "dual space")
             rows = by_prefix.setdefault(prefix, {})
             for i, value in sorted((index[p], v) for p, v in tail.items() if p in index):
-                rows.setdefault(i, {})[c] = Fraction(value, lead)
-    return {prefix: Matrix(target.dim, source.dim, rows)
+                rows.setdefault(i, {})[c] = factor * value
+    return {prefix: Matrix._from_ints(target.dim, source.dim, rows, scale)
             for prefix, rows in by_prefix.items()}
 
 
@@ -133,11 +143,6 @@ def build_contraction_slice(algebra: GradedAlgebra, p: int, r: int,
     matrices = tuple(
         _differential(algebra, n, degrees[i + 1], degrees[i + 1] - degrees[i])
         for i in range(len(degrees) - 1))
-    for i in range(len(matrices) - 1):
-        if not matrices[i].mul(matrices[i + 1]).is_zero():
-            raise InternalConsistencyError(
-                f"boundary composition nonzero between positions {i + 2} "
-                f"and {i} of the degree-{n} slice")
     return ComplexSlice(n, positions, dims, matrices)
 
 
@@ -264,10 +269,6 @@ def _dual_slice(algebra: GradedAlgebra, nu: int) -> ComplexSlice:
         else:
             delta = Matrix(dims[i], dims[i - 1])
         deltas.append(delta)
-    for i in range(len(deltas) - 1):
-        if not deltas[i + 1].mul(deltas[i]).is_zero():
-            raise InternalConsistencyError(
-                f"dual boundary composition nonzero in total degree {nu}")
     return ComplexSlice(
         nu,
         tuple((a_degrees[i], _DUAL_PATTERN[i]) for i in reversed(range(4))),

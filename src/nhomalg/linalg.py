@@ -23,7 +23,7 @@ terms, are made only in the vectors handed back to callers (``rows``,
 ``reduce``, ``coordinates``).  An intersection is the kernel of the
 remainder map on the rows of the smaller space, so it reads the rows of
 both spaces and nothing else; only the annihilator lists every word of
-its degree.
+its degree.  A :class:`Matrix` likewise stores integer rows over one scale.
 """
 
 from __future__ import annotations
@@ -31,6 +31,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import product
 from math import gcd, lcm
+from operator import neg
 from typing import Iterable, Iterator
 
 Word = tuple[int, ...]
@@ -57,7 +58,7 @@ def order_key(order: str):
     if order == "lex":
         return None
     if order == "revlex":
-        return lambda word: tuple(-letter for letter in word)
+        return lambda word: tuple(map(neg, word))
     raise ValueError(f"unknown word order {order!r}, expected one of {ORDERS}")
 
 
@@ -194,10 +195,11 @@ def _primitive(row: _IntRow) -> _IntRow:
     return row
 
 
-def _int_row(terms: dict) -> dict:
-    """Primitive integer multiple of a nonzero row of rationals."""
+def _over_lcm(terms: dict) -> tuple[dict, int]:
+    """``(ints, den)`` with ints / den the rationals ``terms``: den is the lcm
+    of their denominators, so no factor of den divides every int."""
     den = lcm(*(c.denominator for c in terms.values()))
-    return _primitive({w: c.numerator * (den // c.denominator) for w, c in terms.items()})
+    return {k: c.numerator * (den // c.denominator) for k, c in terms.items()}, den
 
 
 def _combine(row: _IntRow, other: _IntRow, word: Word) -> _IntRow:
@@ -214,7 +216,7 @@ def _combine(row: _IntRow, other: _IntRow, word: Word) -> _IntRow:
     return _primitive(new) if new else new
 
 
-def _echelon(rows: list[_IntRow], key,
+def _echelon(rows: Iterable[_IntRow], key,
              pivots: dict[Word, _IntRow] | None = None) -> dict[Word, _IntRow]:
     """Forward pass: map pivot word -> row whose support is <= that pivot.
 
@@ -294,7 +296,7 @@ class Subspace:
         for v in vectors:
             self._check(v)
             if not v.is_zero():
-                rows.append(_int_row(v.terms))
+                rows.append(_primitive(_over_lcm(v.terms)[0]))
         self._ints = _reduced(rows, key)
 
     @classmethod
@@ -379,9 +381,8 @@ class Subspace:
     def reduce(self, v: TensorVector) -> TensorVector:
         """Canonical remainder of ``v``: no pivot word left in its support."""
         self._check(v)
-        den = lcm(*(c.denominator for c in v.terms.values()))
-        rem, m = self._remainder(
-            {w: c.numerator * (den // c.denominator) for w, c in v.terms.items()})
+        num, den = _over_lcm(v.terms)
+        rem, m = self._remainder(num)
         den *= m
         return TensorVector._trusted(self.degree,
                                      {w: Fraction(c, den) for w, c in rem.items()})
@@ -549,54 +550,80 @@ def shifted_span(space: Subspace, left: int, right: int) -> list[TensorVector]:
 # Sparse matrices over the rationals (chain-complex mechanics).
 
 class Matrix:
-    """Sparse exact-rational matrix: a dict of nonzero rows ``{i: {j: value}}``.
+    """Sparse exact-rational matrix: integer rows ``{i: {j: value}}`` over one
+    positive ``scale``, entry (i, j) being ``rows[i][j] / scale``.
 
-    Only nonzero entries are stored and no stored row is empty, so two
-    matrices of one shape are equal exactly when their row dicts are.
-    The boundary maps of the contraction slices are a few percent
-    nonzero; every operation walks the nonzeros only, and :meth:`rank`
-    runs the same fraction-free elimination kernel as :func:`rref`.
+    Only nonzero entries are stored, no stored row is empty and no factor
+    of the scale divides every entry, so two matrices of one shape are
+    equal exactly when their rows and scales are.  Every operation walks
+    the nonzeros only, on integers; a scale changes no rank, so
+    :meth:`rank` hands the stored rows to the elimination kernel of
+    :func:`rref`.  Only :meth:`entry` and :attr:`entries` make Fractions,
+    in lowest terms.
     """
 
-    __slots__ = ("nrows", "ncols", "rows")
+    __slots__ = ("nrows", "ncols", "rows", "scale")
 
     def __init__(self, nrows: int, ncols: int, rows=None):
-        self.nrows = nrows
-        self.ncols = ncols
-        self.rows: dict[int, dict[int, Fraction]] = {}
-        for i, row in (rows or {}).items():
-            row = {j: value for j, value in row.items() if value}
-            if row:
-                self.rows[i] = row
+        """Matrix of the rational entries ``rows[i][j]``."""
+        ints, self.scale = _over_lcm({(i, j): Fraction(v) for i, row in (rows or {}).items()
+                                      for j, v in row.items() if v})
+        self.nrows, self.ncols, self.rows = nrows, ncols, {}
+        for (i, j), v in ints.items():
+            self.rows.setdefault(i, {})[j] = v
+
+    @classmethod
+    def _from_ints(cls, nrows: int, ncols: int, rows: dict[int, dict[int, int]],
+                   scale: int = 1) -> "Matrix":
+        """Integer ``rows`` over a positive ``scale``, taken over unchecked; zeros,
+        empty rows and the common factor of scale and entries are dropped."""
+        rows = {i: row for i, row in ((i, {j: v for j, v in row.items() if v})
+                                      for i, row in rows.items()) if row}
+        g = gcd(scale, *(v for r in rows.values() for v in r.values())) if scale > 1 else 1
+        if g > 1:
+            rows = {i: {j: v // g for j, v in row.items()} for i, row in rows.items()}
+        matrix = cls.__new__(cls)
+        matrix.nrows, matrix.ncols, matrix.rows, matrix.scale = nrows, ncols, rows, scale // g
+        return matrix
 
     @classmethod
     def kron_sum(cls, nrows: int, ncols: int, pairs) -> "Matrix":
-        """Sum of the Kronecker products ``a (x) b`` over ``pairs``, in one pass."""
-        acc: dict[int, dict[int, Fraction]] = {}
+        """Sum of the Kronecker products ``a (x) b`` over ``pairs``, in one
+        pass, each brought from scale ``a.scale * b.scale`` to their lcm."""
+        pairs = list(pairs)
+        if any((a.nrows * b.nrows, a.ncols * b.ncols) != (nrows, ncols) for a, b in pairs):
+            raise ValueError("shape mismatch")
+        scale = lcm(*(a.scale * b.scale for a, b in pairs))
+        acc: dict[int, dict[int, int]] = {}
         for a, b in pairs:
-            if (a.nrows * b.nrows, a.ncols * b.ncols) != (nrows, ncols):
-                raise ValueError("shape mismatch")
+            factor = scale // (a.scale * b.scale)
             for i, arow in a.rows.items():
+                arow = {j: factor * x for j, x in arow.items()} if factor > 1 else arow
                 for k, brow in b.rows.items():
                     target = acc.setdefault(i * b.nrows + k, {})
                     for j, x in arow.items():
                         base = j * b.ncols
                         for l, y in brow.items():
-                            target[base + l] = target.get(base + l, _ZERO) + x * y
-        return cls(nrows, ncols, acc)
+                            target[base + l] = target.get(base + l, 0) + x * y
+        return cls._from_ints(nrows, ncols, acc, scale)
 
     def entry(self, i: int, j: int) -> Fraction:
-        return self.rows.get(i, {}).get(j, _ZERO)
+        value = self.rows.get(i, {}).get(j)
+        return Fraction(value, self.scale) if value else _ZERO
 
     # No caller in the package builds a sum or a dense grid; the traced
     # benchmark run (perfbench/tracer.py) names ``__add__`` and reads
     # ``entries``, so both stay until that tracer moves to ``rows``.
     @property
     def entries(self) -> list[list[Fraction]]:
-        return [[self.entry(i, j) for j in range(self.ncols)] for i in range(self.nrows)]
+        grid = [[_ZERO] * self.ncols for _ in range(self.nrows)]
+        for i, row in self.rows.items():
+            for j, value in row.items():
+                grid[i][j] = Fraction(value, self.scale)
+        return grid
 
     def __add__(self, other: "Matrix") -> "Matrix":
-        one = Matrix(1, 1, {0: {0: Fraction(1)}})  # a (x) [1] = a
+        one = Matrix._from_ints(1, 1, {0: {0: 1}})  # a (x) [1] = a
         return Matrix.kron_sum(self.nrows, self.ncols, [(self, one), (other, one)])
 
     def is_zero(self) -> bool:
@@ -605,32 +632,32 @@ class Matrix:
     def mul(self, other: "Matrix") -> "Matrix":
         if self.ncols != other.nrows:
             raise ValueError(f"shape mismatch: {self.ncols} != {other.nrows}")
-        out: dict[int, dict[int, Fraction]] = {}
+        out: dict[int, dict[int, int]] = {}
         for i, row in self.rows.items():
             target = out[i] = {}
             for k, a in row.items():
                 for j, b in other.rows.get(k, {}).items():
-                    target[j] = target.get(j, _ZERO) + a * b
-        return Matrix(self.nrows, other.ncols, out)
+                    target[j] = target.get(j, 0) + a * b
+        return Matrix._from_ints(self.nrows, other.ncols, out, self.scale * other.scale)
 
     def transpose(self) -> "Matrix":
-        out: dict[int, dict[int, Fraction]] = {}
+        out: dict[int, dict[int, int]] = {}
         for i, row in self.rows.items():
             for j, value in row.items():
                 out.setdefault(j, {})[i] = value
-        return Matrix(self.ncols, self.nrows, out)
+        return Matrix._from_ints(self.ncols, self.nrows, out, self.scale)
 
     def kron(self, other: "Matrix") -> "Matrix":
         return Matrix.kron_sum(self.nrows * other.nrows, self.ncols * other.ncols,
                                [(self, other)])
 
     def rank(self) -> int:
-        return len(_echelon([_int_row(row) for row in self.rows.values()], None))
+        return len(_echelon(self.rows.values(), None))
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, Matrix)
                 and self.nrows == other.nrows and self.ncols == other.ncols
-                and self.rows == other.rows)
+                and self.scale == other.scale and self.rows == other.rows)
 
     def __repr__(self):
         return f"Matrix({self.nrows}x{self.ncols})"

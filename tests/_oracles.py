@@ -52,10 +52,11 @@ def dense_rank(vectors, D, degree):
 
 
 def dense_matrix_rank(matrix):
-    """Rank of a sparse ``{i: {j: value}}`` matrix, by the same dense
-    elimination, with column j as the one-letter word (j + 1,)."""
-    rows = [{(col + 1,): value for col, value in row.items()}
-            for row in matrix.rows.values()]
+    """Rank of a matrix read entry by entry through ``entry(i, j)``, by the
+    same dense elimination, with column j as the one-letter word (j + 1,)."""
+    rows = [{(col + 1,): value for col in range(matrix.ncols)
+             if (value := matrix.entry(i, col))}
+            for i in range(matrix.nrows)]
     return dense_rank(rows, matrix.ncols, 1)
 
 

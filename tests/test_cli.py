@@ -93,6 +93,33 @@ def test_gorenstein_command():
     assert json.loads(result.output)["verdict"] == "consistent"
 
 
+def test_benchmark_inputs_pin_their_full_tables():
+    # The benchmark checks only the Euler characteristics and verdicts of
+    # these jobs; every kernel, image, homology and cohomology dimension
+    # is pinned here.
+    result = run_cli("koszul", "--algebra", "parafermion", "--D", "3",
+                     "--max-degree", "7", "--format", "json")
+    assert result.exit_code == 0
+    tables = [(row["kernelDims"], row["imageDims"], row["homology"])
+              for row in json.loads(result.output)["perDegree"]]
+    assert tables == [
+        ([3, 0], [3, 0], [0, 0]),
+        ([9, 0], [9, 0], [0, 0]),
+        ([19, 8, 0], [19, 8, 0], [0, 0, 0]),
+        ([39, 18, 6, 0], [39, 18, 6, 0], [0, 0, 0, 0]),
+        ([69, 48, 24, 0], [69, 48, 18, 0], [0, 0, 6, 0]),
+        ([119, 88, 64, 0, 0], [119, 88, 54, 0, 0], [0, 0, 10, 0, 0]),
+        ([189, 168, 144, 0, 0, 0], [189, 168, 114, 0, 0, 0], [0, 0, 30, 0, 0, 0]),
+    ]
+    for name, n, expected in (
+            ("parafermion", 10, [[0, 0, 0, 1]] + [[0, 0, 0, 0]] * 10),
+            ("plactic", 12, [[0, 0, 0, 1]] + [[0, 0, k, k] for k in range(1, 13)])):
+        result = run_cli("gorenstein", "--algebra", name, "--D", "2",
+                         "--max-degree", str(n), "--format", "json")
+        assert result.exit_code == 0
+        assert json.loads(result.output)["cohomologyByDegree"] == expected, name
+
+
 def test_family_selector():
     result = run_cli("checks", "--algebra", "as", "--q", "2", "--r", "1",
                      "--max-degree", "4", "--format", "json")

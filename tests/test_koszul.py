@@ -1,5 +1,5 @@
 from fractions import Fraction
-from itertools import combinations, permutations
+from itertools import combinations, permutations, product
 from math import comb
 
 import pytest
@@ -180,12 +180,24 @@ def test_splitting_matrices_rebuild_the_dual_rows(parafermi3):
             target = algebra.dual_space(m - j).rows
             rebuilt = [{} for _ in source]
             for prefix, tails in _splitting_matrices(algebra, m, j).items():
-                for i, row in tails.rows.items():
-                    for c, value in row.items():
+                for i, c in product(range(tails.nrows), range(tails.ncols)):
+                    value = tails.entry(i, c)
+                    if value:
                         for word, coeff in target[i].terms.items():
                             word = prefix + word
                             rebuilt[c][word] = rebuilt[c].get(word, 0) + value * coeff
             assert [TensorVector(m, terms) for terms in rebuilt] == list(source)
+
+
+def test_generic_member_runs_the_scaled_matrices():
+    # Its normal forms and dual rows carry denominators, so its word and
+    # splitting matrices hold integer rows over a scale above 1, and the
+    # slice tests on it run the scaled kron_sum, mul and rank.
+    generic = GradedAlgebra(artin_schelter(Fraction(-3, 7), Fraction(5, 2)))
+    assert generic.word_matrix(2, (1,), "right").scale > 1
+    assert generic.word_matrix(2, (2,), "left").scale > 1
+    assert any(tails.scale > 1 for tails in _splitting_matrices(generic, 4, 1).values())
+    assert all(tails.scale > 1 for tails in _splitting_matrices(generic, 3, 1).values())
 
 
 def test_differential_empty_shapes(parafermi2):

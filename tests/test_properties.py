@@ -12,7 +12,9 @@ and remainders and coordinates against the dense oracle, on random
 spaces of the same kind; and, on denser presentations whose Groebner
 basis mostly grows past degree N, the Groebner route against the
 stepwise ideal and the dual spaces of their annihilator presentations
-against the Fraction oracle and the quotient of the double dual."""
+against the Fraction oracle and the quotient of the double dual; and the
+integer-scaled matrices against dense Fraction grids, on small random
+matrices whose entries have different denominators."""
 
 from fractions import Fraction
 
@@ -23,6 +25,7 @@ from nhomalg.checks import direct_ideal_component
 from nhomalg.koszul import build_koszul_slice, euler_agrees_with_chi
 from nhomalg.linalg import (
     ORDERS,
+    Matrix,
     Subspace,
     TensorVector,
     all_words,
@@ -362,3 +365,74 @@ def test_dual_route_on_dense_annihilator_presentations(case):
         # The oracle stacks D^n-wide Fraction annihilators: at most 243 words.
         if algebra.D ** n <= 243:
             assert dual.dual_space(n) == iterated_intersection(relations, n)
+
+
+# ---------------------------------------------------------------------------
+# Integer-scaled matrices against dense Fraction grids.
+
+matrix_entries = st.one_of(
+    st.just(Fraction(0)),
+    st.fractions(min_value=-4, max_value=4, max_denominator=6),
+    st.integers(-3, 3).map(Fraction))
+
+
+def grids(nrows, ncols):
+    return st.lists(st.lists(matrix_entries, min_size=ncols, max_size=ncols),
+                    min_size=nrows, max_size=nrows)
+
+
+def from_grid(grid, ncols):
+    return Matrix(len(grid), ncols, {i: dict(enumerate(row)) for i, row in enumerate(grid)})
+
+
+def read_grid(matrix):
+    return [[matrix.entry(i, j) for j in range(matrix.ncols)] for i in range(matrix.nrows)]
+
+
+@st.composite
+def matrix_cases(draw):
+    """Pairs of one shape for a Kronecker sum, a grid to multiply the first
+    factor by, and a cell to change."""
+    r1, c1, r2, c2, c3 = (draw(st.integers(0, 3)) for _ in range(5))
+    pairs = [(draw(grids(r1, c1)), draw(grids(r2, c2)))
+             for _ in range(draw(st.integers(1, 3)))]
+    right = draw(grids(c1, c3))
+    cell = (draw(st.integers(0, 8)), draw(st.integers(0, 8)))
+    return (r1, c1, r2, c2, c3), pairs, right, cell
+
+
+@given(matrix_cases())
+def test_integer_matrices_equal_dense_fraction_grids(case):
+    (r1, c1, r2, c2, c3), pairs, right, cell = case
+    nrows, ncols = r1 * r2, c1 * c2
+    total = [[sum((a[i][j] * b[k][l] for a, b in pairs), Fraction(0))
+              for j in range(c1) for l in range(c2)]
+             for i in range(r1) for k in range(r2)]
+    matrices = [(from_grid(a, c1), from_grid(b, c2)) for a, b in pairs]
+    got = Matrix.kron_sum(nrows, ncols, matrices)
+    assert read_grid(got) == total
+    assert got == from_grid(total, ncols)
+    # The same sum with each pair's factors rescaled by 2 and 1/2 lands on
+    # other scales before the common factor is divided out.
+    half = Matrix(1, 1, {0: {0: Fraction(1, 2)}})
+    two = Matrix(1, 1, {0: {0: 2}})
+    rescaled = [(a.kron(two), b.kron(half)) for a, b in matrices]
+    assert Matrix.kron_sum(nrows, ncols, rescaled) == got
+    assert got.rank() == dense_rank(
+        [{(j + 1,): v for j, v in enumerate(row)} for row in total], ncols, 1)
+    assert read_grid(got.transpose()) == [[total[i][j] for i in range(nrows)]
+                                          for j in range(ncols)]
+    assert got.transpose().transpose() == got
+    a = pairs[0][0]
+    product = [[sum((a[i][k] * right[k][j] for k in range(c1)), Fraction(0))
+                for j in range(c3)] for i in range(r1)]
+    assert read_grid(matrices[0][0].mul(from_grid(right, c3))) == product
+    # Equal exactly when every entry is: halve them all, or change one cell.
+    assert (got.kron(half) == got) == got.is_zero()
+    if nrows and ncols:
+        i, j = cell[0] % nrows, cell[1] % ncols
+        changed = [list(row) for row in total]
+        changed[i][j] += Fraction(1, 7)
+        assert from_grid(changed, ncols) != got
+        changed[i][j] -= Fraction(1, 7)
+        assert from_grid(changed, ncols) == got
