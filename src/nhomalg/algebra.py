@@ -6,8 +6,12 @@ reduced Groebner basis G of the two-sided ideal (Bergman's diamond
 lemma): the words that contain no leading word of G are a basis of each
 graded piece, and rewriting an occurrence of a leading word gives the
 normal form of every element.  G is built one degree at a time from the
-overlap ambiguities of its leading words, so nothing D^n wide is stored;
-the stepwise ideal component
+overlap ambiguities of its leading words, so nothing D^n wide is stored.
+The graded dimensions are counted without listing a word, as walks in
+the Aho-Corasick automaton of the leading words that avoid its dead
+states (Ufnarovski's graph); the list of normal words is built only
+where something reads it, and :mod:`nhomalg.checks` compares its length
+with the count.  The stepwise ideal component
 I_n = I_{n-1} (x) E + E^(n-N) (x) R is kept as the cross-check, built
 only by :mod:`nhomalg.checks` and the tests.
 
@@ -24,6 +28,7 @@ annihilators.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
@@ -155,6 +160,57 @@ def _normal_form(word: Word, basis: dict[Word, _IntRow], lengths: tuple[int, ...
     return memo[word]
 
 
+def _avoiding_counts(leads, D: int, n: int) -> list[int]:
+    """Numbers of words of lengths 0..n over 1..D with no lead in them.
+
+    They are the walks from the root of the Aho-Corasick automaton of
+    ``leads`` that never enter a dead state: one that ends a lead, or
+    whose failure chain reaches one (Aho-Corasick, CACM 18, 1975;
+    Ufnarovski, Math. Notes 31, 1982).  Each length costs one step of
+    states x D, and no word is built.
+    """
+    children: list[dict[int, int]] = [{}]
+    dead = [False]
+    for lead in leads:
+        state = 0
+        for x in lead:
+            if x not in children[state]:
+                children[state][x] = len(children)
+                children.append({})
+                dead.append(False)
+            state = children[state][x]
+        dead[state] = True
+    # Breadth first, so a state's failure target and its transitions are
+    # complete before the state's own; moves[s][x - 1] is the state of
+    # the longest suffix of s.x that is in the trie.
+    fail = [0] * len(children)
+    moves: list[list[int]] = [[]] * len(children)
+    moves[0] = [children[0].get(x, 0) for x in range(1, D + 1)]
+    queue = deque(children[0].values())
+    while queue:
+        state = queue.popleft()
+        back = moves[fail[state]]
+        dead[state] = dead[state] or dead[fail[state]]
+        moves[state] = [children[state].get(x, back[x - 1]) for x in range(1, D + 1)]
+        for x, child in children[state].items():
+            fail[child] = back[x - 1]
+            queue.append(child)
+    live = [state for state in range(len(children)) if not dead[state]]
+    edges = {state: [t for t in moves[state] if not dead[t]] for state in live}
+    walks = {state: 0 for state in live}
+    walks[0] = 1
+    counts = [1]
+    for _ in range(n):
+        step = {state: 0 for state in live}
+        for state, count in walks.items():
+            if count:
+                for target in edges[state]:
+                    step[target] += count
+        walks = step
+        counts.append(sum(walks.values()))
+    return counts
+
+
 def _extend_basis(basis: dict[Word, _IntRow], degree: int, key):
     """Add to ``basis``, complete below ``degree``, its elements of that degree.
 
@@ -231,9 +287,10 @@ class GradedAlgebra:
     """Degreewise view of the quotient algebra with memoised components.
 
     The quotient side rests on the truncated reduced Groebner basis G,
-    extended degree by degree on first request; normal bases and normal
-    forms are cached by degree, word matrices by degree, word and side,
-    and the dual spaces by degree.
+    extended degree by degree on first request; the graded dimensions
+    are cached up to the highest degree counted, normal bases and normal
+    forms by degree, word matrices by degree, word and side, and the
+    dual spaces by degree.
     """
 
     def __init__(self, presentation: Presentation,
@@ -252,6 +309,7 @@ class GradedAlgebra:
         self._basis: dict[Word, _IntRow] = {}
         self._basis_degree = 0  # G is complete through this degree
         self._lengths: tuple[int, ...] = ()
+        self._dims: list[int] = []  # dim A_m for m = 0..len - 1
         self._normal: dict[int, dict[Word, int]] = {}
         self._forms: dict[int, dict[Word, _Form]] = {}
         self._dual: dict[int, Subspace] = {}
@@ -320,14 +378,28 @@ class GradedAlgebra:
         return shift(prev, 0, 1).join(shift(self.presentation.relations, n - self.N, 0))
 
     def component_dim(self, n: int) -> int:
-        return len(self.normal_basis(n))
+        """dim A_n, the number of words of degree n with no leading word of
+        G in them, counted by the automaton of the leads of length <= n
+        (:func:`_avoiding_counts`) for every degree up to n at once.
+
+        No word is listed, and :meth:`normal_basis` is not read even when
+        it is cached: ``checks`` compares the two routes.
+        """
+        guard_words(self.D, n, self.word_limit)
+        if n >= len(self._dims):
+            self._complete_basis(n)
+            leads = [lead for lead in self._basis if len(lead) <= n]
+            self._dims = _avoiding_counts(leads, self.D, n)
+        return self._dims[n]
 
     def normal_basis(self, n: int) -> dict[Word, int]:
         """Words of degree n with no leading word of G in them, ascending in
         the word order, each mapped to its position: a basis of A_n.
 
         Each normal word of degree n - 1 is extended by one letter and kept
-        when no lead is a suffix.  They are the non-pivot words of the
+        when no lead is a suffix.  The list is built for its readers (word
+        matrices, coordinates, ``checks``); :meth:`component_dim` counts
+        the same words without it.  They are the non-pivot words of the
         stepwise ideal component, the cross-check.
         """
         def compute():

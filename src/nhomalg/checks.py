@@ -96,12 +96,14 @@ def run_checks(algebra: GradedAlgebra, n_max: int,
         "ideal components agree with the stepwise route", routes_agree,
         f"checked degrees {N + 1}..{n_max}"))
 
-    # The normal words come from the Groebner basis, the component
-    # dimension is their count: both are checked against the words that
-    # are not pivots of the stepwise ideal component.
+    # The normal words are listed from the Groebner basis and counted by
+    # the automaton of its leads, two routes: the list is checked against
+    # the words that are not pivots of the stepwise ideal component, and
+    # its length against the count.
     dims_match = all(
         set(algebra.normal_basis(n))
         == set(all_words(D, n)) - set(algebra.ideal_component(n).pivots)
+        and algebra.component_dim(n) == len(algebra.normal_basis(n))
         for n in range(n_max + 1))
     checks.append(_result(
         "component dimension equals the normal basis size", dims_match,

@@ -1,9 +1,10 @@
-"""Schensted insertion, plactic normal forms and tableau enumeration.
+"""Schensted insertion, plactic normal forms, tableau enumeration and counts.
 
 Words over 1..D are sent to semistandard Young tableaux by row bumping;
 two words are Knuth equivalent exactly when they share a tableau.  The
-enumeration of all tableaux with a given cell count doubles as an
-independent combinatorial count of graded dimensions.
+tableaux with a given cell count are counted as chains of horizontal
+strips, with no tableau built: an independent combinatorial count of
+graded dimensions.  Their enumeration stays for the listing tests.
 """
 
 from __future__ import annotations
@@ -152,8 +153,8 @@ def tableaux_of_shape(shape, max_letter: int):
     yield from fill_row(0)
 
 
-def _all_tableaux(D: int, n: int, word_limit: int):
-    """Iterate the tableaux with n cells and entries up to D, by shape then filling.
+def _guard_cells(D: int, n: int, word_limit: int):
+    """Refuse a cell count whose D^n words exceed ``word_limit``.
 
     The same degree cap as the algebra side applies: the tableau count is
     bounded by the word count D^n, which must stay under the limit.
@@ -164,6 +165,11 @@ def _all_tableaux(D: int, n: int, word_limit: int):
         raise MemoryGuardError(
             f"cell count {n} needs up to D^n = {D ** n} tableaux, "
             f"above the configured limit of {word_limit}")
+
+
+def _all_tableaux(D: int, n: int, word_limit: int):
+    """Iterate the tableaux with n cells and entries up to D, by shape then filling."""
+    _guard_cells(D, n, word_limit)
     for shape in partitions(n):
         yield from tableaux_of_shape(shape, D)
 
@@ -174,9 +180,43 @@ def enumerate_tableaux(D: int, n: int,
     return list(_all_tableaux(D, n, word_limit))
 
 
+def _horizontal_strips(shape: tuple[int, ...], room: int):
+    """The shapes lam with lam / ``shape`` a horizontal strip of at most
+    ``room`` cells: lam_1 >= shape_1 >= lam_2 >= shape_2 >= ... >= lam_(k+1),
+    k the number of rows of ``shape``, with no trailing zero part."""
+    lows = shape + (0,)
+    highs = (lows[0] + room,) + shape
+
+    def grow(i, left):
+        if i == len(lows):
+            yield ()
+            return
+        for part in range(lows[i], min(highs[i], lows[i] + left) + 1):
+            for rest in grow(i + 1, left - (part - lows[i])):
+                yield (part,) + rest
+
+    for lam in grow(0, room):
+        yield lam if lam[-1] else lam[:-1]
+
+
 def count_tableaux(D: int, n: int, word_limit: int = DEFAULT_WORD_LIMIT) -> int:
-    """Number of tableaux with n cells and entries up to D, in flat memory."""
-    return sum(1 for _ in _all_tableaux(D, n, word_limit))
+    """Number of tableaux with n cells and entries up to D, none of them built.
+
+    The cells holding entries up to k form a shape lam^k, and a tableau
+    is a chain () = lam^0 <= lam^1 <= ... <= lam^D in which every lam^k /
+    lam^(k-1) is a horizontal strip and |lam^D| = n (Macdonald,
+    *Symmetric Functions*, I.5).  The chains are counted letter by
+    letter, keyed by their last shape, with at most n cells throughout.
+    """
+    _guard_cells(D, n, word_limit)
+    chains = {(): 1}
+    for _ in range(D):
+        grown: dict[tuple[int, ...], int] = {}
+        for shape, count in chains.items():
+            for lam in _horizontal_strips(shape, n - sum(shape)):
+                grown[lam] = grown.get(lam, 0) + count
+        chains = grown
+    return sum(count for shape, count in chains.items() if sum(shape) == n)
 
 
 @dataclass(frozen=True)

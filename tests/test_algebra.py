@@ -6,6 +6,7 @@ from nhomalg.algebra import (
     GradedAlgebra,
     MemoryGuardError,
     Presentation,
+    _avoiding_counts,
     free_presentation,
 )
 from nhomalg.catalog import artin_schelter, paraboson, parafermion, plactic
@@ -14,6 +15,7 @@ from nhomalg.series import poincare_series
 from nhomalg.linalg import (
     Subspace,
     TensorVector,
+    all_words,
     rref,
     shift,
     word_vector,
@@ -91,6 +93,38 @@ def test_component_dim_equals_normal_basis_size(parafermi3):
         assert parafermi3.component_dim(n) == len(parafermi3.normal_basis(n))
         assert parafermi3.component_dim(n) == \
             3 ** n - parafermi3.ideal_component(n).dim
+
+
+def test_component_dim_never_reads_the_normal_basis(monkeypatch):
+    listed = GradedAlgebra(plactic(3))
+    expected = [len(listed.normal_basis(n)) for n in range(8)]
+
+    def refuse(self, n):
+        raise AssertionError("component_dim must not list the normal words")
+
+    monkeypatch.setattr(GradedAlgebra, "normal_basis", refuse)
+    # Also when the list is cached already.
+    assert [listed.component_dim(n) for n in range(8)] == expected
+    fresh = GradedAlgebra(plactic(3))
+    assert [fresh.component_dim(n) for n in range(8)] == expected
+    assert not fresh._normal
+
+
+def test_avoiding_counts_against_brute_force():
+    # Lead sets that are not reduced: one lead inside another, and leads
+    # that end inside a longer one, so some states are dead only through
+    # their failure chain.
+    for D, leads in ((2, [(1, 2), (2, 1, 2, 2)]),
+                     (3, [(2,), (1, 3, 1), (3, 3)]),
+                     (3, [(1, 2, 1), (2, 1, 1), (2, 1)]),
+                     (2, []),
+                     (1, [(1, 1, 1)])):
+        counts = _avoiding_counts(leads, D, 6)
+        for n, count in enumerate(counts):
+            free = [w for w in all_words(D, n)
+                    if not any(w[i:i + len(p)] == p for p in leads
+                               for i in range(n - len(p) + 1))]
+            assert count == len(free), (D, leads, n)
 
 
 def test_reduce_to_normal(plactic2):
@@ -229,7 +263,7 @@ def test_memory_guard_fires_before_lower_degrees_are_built():
         assert str(err.value) == message
     assert not algebra._ideal
     assert not algebra._basis and not algebra._normal and not algebra._forms
-    assert not algebra._word_mats
+    assert not algebra._word_mats and not algebra._dims
 
 
 def test_memory_guard():

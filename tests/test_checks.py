@@ -74,3 +74,20 @@ def test_normal_basis_check_catches_a_dropped_word(monkeypatch):
         assert [r.name for r in results if not r.passed] == failed
         assert any(r.name == "component dimension equals the normal basis size"
                    and r.detail == "degrees 0..5" for r in results)
+
+
+class MiscountsDegreeFour(GradedAlgebra):
+    """A broken algebra: the counted dimension of degree 4 is one too many,
+    while its list of normal words is right."""
+
+    def component_dim(self, n):
+        return super().component_dim(n) + (n == 4)
+
+
+def test_normal_basis_check_compares_the_count_with_the_list(monkeypatch):
+    monkeypatch.setattr(checks.series, "chi_via_product", lambda algebra, n: IntSeries([], 0))
+    monkeypatch.setattr(checks.koszul, "euler_agrees_with_chi", lambda algebra, n: True)
+    entry = make_entry("parafermion", D=2)
+    for cap, failed in ((3, []), (5, ["component dimension equals the normal basis size"])):
+        results = run_checks(MiscountsDegreeFour(entry.presentation), cap, entry)
+        assert [r.name for r in results if not r.passed] == failed

@@ -8,6 +8,8 @@ from click.testing import CliRunner
 
 from nhomalg.cli import main
 
+from _oracles import paraboson_dims, parafermion_dims
+
 
 def run_cli(*args):
     runner = CliRunner()
@@ -224,6 +226,23 @@ def test_plactic_count():
                      "--format", "json")
     payload = json.loads(result.output)
     assert payload["counts"] == [1, 2, 4, 6, 9, 12, 16, 20]
+
+
+def test_hilbert_at_the_north_star_size():
+    # Counted, not listed: dim A_12 = 170,340 normal words.
+    result = run_cli("hilbert", "--algebra", "paraboson", "--D", "5",
+                     "--max-degree", "12", "--word-limit", "10000000000",
+                     "--format", "json")
+    assert result.exit_code == 0
+    assert json.loads(result.output)["coefficients"] == paraboson_dims(5, 12)
+
+
+def test_plactic_count_at_the_north_star_size():
+    # 6^9 is above the default word limit, so degree 8 is the last allowed.
+    result = run_cli("plactic", "count", "--D", "6", "--max-degree", "8",
+                     "--format", "json")
+    assert result.exit_code == 0
+    assert json.loads(result.output)["counts"] == parafermion_dims(6, 8)
 
 
 def _assert_clean_error(result):

@@ -2,8 +2,8 @@
 presentations with D = 1..3 generators, relations in degree N = 2..4
 (empty, full, or spanned by random integer and p/q vectors or by rows
 of mixed ratios), under both word orders, in degrees with at most 729
-words; the Groebner route (normal words, normal forms, basis rows)
-against the stepwise ideal components; the dual dimensions by quotient
+words; the Groebner route (normal words and their count, normal
+forms, basis rows) against the stepwise ideal components; the dual dimensions by quotient
 and by intersection, lex against revlex, chi by two routes,
 Koszul-slice ranks against the dense oracle and the relation-file round
 trip on the same presentations; the integer-row annihilator and
@@ -365,6 +365,26 @@ def test_dual_route_on_dense_annihilator_presentations(case):
         # The oracle stacks D^n-wide Fraction annihilators: at most 243 words.
         if algebra.D ** n <= 243:
             assert dual.dual_space(n) == iterated_intersection(relations, n)
+
+
+@given(algebras())
+@example(rational_quadratic_case())
+def test_counted_dimensions_equal_the_stepwise_normal_words(case):
+    algebra, top = case
+    fresh = GradedAlgebra(algebra.presentation, order=algebra.order)
+    for n in range(top + 1):
+        assert fresh.component_dim(n) == len(stepwise_normal_words(algebra, n))
+    assert not fresh._normal
+
+
+@settings(max_examples=20)
+@given(dense_presentations())
+def test_counted_dimensions_on_dense_presentations(case):
+    algebra, top = case
+    fresh = GradedAlgebra(algebra.presentation, order=algebra.order)
+    for n in range(top + 1):
+        assert fresh.component_dim(n) == len(stepwise_normal_words(algebra, n))
+    assert not fresh._normal
 
 
 # ---------------------------------------------------------------------------

@@ -125,10 +125,24 @@ def test_count_tableaux_builds_no_list(monkeypatch):
     import nhomalg.tableaux as module
 
     def refuse(*args, **kwargs):
-        raise AssertionError("count_tableaux must not build the list")
+        raise AssertionError("count_tableaux must not build a tableau")
 
-    monkeypatch.setattr(module, "enumerate_tableaux", refuse)
+    monkeypatch.setattr(module.Tableau, "__init__", refuse)
+    monkeypatch.setattr(module, "tableaux_of_shape", refuse)
     assert module.count_tableaux(4, 8) == parafermion_dims(4, 8)[8]
+
+
+def test_counts_equal_the_enumerated_tableaux():
+    for D in range(1, 5):
+        for n in range(7):
+            assert count_tableaux(D, n) == len(enumerate_tableaux(D, n)), (D, n)
+
+
+def test_counts_equal_parafermion_dims_up_to_the_word_limit():
+    # Every D <= 6 and every n with D^n <= 10^7, the default word limit.
+    for D in range(1, 7):
+        top = 30 if D == 1 else max(n for n in range(30) if D ** n <= 10 ** 7)
+        assert [count_tableaux(D, n) for n in range(top + 1)] == parafermion_dims(D, top)
 
 
 def test_counts_match_distinct_normal_forms():
