@@ -45,7 +45,6 @@ from .linalg import (
     _over_lcm,
     annihilator,
     intersect,
-    order_key,
     rref,  # not called here; perfbench/test_perfbench.py checks this traced binding
     shift,
 )
@@ -211,7 +210,7 @@ def _avoiding_counts(leads, D: int, n: int) -> list[int]:
     return counts
 
 
-def _extend_basis(basis: dict[Word, _IntRow], degree: int, key):
+def _extend_basis(basis: dict[Word, _IntRow], degree: int):
     """Add to ``basis``, complete below ``degree``, its elements of that degree.
 
     For leads a = x.y and b = y.z with y nonempty and |x.y.z| = degree,
@@ -246,7 +245,7 @@ def _extend_basis(basis: dict[Word, _IntRow], degree: int, key):
                 row, _ = _combine_forms(terms, memo, 1)
                 if row:
                     rows.append(row)
-    basis.update(_full_reduce(_echelon(rows, key), key))
+    basis.update(_full_reduce(_echelon(rows)))
 
 
 @dataclass(frozen=True)
@@ -278,9 +277,9 @@ class Presentation:
         return Presentation(self.D, self.N, annihilator(self.relations))
 
 
-def free_presentation(D: int, N: int, order: str = "lex") -> Presentation:
+def free_presentation(D: int, N: int) -> Presentation:
     """Tensor algebra on D generators viewed as N-homogeneous (no relations)."""
-    return Presentation(D, N, Subspace.zero(D, N, order))
+    return Presentation(D, N, Subspace.zero(D, N))
 
 
 class GradedAlgebra:
@@ -294,16 +293,10 @@ class GradedAlgebra:
     """
 
     def __init__(self, presentation: Presentation,
-                 word_limit: int = DEFAULT_WORD_LIMIT, order: str = "lex"):
-        relations = presentation.relations
-        if relations.order != order:
-            relations = Subspace.zero(presentation.D, presentation.N, order)._extend(
-                list(relations._ints.values()))
-            presentation = Presentation(presentation.D, presentation.N, relations)
+                 word_limit: int = DEFAULT_WORD_LIMIT):
         self.presentation = presentation
         self.D = presentation.D
         self.N = presentation.N
-        self.order = order
         self.word_limit = word_limit
         self._ideal: dict[int, Subspace] = {}
         self._basis: dict[Word, _IntRow] = {}
@@ -327,12 +320,11 @@ class GradedAlgebra:
     def _complete_basis(self, n: int):
         """Extend G through degree n: the relation rows at degree N, then the
         reduced overlap S-elements of each higher degree."""
-        key = order_key(self.order)
         for m in range(self._basis_degree + 1, n + 1):
             if m == self.N:
                 self._basis.update(self.presentation.relations._ints)
             elif m > self.N:
-                _extend_basis(self._basis, m, key)
+                _extend_basis(self._basis, m)
             self._basis_degree = m
         self._lengths = tuple(sorted({len(lead) for lead in self._basis}))
 
@@ -354,7 +346,7 @@ class GradedAlgebra:
         def compute():
             guard_words(self.D, n, self.word_limit)
             if n < self.N:
-                return Subspace.zero(self.D, n, self.order)
+                return Subspace.zero(self.D, n)
             if n == self.N:
                 return self.presentation.relations
             return self.ideal_component_stepwise(n)
@@ -374,7 +366,7 @@ class GradedAlgebra:
         if prev.codim() == 0:
             # Once some graded piece vanishes, so do all higher ones
             # (the algebra is generated in degree 1).
-            return Subspace.full(self.D, n, self.order)
+            return Subspace.full(self.D, n)
         return shift(prev, 0, 1).join(shift(self.presentation.relations, n - self.N, 0))
 
     def component_dim(self, n: int) -> int:
@@ -393,8 +385,8 @@ class GradedAlgebra:
         return self._dims[n]
 
     def normal_basis(self, n: int) -> dict[Word, int]:
-        """Words of degree n with no leading word of G in them, ascending in
-        the word order, each mapped to its position: a basis of A_n.
+        """Words of degree n with no leading word of G in them, ascending
+        lex, each mapped to its position: a basis of A_n.
 
         Each normal word of degree n - 1 is extended by one letter and kept
         when no lead is a suffix.  The list is built for its readers (word
@@ -409,8 +401,7 @@ class GradedAlgebra:
             self._complete_basis(n)
             basis = self._basis
             lengths = [k for k in self._lengths if k <= n]
-            letters = sorted(((x,) for x in range(1, self.D + 1)),
-                             key=order_key(self.order))
+            letters = [(x,) for x in range(1, self.D + 1)]
             words = (w + x for w in self.normal_basis(n - 1) for x in letters)
             normal = (w for w in words if not any(w[-k:] in basis for k in lengths))
             return {w: i for i, w in enumerate(normal)}
@@ -480,13 +471,13 @@ class GradedAlgebra:
         def compute():
             guard_words(self.D, n, self.word_limit)
             if n < self.N:
-                return Subspace.full(self.D, n, self.order)
+                return Subspace.full(self.D, n)
             relations = self.presentation.relations
             if n == self.N:
                 return relations
             prev = self.dual_space(n - 1)
             if prev.dim == 0:
-                return Subspace.zero(self.D, n, self.order)
+                return Subspace.zero(self.D, n)
             return intersect(shift(prev, 0, 1), shift(relations, n - self.N, 0))
         return self._cached(self._dual, n, compute)
 

@@ -18,7 +18,6 @@ from .linalg import (
     Subspace,
     TensorVector,
     annihilator,
-    order_key,
     rref,
     word_vector,
 )
@@ -26,7 +25,7 @@ from .linalg import (
 CATALOG_NAMES = ("parafermion", "paraboson", "plactic", "artin_schelter")
 
 
-def _span(D: int, rows, order: str) -> Subspace:
+def _span(D: int, rows) -> Subspace:
     """Span of degree-3 rows of ``(word, integer coeff)`` terms; repeated
     words are added up and cancelled ones dropped, so no row needs checks."""
     vectors = []
@@ -37,30 +36,30 @@ def _span(D: int, rows, order: str) -> Subspace:
         row = {word: Fraction(c) for word, c in acc.items() if c}
         if row:
             vectors.append(TensorVector._trusted(3, row))
-    return rref(vectors, D, 3, order)
+    return rref(vectors, D, 3)
 
 
-def parafermion(D: int, order: str = "lex") -> Presentation:
+def parafermion(D: int) -> Presentation:
     """Relations [[x,y],z] = 0: the span of ijk - jik - kij + kji."""
     if D < 1:
         raise ValueError("D must be positive")
     letters = range(1, D + 1)
     rows = ((((i, j, k), 1), ((j, i, k), -1), ((k, i, j), -1), ((k, j, i), 1))
             for i in letters for j in letters for k in letters)
-    return Presentation(D, 3, _span(D, rows, order))
+    return Presentation(D, 3, _span(D, rows))
 
 
-def paraboson(D: int, order: str = "lex") -> Presentation:
+def paraboson(D: int) -> Presentation:
     """Relations [{x,y},z] = 0: the span of ijk + jik - kij - kji."""
     if D < 1:
         raise ValueError("D must be positive")
     letters = range(1, D + 1)
     rows = ((((i, j, k), 1), ((j, i, k), 1), ((k, i, j), -1), ((k, j, i), -1))
             for i in letters for j in letters for k in letters)
-    return Presentation(D, 3, _span(D, rows, order))
+    return Presentation(D, 3, _span(D, rows))
 
 
-def plactic(D: int, order: str = "lex") -> Presentation:
+def plactic(D: int) -> Presentation:
     """Knuth relations: lmk = lkm for k < l <= m and kml = mkl for k <= l < m."""
     if D < 1:
         raise ValueError("D must be positive")
@@ -73,10 +72,10 @@ def plactic(D: int, order: str = "lex") -> Presentation:
                     rows.append((((l, m, k), 1), ((l, k, m), -1)))
                 if k <= l < m:
                     rows.append((((k, m, l), 1), ((m, k, l), -1)))
-    return Presentation(D, 3, _span(D, rows, order))
+    return Presentation(D, 3, _span(D, rows))
 
 
-def artin_schelter(q, r, order: str = "lex") -> Presentation:
+def artin_schelter(q, r) -> Presentation:
     """Two-generator cubic family: e2 e1^2 + qr e1^2 e2 - (q+r) e1 e2 e1 = 0
     and the relation with the generators swapped.  Symmetric in q and r;
     qr = 0 is the plactic degeneration."""
@@ -88,7 +87,7 @@ def artin_schelter(q, r, order: str = "lex") -> Presentation:
         TensorVector(3, [((2, 1, 1), 1), ((1, 1, 2), qr), ((1, 2, 1), -s)]),
         TensorVector(3, [((2, 2, 1), 1), ((1, 2, 2), qr), ((2, 1, 2), -s)]),
     ]
-    return Presentation(2, 3, rref(vectors, 2, 3, order))
+    return Presentation(2, 3, rref(vectors, 2, 3))
 
 
 @dataclass(frozen=True)
@@ -100,8 +99,7 @@ class CatalogEntry:
     r: Fraction | None = None
 
 
-def make_entry(name: str, D: int | None = None, q=None, r=None,
-               order: str = "lex") -> CatalogEntry:
+def make_entry(name: str, D: int | None = None, q=None, r=None) -> CatalogEntry:
     """Build a catalogue entry by name; the two-parameter family fixes D = 2."""
     if name in ("parafermion", "paraboson", "plactic"):
         if D is None:
@@ -110,14 +108,14 @@ def make_entry(name: str, D: int | None = None, q=None, r=None,
             raise ValueError(f"{name} takes no q or r parameters")
         builder = {"parafermion": parafermion, "paraboson": paraboson,
                    "plactic": plactic}[name]
-        return CatalogEntry(name, D, builder(D, order))
+        return CatalogEntry(name, D, builder(D))
     if name == "artin_schelter":
         if D not in (None, 2):
             raise ValueError("the two-parameter family is defined for D = 2 only")
         if q is None:
             raise ValueError("artin_schelter requires q")
         r = 1 if r is None else r
-        return CatalogEntry(name, 2, artin_schelter(q, r, order),
+        return CatalogEntry(name, 2, artin_schelter(q, r),
                             Fraction(q), Fraction(r))
     raise ValueError(f"unknown catalogue name {name!r}; choose from {CATALOG_NAMES}")
 
@@ -198,7 +196,7 @@ def dual_relations_check(entry: CatalogEntry) -> DualRelationsReport:
     ann = annihilator(relations)
     span = (_parafermion_dual_span(D) if entry.name == "parafermion"
             else _plactic_dual_span(D))
-    explicit = rref(span, D, 3, relations.order)
+    explicit = rref(span, D, 3)
     return DualRelationsReport(
         name=entry.name,
         D=D,
@@ -259,7 +257,6 @@ def gl_invariance(relations: Subspace, D: int | None = None) -> GlInvarianceRepo
     elif D != relations.alphabet:
         raise ValueError(f"D = {D} does not match the relation alphabet "
                          f"{relations.alphabet}")
-    key = order_key(relations.order)
     rows = relations.rows
     results = []
     failures = []
@@ -270,7 +267,7 @@ def gl_invariance(relations: Subspace, D: int | None = None) -> GlInvarianceRepo
                 image = apply_derivation(row, i, j)
                 remainder = relations.reduce(image)
                 if not remainder.is_zero():
-                    lead = max(remainder.terms, key=key)
+                    lead = max(remainder.terms)
                     witness = remainder * (1 / remainder.terms[lead])
                     failures.append(DerivationFailure(i, j, index, image, witness))
                     ok = False

@@ -41,7 +41,7 @@ def direct_ideal_component(algebra: GradedAlgebra, n: int) -> Subspace:
     :meth:`GradedAlgebra.ideal_component` takes.
     """
     relations = algebra.presentation.relations
-    space = Subspace.zero(algebra.D, n, algebra.order)
+    space = Subspace.zero(algebra.D, n)
     for r in range(n - algebra.N + 1):
         space = space.join(shift(relations, r, n - algebra.N - r))
     return space
@@ -67,8 +67,7 @@ def run_checks(algebra: GradedAlgebra, n_max: int,
         algebra.presentation.dual().dual().relations == relations,
         "dual applied twice restores the relations"))
 
-    dual_algebra = GradedAlgebra(algebra.presentation.dual(),
-                                 word_limit=algebra.word_limit, order=algebra.order)
+    dual_algebra = GradedAlgebra(algebra.presentation.dual(), word_limit=algebra.word_limit)
     quotient = [dual_algebra.component_dim(n) for n in range(n_max + 1)]
     intersection = [algebra.dual_dim(n) for n in range(n_max + 1)]
     checks.append(_result(

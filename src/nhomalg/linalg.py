@@ -8,9 +8,7 @@ deterministic: rerunning a pipeline reproduces bit-identical rows.
 
 The word order is degreewise lexicographic with ``1 < 2 < ... < D`` and
 the pivot of a row is its greatest word, which makes the non-pivot
-(normal) monomials the lexicographically small ones.  ``order="revlex"``
-compares with the letter order reversed; it exists so callers can verify
-that exported quantities do not depend on this section choice.
+(normal) monomials the lexicographically small ones.
 
 A span is built from vectors by :func:`rref` (the checked
 :class:`Subspace` constructor, which always eliminates) and from other
@@ -31,12 +29,9 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import product
 from math import gcd, lcm
-from operator import neg
 from typing import Iterable, Iterator
 
 Word = tuple[int, ...]
-
-ORDERS = ("lex", "revlex")
 
 _ZERO = Fraction(0)
 
@@ -47,19 +42,6 @@ class DegreeMismatchError(ValueError):
 
 class InternalConsistencyError(RuntimeError):
     """An invariant guaranteed by construction was violated: a bug."""
-
-
-def order_key(order: str):
-    """Sort key on words; the pivot of a row is the key-greatest word.
-
-    ``None`` for lex: tuples already compare lexicographically, so
-    ``max`` and ``sorted`` then compare words without a Python call.
-    """
-    if order == "lex":
-        return None
-    if order == "revlex":
-        return lambda word: tuple(map(neg, word))
-    raise ValueError(f"unknown word order {order!r}, expected one of {ORDERS}")
 
 
 def all_words(alphabet: int, degree: int) -> Iterator[Word]:
@@ -118,9 +100,8 @@ class TensorVector:
     def support(self) -> set[Word]:
         return set(self.terms)
 
-    def sorted_terms(self, order: str = "lex") -> list[tuple[Word, Fraction]]:
-        return [(word, self.terms[word])
-                for word in sorted(self.terms, key=order_key(order), reverse=True)]
+    def sorted_terms(self) -> list[tuple[Word, Fraction]]:
+        return [(word, self.terms[word]) for word in sorted(self.terms, reverse=True)]
 
     def __add__(self, other: "TensorVector") -> "TensorVector":
         if not isinstance(other, TensorVector):
@@ -168,11 +149,11 @@ def word_vector(word) -> TensorVector:
     return TensorVector(len(word), {word: Fraction(1)})
 
 
-def format_vector(v: TensorVector, order: str = "lex") -> str:
+def format_vector(v: TensorVector) -> str:
     if v.is_zero():
         return "0"
     parts = []
-    for word, coeff in v.sorted_terms(order):
+    for word, coeff in v.sorted_terms():
         sign = "-" if coeff < 0 else "+"
         parts.append((sign, f"{abs(coeff)}*{format_word(word)}"))
     first_sign, first_term = parts[0]
@@ -216,7 +197,7 @@ def _combine(row: _IntRow, other: _IntRow, word: Word) -> _IntRow:
     return _primitive(new) if new else new
 
 
-def _echelon(rows: Iterable[_IntRow], key,
+def _echelon(rows: Iterable[_IntRow],
              pivots: dict[Word, _IntRow] | None = None) -> dict[Word, _IntRow]:
     """Forward pass: map pivot word -> row whose support is <= that pivot.
 
@@ -228,7 +209,7 @@ def _echelon(rows: Iterable[_IntRow], key,
     for row in rows:
         row = dict(row)
         while row:
-            w = max(row, key=key)
+            w = max(row)
             hit = pivots.get(w)
             if hit is None:
                 pivots[w] = _primitive(row)
@@ -237,14 +218,14 @@ def _echelon(rows: Iterable[_IntRow], key,
     return pivots
 
 
-def _full_reduce(pivots: dict[Word, _IntRow], key) -> dict[Word, _IntRow]:
+def _full_reduce(pivots: dict[Word, _IntRow]) -> dict[Word, _IntRow]:
     """Backward pass: eliminate every pivot from every other row.
 
     Each finished row is made to have a positive pivot coefficient, so it
     is the unique primitive integer multiple of its reduced Fraction row.
     """
     done: dict[Word, _IntRow] = {}
-    for w in sorted(pivots, key=key):
+    for w in sorted(pivots):
         row = pivots[w]
         # A finished row's support is its pivot plus free words only, so a
         # single pass over the current pivot hits suffices.  Their pivot
@@ -257,23 +238,23 @@ def _full_reduce(pivots: dict[Word, _IntRow], key) -> dict[Word, _IntRow]:
     return done
 
 
-def _reduced(rows: list[_IntRow], key,
+def _reduced(rows: list[_IntRow],
              pivots: dict[Word, _IntRow] | None = None) -> dict[Word, _IntRow]:
     """Canonical rows of the span of ``pivots`` and ``rows``, pivots decreasing."""
-    done = _full_reduce(_echelon(rows, key, pivots), key)
-    return {w: done[w] for w in sorted(done, key=key, reverse=True)}
+    done = _full_reduce(_echelon(rows, pivots))
+    return {w: done[w] for w in sorted(done, reverse=True)}
 
 
 class Subspace:
     """Canonical row-reduced span inside one tensor power.
 
-    Invariants: each row's pivot is its greatest word under the span's
-    order, no row has support at another row's pivot, and rows are listed
-    with strictly decreasing pivots.  The constructor checks its vectors
-    and eliminates, so every span it builds keeps these invariants;
-    :func:`rref` is the same construction with the degree taken from the
-    vectors.  Other spans come from :meth:`join`, :func:`shift`,
-    :func:`annihilator` and :func:`intersect`.
+    Invariants: each row's pivot is its greatest word, no row has support
+    at another row's pivot, and rows are listed with strictly decreasing
+    pivots.  The constructor checks its vectors and eliminates, so every
+    span it builds keeps these invariants; :func:`rref` is the same
+    construction with the degree taken from the vectors.  Other spans come
+    from :meth:`join`, :func:`shift`, :func:`annihilator` and
+    :func:`intersect`.
 
     The rows are stored in one form only: primitive integer rows, each
     with a positive pivot coefficient, keyed by pivot.  Each is the unique
@@ -283,25 +264,21 @@ class Subspace:
     (:attr:`rows`, :meth:`reduce`, :meth:`coordinates`).
     """
 
-    __slots__ = ("alphabet", "degree", "order", "_ints")
+    __slots__ = ("alphabet", "degree", "_ints")
 
-    def __init__(self, alphabet: int, degree: int, vectors: Iterable[TensorVector],
-                 order: str = "lex"):
+    def __init__(self, alphabet: int, degree: int, vectors: Iterable[TensorVector]):
         """Row-reduced span of ``vectors``, each of ``degree`` over ``1..alphabet``."""
-        key = order_key(order)
         self.alphabet = alphabet
         self.degree = degree
-        self.order = order
         rows = []
         for v in vectors:
             self._check(v)
             if not v.is_zero():
                 rows.append(_primitive(_over_lcm(v.terms)[0]))
-        self._ints = _reduced(rows, key)
+        self._ints = _reduced(rows)
 
     @classmethod
-    def _from_ints(cls, alphabet: int, degree: int, ints: dict[Word, _IntRow],
-                   order: str) -> "Subspace":
+    def _from_ints(cls, alphabet: int, degree: int, ints: dict[Word, _IntRow]) -> "Subspace":
         """Wrap canonical integer rows keyed by pivot, pivots decreasing.
 
         The one path that skips elimination; only for rows that are
@@ -310,19 +287,17 @@ class Subspace:
         space = cls.__new__(cls)
         space.alphabet = alphabet
         space.degree = degree
-        space.order = order
         space._ints = ints
         return space
 
     @classmethod
-    def zero(cls, alphabet: int, degree: int, order: str = "lex") -> "Subspace":
-        return cls._from_ints(alphabet, degree, {}, order)
+    def zero(cls, alphabet: int, degree: int) -> "Subspace":
+        return cls._from_ints(alphabet, degree, {})
 
     @classmethod
-    def full(cls, alphabet: int, degree: int, order: str = "lex") -> "Subspace":
-        key = order_key(order)
-        words = sorted(all_words(alphabet, degree), key=key, reverse=True)
-        return cls._from_ints(alphabet, degree, {w: {w: 1} for w in words}, order)
+    def full(cls, alphabet: int, degree: int) -> "Subspace":
+        words = list(all_words(alphabet, degree))[::-1]
+        return cls._from_ints(alphabet, degree, {w: {w: 1} for w in words})
 
     @property
     def pivots(self) -> tuple[Word, ...]:
@@ -354,7 +329,7 @@ class Subspace:
     def _check_ambient(self, other: "Subspace"):
         if other.degree != self.degree:
             raise DegreeMismatchError(f"{self.degree} != {other.degree}")
-        if other.alphabet != self.alphabet or other.order != self.order:
+        if other.alphabet != self.alphabet:
             raise ValueError("subspaces live in different ambients")
 
     def _remainder(self, num: _IntRow) -> tuple[_IntRow, int]:
@@ -399,9 +374,8 @@ class Subspace:
         only the new rows are eliminated; a row of this space changes
         only if it holds a new pivot word, and is reused as it is if not.
         """
-        return Subspace._from_ints(
-            self.alphabet, self.degree,
-            _reduced(rows, order_key(self.order), dict(self._ints)), self.order)
+        return Subspace._from_ints(self.alphabet, self.degree,
+                                   _reduced(rows, dict(self._ints)))
 
     def contains(self, v: TensorVector) -> bool:
         return self.reduce(v).is_zero()
@@ -428,12 +402,11 @@ class Subspace:
         return hash((self.alphabet, self.degree, self.pivots))
 
     def __repr__(self):
-        return (f"Subspace(D={self.alphabet}, degree={self.degree}, "
-                f"dim={self.dim}, order={self.order!r})")
+        return f"Subspace(D={self.alphabet}, degree={self.degree}, dim={self.dim})"
 
 
-def rref(vectors: Iterable[TensorVector], alphabet: int, degree: int | None = None,
-         order: str = "lex") -> Subspace:
+def rref(vectors: Iterable[TensorVector], alphabet: int,
+         degree: int | None = None) -> Subspace:
     """Row-reduced span of the given vectors: :class:`Subspace` itself.
 
     ``degree`` is required when the span is empty; otherwise it is taken
@@ -444,7 +417,7 @@ def rref(vectors: Iterable[TensorVector], alphabet: int, degree: int | None = No
         if not vectors:
             raise ValueError("degree is required for an empty span")
         degree = vectors[0].degree
-    return Subspace(alphabet, degree, vectors, order)
+    return Subspace(alphabet, degree, vectors)
 
 
 def annihilator(space: Subspace) -> Subspace:
@@ -470,7 +443,7 @@ def annihilator(space: Subspace) -> Subspace:
         row = {pivot: -coeff * (m // lead) for pivot, coeff, lead in entries}
         row[free] = m
         rows.append(row)
-    return Subspace.zero(space.alphabet, space.degree, space.order)._extend(rows)
+    return Subspace.zero(space.alphabet, space.degree)._extend(rows)
 
 
 def intersect(s1: Subspace, s2: Subspace) -> Subspace:
@@ -499,10 +472,10 @@ def intersect(s1: Subspace, s2: Subspace) -> Subspace:
         row = {(1, w): c for w, c in rem.items()}
         row[(0, -i)] = m * y[p]
         tagged.append(row)
-    coords = {tag: row for tag, row in _echelon(tagged, None).items() if tag[0] == 0}
+    coords = {tag: row for tag, row in _echelon(tagged).items() if tag[0] == 0}
     meet: dict[Word, _IntRow] = {}
     # Ascending i, so the pivots of the intersection come out decreasing.
-    for (_, minus_i), coord in sorted(_full_reduce(coords, None).items(), reverse=True):
+    for (_, minus_i), coord in sorted(_full_reduce(coords).items(), reverse=True):
         terms = [(t, *ys[-minus_j]) for (_, minus_j), t in coord.items()]
         scale = lcm(*(y[p] for _, p, y in terms))
         vector: _IntRow = {}
@@ -515,30 +488,28 @@ def intersect(s1: Subspace, s2: Subspace) -> Subspace:
                 else:
                     del vector[w]
         meet[ys[-minus_i][0]] = _primitive(vector)
-    return Subspace._from_ints(s1.alphabet, s1.degree, meet, s1.order)
+    return Subspace._from_ints(s1.alphabet, s1.degree, meet)
 
 
 def shift(space: Subspace, left: int, right: int) -> Subspace:
     """E^(x left) (x) space (x) E^(x right), with no elimination.
 
-    Under either word order, prefixing u and suffixing w keeps the order
-    of equal-length words, so the row ``u.r.w`` has pivot ``u.p.w`` for
-    the pivot p of r, and it meets no other shifted row's pivot: the
-    shifted rows are already the reduced row-echelon form.
+    Prefixing u and suffixing w keeps the order of equal-length words,
+    so the row ``u.r.w`` has pivot ``u.p.w`` for the pivot p of r, and it
+    meets no other shifted row's pivot: the shifted rows are already the
+    reduced row-echelon form.
     """
     if left < 0 or right < 0:
         raise ValueError("shift lengths must be nonnegative")
-    key = order_key(space.order)
-    prefixes = sorted(all_words(space.alphabet, left), key=key, reverse=True)
-    suffixes = sorted(all_words(space.alphabet, right), key=key, reverse=True)
+    prefixes = list(all_words(space.alphabet, left))[::-1]
+    suffixes = list(all_words(space.alphabet, right))[::-1]
     ints = space._ints
     shifted = {}
     for u in prefixes:
         for p, row in ints.items():
             for w in suffixes:
                 shifted[u + p + w] = {u + x + w: c for x, c in row.items()}
-    return Subspace._from_ints(space.alphabet, left + space.degree + right, shifted,
-                               space.order)
+    return Subspace._from_ints(space.alphabet, left + space.degree + right, shifted)
 
 
 def shifted_span(space: Subspace, left: int, right: int) -> list[TensorVector]:
@@ -652,7 +623,7 @@ class Matrix:
                                [(self, other)])
 
     def rank(self) -> int:
-        return len(_echelon(self.rows.values(), None))
+        return len(_echelon(self.rows.values()))
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, Matrix)

@@ -97,7 +97,7 @@ def _parse_relation(line: str, lineno: int, D: int, N: int) -> TensorVector:
     return TensorVector(N, terms)
 
 
-def parse_relations(text: str, order: str = "lex") -> Presentation:
+def parse_relations(text: str) -> Presentation:
     """Parse the relation-file format into a presentation."""
     header = None
     vectors = []
@@ -113,20 +113,19 @@ def parse_relations(text: str, order: str = "lex") -> Presentation:
     if header is None:
         raise RelationParseError(1, 1, "missing header 'D=<int> N=<int>'")
     D, N = header
-    return Presentation(D, N, rref(vectors, D, N, order))
+    return Presentation(D, N, rref(vectors, D, N))
 
 
-def parse_relation_file(path, order: str = "lex") -> Presentation:
-    return parse_relations(Path(path).read_text(), order)
+def parse_relation_file(path) -> Presentation:
+    return parse_relations(Path(path).read_text())
 
 
 def format_presentation(presentation: Presentation) -> str:
     """Canonical text for a presentation; parses back to equal relations."""
     if presentation.D > 9:
         raise ValueError("the file format supports single-digit letters only")
-    relations = presentation.relations
     lines = [f"D={presentation.D} N={presentation.N}"]
-    lines.extend(format_vector(row, relations.order) for row in relations.rows)
+    lines.extend(format_vector(row) for row in presentation.relations.rows)
     return "\n".join(lines) + "\n"
 
 

@@ -10,7 +10,9 @@ package's ``rref``: the annihilator and the intersection through
 Fraction spanning vectors (the intersection as the annihilator of both
 stacked annihilators, D^n wide, where the package takes the kernel of a
 remainder map), and the dual spaces by iterated intersection on that
-Fraction route, so no dual oracle calls the package's ``intersect``.
+Fraction route, so no dual oracle calls the package's ``intersect``;
+and the relabelling x -> D + 1 - x of the letters, under which a lex run
+stands for a run under the reversed letter order.
 """
 
 from fractions import Fraction
@@ -187,8 +189,7 @@ def fraction_annihilator(space):
     """The annihilator, by ``rref`` of its Fraction spanning vectors."""
     from nhomalg.linalg import rref
 
-    return rref(_fraction_annihilator_vectors(space), space.alphabet, space.degree,
-                space.order)
+    return rref(_fraction_annihilator_vectors(space), space.alphabet, space.degree)
 
 
 def fraction_intersect(s1, s2):
@@ -196,7 +197,7 @@ def fraction_intersect(s1, s2):
     from nhomalg.linalg import rref
 
     constraints = rref(_fraction_annihilator_vectors(s1) + _fraction_annihilator_vectors(s2),
-                       s1.alphabet, s1.degree, s1.order)
+                       s1.alphabet, s1.degree)
     return fraction_annihilator(constraints)
 
 
@@ -205,21 +206,47 @@ def iterated_intersection(relations, n):
     each meet by :func:`fraction_intersect`."""
     from nhomalg.linalg import Subspace, rref, shifted_span
 
-    D, N, order = relations.alphabet, relations.degree, relations.order
+    D, N = relations.alphabet, relations.degree
     if n < N:
-        return Subspace.full(D, n, order)
-    space = rref(shifted_span(relations, 0, n - N), D, n, order)
+        return Subspace.full(D, n)
+    space = rref(shifted_span(relations, 0, n - N), D, n)
     for r in range(1, n - N + 1):
-        shifted = rref(shifted_span(relations, r, n - N - r), D, n, order)
+        shifted = rref(shifted_span(relations, r, n - N - r), D, n)
         space = fraction_intersect(space, shifted)
     return space
 
 
 def stepwise_normal_words(algebra, n):
     """The words of degree n that are not pivots of the stepwise ideal
-    component, ascending in the algebra's word order."""
-    from nhomalg.linalg import order_key
-
+    component, ascending lex."""
     pivots = set(algebra.ideal_component(n).pivots)
-    return [w for w in sorted(all_words(algebra.D, n), key=order_key(algebra.order))
-            if w not in pivots]
+    return [w for w in all_words(algebra.D, n) if w not in pivots]
+
+
+def relabel_vector(v, D):
+    """The vector with every letter x replaced by D + 1 - x."""
+    from nhomalg.linalg import TensorVector
+
+    return TensorVector(v.degree, {tuple(D + 1 - x for x in word): c
+                                   for word, c in v.terms.items()})
+
+
+def relabel(space):
+    """The span relabelled by x -> D + 1 - x, reduced again by ``rref``.
+
+    The relabelling reverses the letter order, so the normal words of a
+    relabelled presentation are the relabelled normal words of the given
+    one under the reversed order (revlex): comparing the two presentations
+    checks that an invariant does not depend on the word order.
+    """
+    from nhomalg.linalg import rref
+
+    return rref([relabel_vector(row, space.alphabet) for row in space.rows],
+                space.alphabet, space.degree)
+
+
+def relabelled(presentation):
+    """The presentation with its relations relabelled by :func:`relabel`."""
+    from nhomalg.algebra import Presentation
+
+    return Presentation(presentation.D, presentation.N, relabel(presentation.relations))

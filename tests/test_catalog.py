@@ -15,9 +15,16 @@ from nhomalg.catalog import (
     parafermion,
     plactic,
 )
-from nhomalg.linalg import ORDERS, TensorVector, rref, word_vector
+from nhomalg.linalg import TensorVector, rref, word_vector
 
-from _oracles import anti_bracket_vectors, bracket_vectors, dense_rank, knuth_vectors
+from _oracles import (
+    anti_bracket_vectors,
+    bracket_vectors,
+    dense_rank,
+    knuth_vectors,
+    relabel,
+    relabel_vector,
+)
 
 
 def test_parafermion_degenerate_and_small():
@@ -54,16 +61,19 @@ def test_relation_dimensions_agree_across_families():
         assert dim == D * (D * D - 1) // 3
 
 
-@pytest.mark.parametrize("order", ORDERS)
+@pytest.mark.parametrize("relabel_letters", [False, True], ids=["lex", "revlex"])
 @pytest.mark.parametrize("D", [1, 2, 3, 4])
-def test_relations_equal_the_direct_expansions(D, order):
+def test_relations_equal_the_direct_expansions(D, relabel_letters):
+    # The relabelled spans stand for the reversed letter order.
     for build, expand in ((parafermion, bracket_vectors),
                           (paraboson, anti_bracket_vectors),
                           (plactic, knuth_vectors)):
-        relations = build(D, order).relations
+        relations = build(D).relations
         vectors = [TensorVector(3, terms) for terms in expand(D)]
-        assert relations == rref(vectors, D, 3, order)
-        assert relations.order == order
+        if relabel_letters:
+            relations = relabel(relations)
+            vectors = [relabel_vector(v, D) for v in vectors]
+        assert relations == rref(vectors, D, 3)
 
 
 def test_family_specialisations_are_subspace_equalities():
@@ -169,3 +179,26 @@ def test_centrality_detects_noncentral_element():
     report = centrality_check(algebra, 1, 4)
     assert not report.central
     assert report.failure_degree == 3
+
+
+def reverse_words(space):
+    return rref([TensorVector(3, {word[::-1]: c for word, c in row.terms.items()})
+                 for row in space.rows], space.alphabet, 3)
+
+
+def test_relabelling_oracle():
+    """x -> D + 1 - x is an involution; it fixes the GL(D)-invariant
+    parafermion and paraboson spans, and moves the Knuth span, which it
+    maps back onto itself only composed with word reversal."""
+    for D in (2, 3, 4):
+        for build in (parafermion, paraboson, plactic):
+            relations = build(D).relations
+            assert relabel(relabel(relations)) == relations
+        for build in (parafermion, paraboson):
+            assert relabel(build(D).relations) == build(D).relations
+        knuth = plactic(D).relations
+        assert relabel(knuth) != knuth
+        assert reverse_words(knuth) != knuth
+        assert reverse_words(relabel(knuth)) == knuth
+    as_space = artin_schelter(Fraction(2, 3), Fraction(5, 7)).relations
+    assert relabel(as_space) == artin_schelter(Fraction(3, 2), Fraction(7, 5)).relations

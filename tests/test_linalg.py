@@ -19,7 +19,7 @@ from nhomalg.linalg import (
     word_vector,
 )
 
-from _oracles import bracket_vectors, dense_rank
+from _oracles import bracket_vectors, dense_rank, relabel, relabel_vector
 
 
 def tv(degree, terms):
@@ -180,8 +180,10 @@ def test_intersect_dimension_formula():
         assert intersect(s2, s1) == meet
 
 
-@pytest.mark.parametrize("order", ["lex", "revlex"])
-def test_intersect_of_two_rows_among_ten_million_words(order, monkeypatch):
+# A "revlex" case relabels every letter x by D + 1 - x, which stands for
+# the reversed letter order.
+@pytest.mark.parametrize("relabel_letters", [False, True], ids=["lex", "revlex"])
+def test_intersect_of_two_rows_among_ten_million_words(relabel_letters, monkeypatch):
     # 10^7 words of degree 7 over 10 letters: the meet comes from the rows
     # alone, so listing the words of the degree is an error here.
     def no_words(alphabet, degree):
@@ -191,10 +193,13 @@ def test_intersect_of_two_rows_among_ten_million_words(order, monkeypatch):
     top, low, nine, two, five = (10,) * 7, (1,) * 7, (9,) * 7, (2,) * 7, (5,) * 7
     u = tv(7, {top: 3, low: 2})
     v = tv(7, {nine: 2, two: -5})
-    s1 = rref([u, v], 10, 7, order)
-    s2 = rref([u + v, word_vector(five)], 10, 7, order)
+    s1 = rref([u, v], 10, 7)
+    s2 = rref([u + v, word_vector(five)], 10, 7)
+    want = rref([u + v], 10, 7)
+    if relabel_letters:
+        s1, s2, want = relabel(s1), relabel(s2), relabel(want)
     meet = intersect(s1, s2)
-    assert meet == rref([u + v], 10, 7, order)
+    assert meet == want
     assert intersect(s2, s1) == meet
 
 
@@ -240,8 +245,8 @@ def test_shifted_span_counts():
         shift(big, -1, 0)
 
 
-@pytest.mark.parametrize("order", ["lex", "revlex"])
-def test_extend_equals_rref_of_the_union(order):
+@pytest.mark.parametrize("relabel_letters", [False, True], ids=["lex", "revlex"])
+def test_extend_equals_rref_of_the_union(relabel_letters):
     rng = random.Random(5)
     words = list(all_words(2, 4))
     for _ in range(20):
@@ -250,31 +255,45 @@ def test_extend_equals_rref_of_the_union(order):
         new = [tv(4, {w: Fraction(rng.randint(-3, 3), rng.randint(1, 4))
                       for w in rng.sample(words, 3)})
                for _ in range(rng.randint(0, 6))]
-        base = rref(old, alphabet=2, degree=4, order=order)
-        extended = base.join(rref(new, 2, 4, order))
-        assert extended == rref(old + new, alphabet=2, degree=4, order=order)
-        assert extended.pivots == rref(old + new, 2, 4, order).pivots
+        if relabel_letters:
+            old = [relabel_vector(v, 2) for v in old]
+            new = [relabel_vector(v, 2) for v in new]
+        base = rref(old, alphabet=2, degree=4)
+        extended = base.join(rref(new, 2, 4))
+        assert extended == rref(old + new, alphabet=2, degree=4)
+        assert extended.pivots == rref(old + new, 2, 4).pivots
     with pytest.raises(DegreeMismatchError):
-        Subspace(2, 4, [word_vector((1, 2))], order)
+        Subspace(2, 4, [word_vector((1, 2))])
     with pytest.raises(ValueError, match="letters above"):
-        Subspace(2, 4, [word_vector((1, 2, 3, 1))], order)
+        Subspace(2, 4, [word_vector((1, 2, 3, 1))])
 
 
 def test_join_equals_rref_of_the_union():
     rng = random.Random(9)
     words = list(all_words(3, 2))
-    for order in ("lex", "revlex"):
+    for relabel_letters in (False, True):
         for _ in range(10):
             s1, s2 = (rref([tv(2, {w: Fraction(rng.randint(-3, 3), rng.randint(1, 3))
                                    for w in rng.sample(words, 3)})
-                            for _ in range(rng.randint(0, 4))], 3, 2, order)
+                            for _ in range(rng.randint(0, 4))], 3, 2)
                       for _ in range(2))
-            union = rref(list(s1.rows) + list(s2.rows), 3, 2, order)
+            if relabel_letters:
+                s1, s2 = relabel(s1), relabel(s2)
+            union = rref(list(s1.rows) + list(s2.rows), 3, 2)
             assert s1.join(s2) == union and s1.join(s2).pivots == union.pivots
     with pytest.raises(DegreeMismatchError):
-        s1.join(Subspace.zero(3, 3, "revlex"))
-    with pytest.raises(ValueError, match="ambients"):
-        s1.join(Subspace.zero(3, 2, "lex"))
+        s1.join(Subspace.zero(3, 3))
+
+
+def test_operands_over_different_alphabets_are_refused():
+    two = rref([tv(2, {(1, 2): 1, (2, 1): -1})], alphabet=2)
+    three = Subspace.full(3, 2)
+    for operation in (Subspace.join, Subspace.contains_subspace, intersect):
+        for a, b in ((two, three), (three, two)):
+            with pytest.raises(ValueError, match="subspaces live in different ambients"):
+                operation(a, b)
+        with pytest.raises(DegreeMismatchError):
+            operation(two, Subspace.zero(2, 3))
 
 
 def test_extend_reuses_untouched_rows():
@@ -310,19 +329,23 @@ def test_mixed_degree_span_rejected():
         rref([word_vector((1,)), word_vector((1, 2))], alphabet=2)
 
 
-@pytest.mark.parametrize("order", ["lex", "revlex"])
-def test_the_constructor_eliminates(order):
+@pytest.mark.parametrize("relabel_letters", [False, True], ids=["lex", "revlex"])
+def test_the_constructor_eliminates(relabel_letters):
     # Both rows have the greatest word 22; a constructor that keyed each
     # row by that word kept one row only.  The span is {22+11, 12-11}.
-    rows = [tv(2, {(2, 2): 1, (1, 1): 1}), tv(2, {(2, 2): 1, (1, 2): 1})]
-    space = Subspace(2, 2, rows, order)
-    assert space == rref(rows, 2, order=order)
+    # Relabelled, the rows share their least word 11 instead.
+    def vec(terms):
+        v = tv(2, terms)
+        return relabel_vector(v, 2) if relabel_letters else v
+
+    rows = [vec({(2, 2): 1, (1, 1): 1}), vec({(2, 2): 1, (1, 2): 1})]
+    space = Subspace(2, 2, rows)
+    assert space == rref(rows, 2)
     assert space.dim == 2
     assert space.contains(rows[0]) and space.contains(rows[1])
-    assert space.contains(tv(2, {(1, 2): 1, (1, 1): -1}))
-    assert not space.contains(word_vector((2, 2)))
-    assert Subspace(2, 2, rows + [word_vector((1, 1))], order).contains(
-        word_vector((2, 2)))
+    assert space.contains(vec({(1, 2): 1, (1, 1): -1}))
+    assert not space.contains(vec({(2, 2): 1}))
+    assert Subspace(2, 2, rows + [vec({(1, 1): 1})]).contains(vec({(2, 2): 1}))
 
 
 def test_format_vector():
