@@ -7,13 +7,15 @@ lemma): the words that contain no leading word of G are a basis of each
 graded piece, and rewriting an occurrence of a leading word gives the
 normal form of every element.  G is built one degree at a time from the
 overlap ambiguities of its leading words, so nothing D^n wide is stored.
-The graded dimensions are counted without listing a word, as walks in
-the Aho-Corasick automaton of the leading words that avoid its dead
-states (Ufnarovski's graph); the list of normal words is built only
-where something reads it, and :mod:`nhomalg.checks` compares its length
-with the count.  The stepwise ideal component
-I_n = I_{n-1} (x) E + E^(n-N) (x) R is kept as the cross-check, built
-only by :mod:`nhomalg.checks` and the tests.
+One Aho-Corasick automaton of the leading words, rebuilt each time G
+grows, serves counting, scanning and listing: the graded dimensions are
+counted without listing a word, as walks in it that avoid its dead
+states (Ufnarovski's graph); a rewriting step finds its lead by one scan
+of the word through it; and the normal words are listed by carrying each
+word's state to the next degree.  The list is built only where something
+reads it, and :mod:`nhomalg.checks` compares its length with the count.
+The stepwise ideal component I_n = I_{n-1} (x) E + E^(n-N) (x) R is kept
+as the cross-check, built only by :mod:`nhomalg.checks` and the tests.
 
 The dual-side components (annihilator presentation and the intersection
 spaces underlying the canonical complexes) live here as well, built one
@@ -84,22 +86,69 @@ def guard_words(D: int, degree: int, word_limit: int):
 _Form = tuple[_IntRow, int]
 
 
-def _occurrence(word: Word, basis: dict[Word, _IntRow],
-                lengths: tuple[int, ...]) -> tuple[int, Word] | None:
-    """Start and lead of the leftmost leading word of ``basis`` in ``word``.
+class _LeadAutomaton:
+    """Aho-Corasick automaton of a set of leading words over 1..D
+    (Aho-Corasick, CACM 18, 1975).
 
-    ``lengths`` are the lead lengths, ascending.  No lead is a prefix of
-    another, so at most one starts at each position.
+    ``moves[s][x - 1]`` is the state reached from state s by letter x:
+    the longest suffix of s.x that is a prefix of a lead.  ``ends[s]`` is
+    the length of a lead that is a suffix of state s, through its failure
+    chain, or 0: a state is dead when it is nonzero.  One automaton serves
+    counting (:func:`_avoiding_counts`), scanning (:meth:`occurrence`) and
+    listing (:meth:`GradedAlgebra.normal_basis`).
     """
-    size = len(word)
-    for start in range(size):
-        for length in lengths:
-            if start + length > size:
-                break
-            lead = word[start:start + length]
-            if lead in basis:
-                return start, lead
-    return None
+
+    __slots__ = ("moves", "ends")
+
+    def __init__(self, leads, D: int):
+        children: list[dict[int, int]] = [{}]
+        ends = [0]
+        for lead in leads:
+            state = 0
+            for x in lead:
+                if x not in children[state]:
+                    children[state][x] = len(children)
+                    children.append({})
+                    ends.append(0)
+                state = children[state][x]
+            ends[state] = len(lead)
+        # Breadth first, so a state's failure target and its moves are
+        # complete before the state's own.
+        fail = [0] * len(children)
+        moves: list[list[int]] = [[]] * len(children)
+        moves[0] = [children[0].get(x, 0) for x in range(1, D + 1)]
+        queue = deque(children[0].values())
+        while queue:
+            state = queue.popleft()
+            back = moves[fail[state]]
+            ends[state] = ends[state] or ends[fail[state]]
+            moves[state] = [children[state].get(x, back[x - 1]) for x in range(1, D + 1)]
+            for x, child in children[state].items():
+                fail[child] = back[x - 1]
+                queue.append(child)
+        self.moves = moves
+        self.ends = ends
+
+    def state(self, word: Word) -> int:
+        """The state that ``word`` leads to from the root."""
+        state = 0
+        for x in word:
+            state = self.moves[state][x - 1]
+        return state
+
+    def occurrence(self, word: Word) -> tuple[int, Word] | None:
+        """Start and lead of the first lead ending in ``word``, scanning left
+        to right.  When no lead contains another, as in a reduced basis, it
+        is the leftmost occurrence: one starting further left would end
+        later only by containing it."""
+        moves, ends = self.moves, self.ends
+        state = 0
+        for end, x in enumerate(word, 1):
+            state = moves[state][x - 1]
+            length = ends[state]
+            if length:
+                return end - length, word[end - length:end]
+        return None
 
 
 def _combine_forms(terms: list[tuple[Word, int]], memo: dict[Word, _Form],
@@ -124,14 +173,15 @@ def _combine_forms(terms: list[tuple[Word, int]], memo: dict[Word, _Form],
     return row, den
 
 
-def _normal_form(word: Word, basis: dict[Word, _IntRow], lengths: tuple[int, ...],
+def _normal_form(word: Word, basis: dict[Word, _IntRow], leads: _LeadAutomaton,
                  memo: dict[Word, _Form]) -> _Form:
     """Normal form of ``word`` modulo the ideal that ``basis`` generates.
 
-    A word with no lead in it is its own normal form.  Otherwise the
-    leftmost occurrence u.p.w of a lead p is rewritten by the rest of p's
-    row, and the memoised forms of the tail words u.k.w, each smaller
-    than the word, are combined.  Normal forms are unique, so the choice
+    ``leads`` is the automaton of the leads of ``basis``.  A word with no
+    lead in it is its own normal form.  Otherwise the first occurrence
+    u.p.w of a lead p that the automaton finds is rewritten by the rest
+    of p's row, and the memoised forms of the tail words u.k.w, each
+    smaller than the word, are combined.  Normal forms are unique, so the choice
     of occurrence changes no result.  Tails wait on an explicit stack:
     rewriting chains can be longer than the recursion limit.
     """
@@ -141,7 +191,7 @@ def _normal_form(word: Word, basis: dict[Word, _IntRow], lengths: tuple[int, ...
         if t in memo:
             pending.pop()
             continue
-        hit = _occurrence(t, basis, lengths)
+        hit = leads.occurrence(t)
         if hit is None:
             memo[t] = ({t: 1}, 1)
             pending.pop()
@@ -159,43 +209,15 @@ def _normal_form(word: Word, basis: dict[Word, _IntRow], lengths: tuple[int, ...
     return memo[word]
 
 
-def _avoiding_counts(leads, D: int, n: int) -> list[int]:
-    """Numbers of words of lengths 0..n over 1..D with no lead in them.
+def _avoiding_counts(leads: _LeadAutomaton, n: int) -> list[int]:
+    """Numbers of words of lengths 0..n with no lead of ``leads`` in them.
 
-    They are the walks from the root of the Aho-Corasick automaton of
-    ``leads`` that never enter a dead state: one that ends a lead, or
-    whose failure chain reaches one (Aho-Corasick, CACM 18, 1975;
-    Ufnarovski, Math. Notes 31, 1982).  Each length costs one step of
-    states x D, and no word is built.
+    They are the walks from the root of the automaton that never enter a
+    dead state (Ufnarovski, Math. Notes 31, 1982).  Each length costs one
+    step of states x D, and no word is built.
     """
-    children: list[dict[int, int]] = [{}]
-    dead = [False]
-    for lead in leads:
-        state = 0
-        for x in lead:
-            if x not in children[state]:
-                children[state][x] = len(children)
-                children.append({})
-                dead.append(False)
-            state = children[state][x]
-        dead[state] = True
-    # Breadth first, so a state's failure target and its transitions are
-    # complete before the state's own; moves[s][x - 1] is the state of
-    # the longest suffix of s.x that is in the trie.
-    fail = [0] * len(children)
-    moves: list[list[int]] = [[]] * len(children)
-    moves[0] = [children[0].get(x, 0) for x in range(1, D + 1)]
-    queue = deque(children[0].values())
-    while queue:
-        state = queue.popleft()
-        back = moves[fail[state]]
-        dead[state] = dead[state] or dead[fail[state]]
-        moves[state] = [children[state].get(x, back[x - 1]) for x in range(1, D + 1)]
-        for x, child in children[state].items():
-            fail[child] = back[x - 1]
-            queue.append(child)
-    live = [state for state in range(len(children)) if not dead[state]]
-    edges = {state: [t for t in moves[state] if not dead[t]] for state in live}
+    live = [state for state, length in enumerate(leads.ends) if not length]
+    edges = {state: [t for t in leads.moves[state] if not leads.ends[t]] for state in live}
     walks = {state: 0 for state in live}
     walks[0] = 1
     counts = [1]
@@ -210,8 +232,9 @@ def _avoiding_counts(leads, D: int, n: int) -> list[int]:
     return counts
 
 
-def _extend_basis(basis: dict[Word, _IntRow], degree: int):
-    """Add to ``basis``, complete below ``degree``, its elements of that degree.
+def _extend_basis(basis: dict[Word, _IntRow], degree: int, leads: _LeadAutomaton):
+    """Add to ``basis``, complete below ``degree``, its elements of that degree;
+    ``leads`` is the automaton of its leads.
 
     For leads a = x.y and b = y.z with y nonempty and |x.y.z| = degree,
     the S-element L_b (g_a . z) - L_a (x . g_b) cancels at x.y.z; its
@@ -220,7 +243,6 @@ def _extend_basis(basis: dict[Word, _IntRow], degree: int):
     than the old ones and contains none of them, so the basis stays
     reduced and has no inclusion ambiguities.
     """
-    lengths = tuple(sorted({len(lead) for lead in basis}))
     by_prefix: dict[Word, list[Word]] = {}
     for b in basis:
         for k in range(1, len(b)):
@@ -241,7 +263,7 @@ def _extend_basis(basis: dict[Word, _IntRow], degree: int):
                     s[word] = s.get(word, 0) - la * c
                 terms = [(word, c) for word, c in s.items() if c]
                 for word, _ in terms:
-                    _normal_form(word, basis, lengths, memo)
+                    _normal_form(word, basis, leads, memo)
                 row, _ = _combine_forms(terms, memo, 1)
                 if row:
                     rows.append(row)
@@ -288,8 +310,9 @@ class GradedAlgebra:
     The quotient side rests on the truncated reduced Groebner basis G,
     extended degree by degree on first request; the graded dimensions
     are cached up to the highest degree counted, normal bases and normal
-    forms by degree, word matrices by degree, word and side, and the
-    dual spaces by degree.
+    forms by degree, word matrices by degree, word and side, the dual
+    spaces by degree, and the splitting matrices of
+    :mod:`nhomalg.koszul` by dual degree and step.
     """
 
     def __init__(self, presentation: Presentation,
@@ -301,12 +324,14 @@ class GradedAlgebra:
         self._ideal: dict[int, Subspace] = {}
         self._basis: dict[Word, _IntRow] = {}
         self._basis_degree = 0  # G is complete through this degree
-        self._lengths: tuple[int, ...] = ()
+        self._leads = _LeadAutomaton((), self.D)  # of G's leads, rebuilt as G grows
+        self._frontier: tuple[int, list[int]] | None = None  # states of the top listed degree
         self._dims: list[int] = []  # dim A_m for m = 0..len - 1
         self._normal: dict[int, dict[Word, int]] = {}
         self._forms: dict[int, dict[Word, _Form]] = {}
         self._dual: dict[int, Subspace] = {}
         self._word_mats: dict[tuple, Matrix] = {}
+        self._splitting_mats: dict[tuple[int, int], dict[Word, Matrix]] = {}
 
     # -- plumbing -----------------------------------------------------------
 
@@ -319,14 +344,19 @@ class GradedAlgebra:
 
     def _complete_basis(self, n: int):
         """Extend G through degree n: the relation rows at degree N, then the
-        reduced overlap S-elements of each higher degree."""
+        reduced overlap S-elements of each higher degree.  The automaton of
+        the leads is rebuilt after each degree that adds one; the states
+        of listed words go stale with it."""
         for m in range(self._basis_degree + 1, n + 1):
+            size = len(self._basis)
             if m == self.N:
                 self._basis.update(self.presentation.relations._ints)
             elif m > self.N:
-                _extend_basis(self._basis, m)
+                _extend_basis(self._basis, m, self._leads)
             self._basis_degree = m
-        self._lengths = tuple(sorted({len(lead) for lead in self._basis}))
+            if len(self._basis) > size:
+                self._leads = _LeadAutomaton(self._basis, self.D)
+                self._frontier = None
 
     def _form(self, word: Word) -> _Form:
         """Normal form of a word, memoised by degree.  A degree's memo is
@@ -335,7 +365,7 @@ class GradedAlgebra:
         if memo is None:
             self._complete_basis(len(word))
             memo = self._forms[len(word)] = {}
-        return _normal_form(word, self._basis, self._lengths, memo)
+        return _normal_form(word, self._basis, self._leads, memo)
 
     def ideal_component(self, n: int) -> Subspace:
         """Degree-n piece of the two-sided ideal generated by the relations.
@@ -371,7 +401,7 @@ class GradedAlgebra:
 
     def component_dim(self, n: int) -> int:
         """dim A_n, the number of words of degree n with no leading word of
-        G in them, counted by the automaton of the leads of length <= n
+        G in them, counted by the automaton of the leads
         (:func:`_avoiding_counts`) for every degree up to n at once.
 
         No word is listed, and :meth:`normal_basis` is not read even when
@@ -380,31 +410,41 @@ class GradedAlgebra:
         guard_words(self.D, n, self.word_limit)
         if n >= len(self._dims):
             self._complete_basis(n)
-            leads = [lead for lead in self._basis if len(lead) <= n]
-            self._dims = _avoiding_counts(leads, self.D, n)
+            self._dims = _avoiding_counts(self._leads, n)
         return self._dims[n]
 
     def normal_basis(self, n: int) -> dict[Word, int]:
         """Words of degree n with no leading word of G in them, ascending
         lex, each mapped to its position: a basis of A_n.
 
-        Each normal word of degree n - 1 is extended by one letter and kept
-        when no lead is a suffix.  The list is built for its readers (word
-        matrices, coordinates, ``checks``); :meth:`component_dim` counts
-        the same words without it.  They are the non-pivot words of the
-        stepwise ideal component, the cross-check.
+        Each normal word of degree n - 1 carries its automaton state; it is
+        extended by each letter whose move avoids the dead states.  The
+        states of the top listed degree are kept for the next one, and
+        found again by a walk from the root once G has grown.  The list is
+        built for its readers (word matrices, coordinates, ``checks``);
+        :meth:`component_dim` counts the same words without it.  They are
+        the non-pivot words of the stepwise ideal component, the
+        cross-check.
         """
         def compute():
             guard_words(self.D, n, self.word_limit)
             if n == 0:
                 return {(): 0}
             self._complete_basis(n)
-            basis = self._basis
-            lengths = [k for k in self._lengths if k <= n]
-            letters = [(x,) for x in range(1, self.D + 1)]
-            words = (w + x for w in self.normal_basis(n - 1) for x in letters)
-            normal = (w for w in words if not any(w[-k:] in basis for k in lengths))
-            return {w: i for i, w in enumerate(normal)}
+            previous = self.normal_basis(n - 1)
+            leads = self._leads
+            if self._frontier is not None and self._frontier[0] == n - 1:
+                states = self._frontier[1]
+            else:
+                states = [leads.state(w) for w in previous]
+            words, next_states = [], []
+            for w, state in zip(previous, states):
+                for x, target in enumerate(leads.moves[state], 1):
+                    if not leads.ends[target]:
+                        words.append(w + (x,))
+                        next_states.append(target)
+            self._frontier = (n, next_states)
+            return {w: i for i, w in enumerate(words)}
         return self._cached(self._normal, n, compute)
 
     def reduce_to_normal(self, v: TensorVector) -> TensorVector:
@@ -432,7 +472,11 @@ class GradedAlgebra:
         """Matrix of multiplication by a fixed word, in normal bases.
 
         Maps degree n to degree ``n + len(word)``; ``side`` selects
-        ``a -> a*word`` (right) or ``a -> word*a`` (left).
+        ``a -> a*word`` (right) or ``a -> word*a`` (left).  A word of one
+        letter (or none) is read off the normal forms of the products with
+        the normal words; a longer word u_1...u_k is the product of its
+        memoised one-letter matrices, R(u_k)...R(u_1) on the right and
+        L(u_1)...L(u_k) on the left, so no longer word is rewritten.
         """
         word = tuple(word)
         if side not in ("left", "right"):
@@ -443,17 +487,30 @@ class GradedAlgebra:
         def compute():
             guard_words(self.D, n, self.word_limit)
             guard_words(self.D, n + len(word), self.word_limit)
-            source = self.normal_basis(n)
-            target = self.normal_basis(n + len(word))
-            forms = [self._form(b + word if side == "right" else word + b) for b in source]
-            scale = lcm(*(den for _, den in forms))
-            rows: dict[int, dict[int, int]] = {}
-            for j, (row, den) in enumerate(forms):
-                # Ascending i, the row order a scan of the normal basis gives.
-                for i, c in sorted((target[w], c) for w, c in row.items()):
-                    rows.setdefault(i, {})[j] = c * (scale // den)
-            return Matrix._from_ints(len(target), len(source), rows, scale)
+            if len(word) < 2:
+                return self._read_off_forms(n, word, side)
+            letters = word if side == "right" else word[::-1]
+            product = None
+            for i, x in enumerate(letters):
+                factor = self._cached(self._word_mats, (n + i, (x,), side),
+                                      lambda: self._read_off_forms(n + i, (x,), side))
+                product = factor if product is None else factor.mul(product)
+            return product
         return self._cached(self._word_mats, (n, word, side), compute)
+
+    def _read_off_forms(self, n: int, word: Word, side: str) -> Matrix:
+        """The matrix of :meth:`word_matrix`, column b the normal form of
+        b.word (right) or word.b (left) for each normal word b of degree n."""
+        source = self.normal_basis(n)
+        target = self.normal_basis(n + len(word))
+        forms = [self._form(b + word if side == "right" else word + b) for b in source]
+        scale = lcm(*(den for _, den in forms))
+        rows: dict[int, dict[int, int]] = {}
+        for j, (row, den) in enumerate(forms):
+            # Ascending i, the row order a scan of the normal basis gives.
+            for i, c in sorted((target[w], c) for w, c in row.items()):
+                rows.setdefault(i, {})[j] = c * (scale // den)
+        return Matrix._from_ints(len(target), len(source), rows, scale)
 
     # -- dual side ----------------------------------------------------------
 

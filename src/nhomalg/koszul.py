@@ -79,7 +79,8 @@ def contraction_dual_degrees(N: int, p: int, r: int, limit: int) -> list[int]:
 
 
 def _splitting_matrices(algebra: GradedAlgebra, m: int, j: int) -> dict[tuple, Matrix]:
-    """Tail coordinates of the dual spaces: one matrix per length-j prefix.
+    """Tail coordinates of the dual spaces: one matrix per length-j prefix,
+    memoised per (m, j) on the algebra.
 
     Every row of the degree-m dual space splits as a sum of prefix words
     tensor tails, and nesting guarantees each tail lies in the degree
@@ -88,26 +89,28 @@ def _splitting_matrices(algebra: GradedAlgebra, m: int, j: int) -> dict[tuple, M
     over the target row of pivot p is the tail's coefficient at p over L,
     held as an integer over the lcm of the source rows' L.
     """
-    source = algebra.dual_space(m)
-    target = algebra.dual_space(m - j)
-    index = {p: i for i, p in enumerate(target.pivots)}
-    scale = lcm(*(row[pivot] for pivot, row in source._ints.items()))
-    by_prefix: dict[tuple, dict[int, dict]] = {}
-    for c, (pivot, row) in enumerate(source._ints.items()):
-        factor = scale // row[pivot]
-        tails: dict[tuple, dict] = {}
-        for word, coeff in row.items():
-            tails.setdefault(word[:j], {})[word[j:]] = coeff
-        for prefix, tail in tails.items():
-            if target._remainder(tail)[0]:
-                raise InternalConsistencyError(
-                    f"tail of a degree-{m} dual row escapes the degree-{m - j} "
-                    "dual space")
-            rows = by_prefix.setdefault(prefix, {})
-            for i, value in sorted((index[p], v) for p, v in tail.items() if p in index):
-                rows.setdefault(i, {})[c] = factor * value
-    return {prefix: Matrix._from_ints(target.dim, source.dim, rows, scale)
-            for prefix, rows in by_prefix.items()}
+    def compute():
+        source = algebra.dual_space(m)
+        target = algebra.dual_space(m - j)
+        index = {p: i for i, p in enumerate(target.pivots)}
+        scale = lcm(*(row[pivot] for pivot, row in source._ints.items()))
+        by_prefix: dict[tuple, dict[int, dict]] = {}
+        for c, (pivot, row) in enumerate(source._ints.items()):
+            factor = scale // row[pivot]
+            tails: dict[tuple, dict] = {}
+            for word, coeff in row.items():
+                tails.setdefault(word[:j], {})[word[j:]] = coeff
+            for prefix, tail in tails.items():
+                if target._remainder(tail)[0]:
+                    raise InternalConsistencyError(
+                        f"tail of a degree-{m} dual row escapes the degree-{m - j} "
+                        "dual space")
+                rows = by_prefix.setdefault(prefix, {})
+                for i, value in sorted((index[p], v) for p, v in tail.items() if p in index):
+                    rows.setdefault(i, {})[c] = factor * value
+        return {prefix: Matrix._from_ints(target.dim, source.dim, rows, scale)
+                for prefix, rows in by_prefix.items()}
+    return algebra._cached(algebra._splitting_mats, (m, j), compute)
 
 
 def _differential(algebra: GradedAlgebra, n: int, m: int, j: int) -> Matrix:

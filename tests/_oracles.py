@@ -11,8 +11,11 @@ Fraction spanning vectors (the intersection as the annihilator of both
 stacked annihilators, D^n wide, where the package takes the kernel of a
 remainder map), and the dual spaces by iterated intersection on that
 Fraction route, so no dual oracle calls the package's ``intersect``;
-and the relabelling x -> D + 1 - x of the letters, under which a lex run
-stands for a run under the reversed letter order.
+the leftmost lead occurrence by slicing every start and lead length,
+against the automaton scan; the word matrices by normal forms of the
+whole products, against the products of one-letter matrices; and the
+relabelling x -> D + 1 - x of the letters, under which a lex run stands
+for a run under the reversed letter order.
 """
 
 from fractions import Fraction
@@ -221,6 +224,35 @@ def stepwise_normal_words(algebra, n):
     component, ascending lex."""
     pivots = set(algebra.ideal_component(n).pivots)
     return [w for w in all_words(algebra.D, n) if w not in pivots]
+
+
+def occurrence(word, basis):
+    """Start and lead of the leftmost leading word of ``basis`` in ``word``,
+    by slicing every start and every lead length, shortest first."""
+    lengths = sorted({len(lead) for lead in basis})
+    for start in range(len(word)):
+        for length in lengths:
+            if start + length > len(word):
+                break
+            lead = word[start:start + length]
+            if lead in basis:
+                return start, lead
+    return None
+
+
+def word_matrix_grid(algebra, n, word, side):
+    """The matrix of multiplication by ``word`` from degree n, as a dense
+    grid: column b holds the normal coordinates of ``reduce_to_normal`` of
+    the whole word b + word (right) or word + b (left)."""
+    from nhomalg.linalg import word_vector
+
+    word = tuple(word)
+    target = algebra.normal_basis(n + len(word))
+    columns = []
+    for b in algebra.normal_basis(n):
+        form = algebra.reduce_to_normal(word_vector(b + word if side == "right" else word + b))
+        columns.append([form.coefficient(w) for w in target])
+    return [[column[i] for column in columns] for i in range(len(target))]
 
 
 def relabel_vector(v, D):

@@ -7,6 +7,7 @@ from nhomalg.algebra import (
     MemoryGuardError,
     Presentation,
     _avoiding_counts,
+    _LeadAutomaton,
     free_presentation,
 )
 from nhomalg.catalog import artin_schelter, paraboson, parafermion, plactic
@@ -25,9 +26,11 @@ from _oracles import (
     bracket_vectors,
     dense_rank,
     iterated_intersection,
+    occurrence,
     parafermion_dims,
     relabelled,
     stepwise_normal_words,
+    word_matrix_grid,
 )
 
 
@@ -120,7 +123,7 @@ def test_avoiding_counts_against_brute_force():
                      (3, [(1, 2, 1), (2, 1, 1), (2, 1)]),
                      (2, []),
                      (1, [(1, 1, 1)])):
-        counts = _avoiding_counts(leads, D, 6)
+        counts = _avoiding_counts(_LeadAutomaton(leads, D), 6)
         for n, count in enumerate(counts):
             free = [w for w in all_words(D, n)
                     if not any(w[i:i + len(p)] == p for p in leads
@@ -155,8 +158,13 @@ def test_multiply_by_generator_degree_zero(parafermi2):
             parafermi2.word_matrix(0, word)
 
 
+def _grid(matrix):
+    return [[matrix.entry(i, j) for j in range(matrix.ncols)] for i in range(matrix.nrows)]
+
+
 def test_multiplication_composes_along_words(parafermi2):
-    # Multiplying degree by degree along 1, 2, 1 equals direct reduction.
+    # Multiplying degree by degree along 1, 2, 1 equals the normal forms
+    # of the whole words; the word's own matrix is that product.
     m1 = parafermi2.word_matrix(0, (1,), "right")
     m2 = parafermi2.word_matrix(1, (2,), "right")
     m3 = parafermi2.word_matrix(2, (1,), "right")
@@ -164,7 +172,53 @@ def test_multiplication_composes_along_words(parafermi2):
     column = [composed.entry(i, 0) for i in range(composed.nrows)]
     assert column == parafermi2.normal_coordinates(word_vector((1, 2, 1)))
     direct = parafermi2.word_matrix(0, (1, 2, 1), "right")
-    assert column == [direct.entry(i, 0) for i in range(direct.nrows)]
+    assert direct == composed
+    assert _grid(direct) == word_matrix_grid(parafermi2, 0, (1, 2, 1), "right")
+
+
+def test_word_matrices_equal_normal_forms_of_whole_words(parafermi2, parafermi3, plactic3):
+    # Words of two and three letters on both sides, built as products of
+    # one-letter matrices, against the normal forms of b.u and u.b.
+    generic = GradedAlgebra(artin_schelter(Fraction(-3, 7), Fraction(5, 2)))
+    for algebra, n_max in ((parafermi2, 3), (parafermi3, 2), (plactic3, 2), (generic, 3)):
+        words = [w for length in (2, 3) for w in all_words(algebra.D, length)]
+        for n in range(n_max + 1):
+            for word in words:
+                for side in ("right", "left"):
+                    assert _grid(algebra.word_matrix(n, word, side)) == \
+                        word_matrix_grid(algebra, n, word, side), (algebra, n, word, side)
+    assert generic.word_matrix(2, (2, 1), "left").scale > 1
+
+
+def test_lead_automaton_scan_matches_slicing():
+    # The first lead end the automaton meets marks the leftmost occurrence
+    # of a lead, on every word up to length 7.
+    for presentation in (plactic(3), paraboson(3),
+                         artin_schelter(Fraction(682, 967), Fraction(361, 220))):
+        algebra = GradedAlgebra(presentation)
+        algebra._complete_basis(7)
+        hits = 0
+        for n in range(8):
+            for word in all_words(algebra.D, n):
+                expected = occurrence(word, algebra._basis)
+                assert algebra._leads.occurrence(word) == expected, word
+                hits += expected is not None
+        assert hits
+
+
+def test_normal_words_survive_a_grown_basis():
+    # Listing carries automaton states from one degree to the next; when
+    # G grows in between, the states are found again by a walk.
+    for presentation in (plactic(3), artin_schelter(Fraction(-3, 7), Fraction(5, 2))):
+        grown = GradedAlgebra(presentation)
+        assert len(grown.normal_basis(3)) == grown.component_dim(3)
+        grown._complete_basis(7)
+        ascending = GradedAlgebra(presentation)
+        for n in range(7):
+            assert list(grown.normal_basis(n)) == stepwise_normal_words(grown, n)
+            assert ascending.normal_basis(n) == grown.normal_basis(n)
+        assert list(GradedAlgebra(presentation).normal_basis(6)) == \
+            stepwise_normal_words(grown, 6)
 
 
 def test_multiplication_matrix_shape_and_rank(parafermi2):

@@ -122,6 +122,42 @@ def test_benchmark_inputs_pin_their_full_tables():
         assert json.loads(result.output)["cohomologyByDegree"] == expected, name
 
 
+def test_koszul_tables_where_rank_pivots_on_sparsest_columns():
+    # Rank pivots on the sparsest columns first, so these slices are
+    # eliminated along another path than greatest column first; the full
+    # tables are those of the greatest-column order.
+    expected = {
+        ("parafermion", 9): [
+            ([3, 0], [3, 0], [0, 0]),
+            ([9, 0], [9, 0], [0, 0]),
+            ([19, 8, 0], [19, 8, 0], [0, 0, 0]),
+            ([39, 18, 6, 0], [39, 18, 6, 0], [0, 0, 0, 0]),
+            ([69, 48, 24, 0], [69, 48, 18, 0], [0, 0, 6, 0]),
+            ([119, 88, 64, 0, 0], [119, 88, 54, 0, 0], [0, 0, 10, 0, 0]),
+            ([189, 168, 144, 0, 0, 0], [189, 168, 114, 0, 0, 0], [0, 0, 30, 0, 0, 0]),
+            ([294, 273, 279, 0, 0, 0], [294, 273, 234, 0, 0, 0], [0, 0, 45, 0, 0, 0]),
+            ([434, 448, 504, 0, 0, 0, 0], [434, 448, 414, 0, 0, 0, 0],
+             [0, 0, 90, 0, 0, 0, 0]),
+        ],
+        ("plactic", 8): [
+            ([3, 0], [3, 0], [0, 0]),
+            ([9, 0], [9, 0], [0, 0]),
+            ([19, 8, 0], [19, 8, 0], [0, 0, 0]),
+            ([39, 18, 6, 0], [39, 18, 6, 0], [0, 0, 0, 0]),
+            ([69, 48, 24, 0], [69, 48, 18, 0], [0, 0, 6, 0]),
+            ([119, 88, 64, 8, 0], [119, 88, 46, 0, 0], [0, 0, 18, 8, 0]),
+            ([189, 168, 144, 15, 0, 0], [189, 168, 99, 0, 0, 0], [0, 0, 45, 15, 0, 0]),
+            ([294, 273, 279, 45, 0, 0], [294, 273, 189, 0, 0, 0], [0, 0, 90, 45, 0, 0]),
+        ],
+    }
+    for (name, n), tables in expected.items():
+        result = run_cli("koszul", "--algebra", name, "--D", "3",
+                         "--max-degree", str(n), "--format", "json")
+        assert result.exit_code == 0
+        assert [(row["kernelDims"], row["imageDims"], row["homology"])
+                for row in json.loads(result.output)["perDegree"]] == tables, name
+
+
 def test_family_selector():
     result = run_cli("checks", "--algebra", "as", "--q", "2", "--r", "1",
                      "--max-degree", "4", "--format", "json")

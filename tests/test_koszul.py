@@ -19,7 +19,7 @@ from nhomalg.koszul import (
     homology,
     koszul_probe,
 )
-from nhomalg.linalg import Matrix, Subspace, TensorVector, rref
+from nhomalg.linalg import Matrix, Subspace, TensorVector, _echelon, rref
 from nhomalg.series import chi_direct
 
 
@@ -198,6 +198,28 @@ def test_generic_member_runs_the_scaled_matrices():
     assert generic.word_matrix(2, (2,), "left").scale > 1
     assert any(tails.scale > 1 for tails in _splitting_matrices(generic, 4, 1).values())
     assert all(tails.scale > 1 for tails in _splitting_matrices(generic, 3, 1).values())
+
+
+def test_splitting_matrices_are_memoised(parafermi3):
+    first = _splitting_matrices(parafermi3, 4, 1)
+    assert _splitting_matrices(parafermi3, 4, 1) is first
+    assert parafermi3._splitting_mats[(4, 1)] is first
+    assert _splitting_matrices(parafermi3, 4, 3) is not first
+
+
+def test_benchmark_slice_ranks_in_a_sparsest_column_order(parafermi3):
+    # On the degree-7 slice some matrix pivots on a column order other
+    # than greatest column first; the rank is the same either way.
+    matrices = build_koszul_slice(parafermi3, 7).matrices
+    reordered = 0
+    for matrix in matrices:
+        labels = matrix._column_labels()
+        order = sorted(labels, key=labels.get)
+        reordered += order != sorted(labels)
+        counts = [sum(j in row for row in matrix.rows.values()) for j in order]
+        assert counts == sorted(counts, reverse=True)
+        assert matrix.rank() == len(_echelon(matrix.rows.values()))
+    assert reordered
 
 
 def test_differential_empty_shapes(parafermi2):

@@ -16,8 +16,11 @@ basis mostly grows past degree N, the Groebner route against the
 stepwise ideal and the dual spaces of their annihilator presentations
 against the Fraction oracle and the quotient of the double dual; and the
 integer-scaled matrices against dense Fraction grids, on small random
-matrices whose entries have different denominators."""
+matrices whose entries have different denominators; and the rank in
+sparsest-column order against the dense oracle, on sparse integer
+matrices with repeated, empty and tied rows and columns."""
 
+from collections import Counter
 from fractions import Fraction
 
 from hypothesis import example, given, settings, strategies as st
@@ -471,3 +474,43 @@ def test_integer_matrices_equal_dense_fraction_grids(case):
         assert from_grid(changed, ncols) != got
         changed[i][j] -= Fraction(1, 7)
         assert from_grid(changed, ncols) == got
+
+
+# ---------------------------------------------------------------------------
+# Rank in sparsest-column order against the dense oracle.
+
+@st.composite
+def sparse_integer_matrices(draw):
+    """Mostly zero integer rows over a scale; a row after the first may
+    repeat an earlier one, a multiple of it, or be empty, so columns tie
+    on their counts and rows on their lengths."""
+    nrows, ncols = draw(st.integers(0, 7)), draw(st.integers(0, 7))
+    cells = st.one_of(st.just(0), st.just(0), st.integers(-3, 3))
+    rows = []
+    for _ in range(nrows):
+        kind = draw(st.sampled_from(("fresh", "repeat", "multiple", "empty"))) if rows else "fresh"
+        if kind == "fresh":
+            rows.append({j: v for j in range(ncols) if (v := draw(cells))})
+        elif kind == "empty":
+            rows.append({})
+        else:
+            factor = 1 if kind == "repeat" else draw(st.sampled_from((-2, 3)))
+            rows.append({j: factor * v for j, v in draw(st.sampled_from(rows)).items()})
+    return nrows, ncols, rows, draw(st.integers(1, 6))
+
+
+@example((0, 4, [], 1))
+@example((4, 0, [{}, {}, {}, {}], 2))
+@given(sparse_integer_matrices())
+def test_rank_in_sparsest_column_order_equals_dense_rank(case):
+    nrows, ncols, rows, scale = case
+    matrix = Matrix._from_ints(nrows, ncols, dict(enumerate(rows)), scale)
+    assert matrix == Matrix(nrows, ncols, {i: {j: Fraction(v, scale) for j, v in row.items()}
+                                           for i, row in enumerate(rows)})
+    assert matrix.rank() == dense_matrix_rank(matrix)
+    # The fewer nonzeros a column holds, the higher its label; ties go to
+    # the greater index.
+    counts = Counter(j for row in rows for j in row)
+    labels = matrix._column_labels()
+    assert sorted(labels) == sorted(counts)
+    assert sorted(labels, key=labels.get) == sorted(counts, key=lambda j: (-counts[j], j))
