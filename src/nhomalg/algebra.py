@@ -59,12 +59,15 @@ class MemoryGuardError(RuntimeError):
 
 
 def guard_words(D: int, degree: int, word_limit: int):
-    """Refuse a degree whose D^degree basis words exceed ``word_limit``.
+    """Refuse a degree whose D^degree basis words exceed ``word_limit``,
+    and a negative degree.
 
     The count is bounded below by 2^(degree (b - 1)), b the bit length
     of D: past the limit by that bound it is not computed, and from
     2^4096 on it is written as a power.
     """
+    if degree < 0:
+        raise ValueError(f"degree {degree} is negative")
     low_bits = degree * (D.bit_length() - 1)  # D^degree >= 2^low_bits
     if low_bits <= max(4096, word_limit.bit_length()):
         count = D ** degree

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import functools
 import json
+import sys
 from fractions import Fraction
 
 import click
@@ -31,6 +32,18 @@ class RationalType(click.ParamType):
         if isinstance(value, Fraction):
             return value
         try:
+            if "/" not in value:
+                # Fraction() would multiply a decimal's exponent out before
+                # anything checks its size: bound its digits from the text.
+                mantissa, _, exponent = value.lower().partition("e")
+                whole, _, decimals = (sum(c.isdigit() for c in part)
+                                      for part in mantissa.partition("."))
+                shift = int(exponent or 0)
+                digits = max(whole + decimals + max(shift, 0),
+                             decimals + max(-shift, 0) + 1)
+                limit = sys.get_int_max_str_digits()
+                if limit and digits > limit:
+                    self.fail(f"{value!r} needs more than {limit} digits", param, ctx)
             return Fraction(value)
         except (ValueError, ZeroDivisionError):
             self.fail(f"{value!r} is not a rational number (use p/q)", param, ctx)

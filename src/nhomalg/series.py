@@ -59,12 +59,6 @@ class IntSeries:
     def coefficients(self) -> tuple[int, ...]:
         return self.coeffs
 
-    def truncate(self, order: int) -> "IntSeries":
-        if order > self.order:
-            raise TruncationError(
-                f"cannot extend order {self.order} to {order}")
-        return IntSeries(self.coeffs[:order + 1], order)
-
     def __add__(self, other: "IntSeries") -> "IntSeries":
         order = min(self.order, other.order)
         return IntSeries([self.coeffs[n] + other.coeffs[n] for n in range(order + 1)],

@@ -13,7 +13,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .algebra import DEFAULT_WORD_LIMIT, GradedAlgebra, MemoryGuardError
+from .algebra import DEFAULT_WORD_LIMIT, GradedAlgebra, guard_words
 from .linalg import InternalConsistencyError, Word
 
 
@@ -154,17 +154,10 @@ def tableaux_of_shape(shape, max_letter: int):
 
 
 def _guard_cells(D: int, n: int, word_limit: int):
-    """Refuse a cell count whose D^n words exceed ``word_limit``.
-
-    The same degree cap as the algebra side applies: the tableau count is
-    bounded by the word count D^n, which must stay under the limit.
-    """
-    if D < 1 or n < 0:
-        raise ValueError("need D >= 1 and n >= 0")
-    if D ** n > word_limit:
-        raise MemoryGuardError(
-            f"cell count {n} needs up to D^n = {D ** n} tableaux, "
-            f"above the configured limit of {word_limit}")
+    """Refuse n cells as guard_words refuses degree n: D^n bounds the tableaux."""
+    if D < 1:
+        raise ValueError("need D >= 1")
+    guard_words(D, n, word_limit)
 
 
 def _all_tableaux(D: int, n: int, word_limit: int):

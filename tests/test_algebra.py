@@ -335,6 +335,28 @@ def test_memory_guard():
         algebra.component_dim(7)
 
 
+@pytest.mark.parametrize("warm", [False, True])
+def test_negative_degrees_are_refused(warm):
+    algebra = GradedAlgebra(parafermion(2))
+    if warm:
+        for n in range(6):
+            algebra.component_dim(n)
+            algebra.normal_basis(n)
+            algebra.word_matrix(n, (1,))
+            algebra.dual_dim(n)
+            algebra.ideal_component(n)
+    refused = (
+        lambda: algebra.component_dim(-1),
+        lambda: algebra.normal_basis(-1),
+        lambda: algebra.word_matrix(-1, (1,)),
+        lambda: algebra.dual_dim(-1),
+        lambda: algebra.ideal_component(-1),
+    )
+    for call in refused:
+        with pytest.raises(ValueError, match="degree -1 is negative"):
+            call()
+
+
 def test_caching_is_referentially_transparent(parafermi2):
     fresh = GradedAlgebra(parafermion(2))
     assert fresh.ideal_component(4) == parafermi2.ideal_component(4)

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 from click.testing import CliRunner
@@ -300,8 +301,25 @@ def test_plactic_count_refusal_is_clean():
     result = run_cli("plactic", "count", "--D", "12", "--max-degree", "9")
     _assert_clean_error(result)
     assert result.output.splitlines() == [
-        "Error: cell count 9 needs up to D^n = 5159780352 tableaux, "
+        "Error: degree 9 needs D^n = 5159780352 basis words, "
         "above the configured limit of 10000000"]
+
+
+def test_plactic_count_refuses_a_huge_degree_at_once():
+    start = time.perf_counter()
+    result = run_cli("plactic", "count", "--D", "3", "--max-degree", "10000000")
+    assert time.perf_counter() - start < 1
+    _assert_clean_error(result)
+    assert result.output.splitlines() == [
+        "Error: degree 10000000 needs D^n = 3^10000000 basis words, "
+        "above the configured limit of 10000000"]
+
+
+def test_rational_with_too_many_digits_is_refused_before_it_is_built():
+    for q in ("1e10000000", "1e-5000"):
+        result = run_cli("hilbert", "--algebra", "as", "--q", q, "--max-degree", "2")
+        _assert_clean_error(result)
+        assert f"'{q}' needs more than 4300 digits" in result.output
 
 
 def test_checks_two_parameter_member_away_from_r_one():

@@ -7,6 +7,7 @@ import pytest
 from _oracles import dense_matrix_rank, relabel, relabelled
 from nhomalg.algebra import GradedAlgebra, Presentation, free_presentation
 from nhomalg.catalog import artin_schelter, paraboson, parafermion, plactic
+from nhomalg import koszul
 from nhomalg.koszul import (
     _differential,
     _dual_slice,
@@ -19,8 +20,15 @@ from nhomalg.koszul import (
     homology,
     koszul_probe,
 )
-from nhomalg.linalg import Matrix, Subspace, TensorVector, _echelon, rref
-from nhomalg.series import chi_direct
+from nhomalg.linalg import (
+    InternalConsistencyError,
+    Matrix,
+    Subspace,
+    TensorVector,
+    _echelon,
+    rref,
+)
+from nhomalg.series import IntSeries, chi_direct
 
 
 @pytest.fixture(scope="module")
@@ -253,6 +261,32 @@ def test_euler_matches_chi(parafermi2, parafermi3):
     chi = chi_direct(parafermi3, 5)
     report = homology(build_koszul_slice(parafermi3, 5))
     assert sum((-1) ** i * h for i, h in enumerate(report.homology_dims)) == chi[5]
+
+
+def test_euler_check_builds_no_slice(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a slice was built or ranked")
+
+    monkeypatch.setattr(koszul, "build_contraction_slice", refuse)
+    monkeypatch.setattr(Matrix, "rank", refuse)
+    cases = ((GradedAlgebra(parafermion(3)), 7), (GradedAlgebra(plactic(3)), 6),
+             (GradedAlgebra(artin_schelter(Fraction(682, 967), Fraction(361, 220))), 9))
+    for algebra, n_max in cases:
+        assert euler_agrees_with_chi(algebra, n_max)
+        chi = chi_direct(algebra, n_max).coefficients()
+        for n in range(1, n_max + 1):
+            off = IntSeries([c + (k == n) for k, c in enumerate(chi)], n_max)
+            monkeypatch.setattr(koszul, "chi_direct", lambda algebra, n_max: off)
+            assert not euler_agrees_with_chi(algebra, n_max), n
+        monkeypatch.setattr(koszul, "chi_direct", chi_direct)
+
+
+def test_koszul_probe_checks_each_slice_euler_against_chi(parafermi3, monkeypatch):
+    monkeypatch.setattr(koszul, "chi_direct",
+                        lambda algebra, n_max: IntSeries([0] * (n_max + 1), n_max))
+    with pytest.raises(InternalConsistencyError,
+                       match="degree-5 slice has Euler characteristic 6, but chi is 0"):
+        koszul_probe(parafermi3, 6)
 
 
 def test_koszul_probe_consistent_cases(parafermi2, plactic2):

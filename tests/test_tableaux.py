@@ -162,7 +162,7 @@ def test_dimension_cross_check():
 def test_dimension_cross_check_honours_word_limit():
     # 2^7 = 128 cells' worth of tableaux exceed the limit; the tableau
     # side refuses before the algebra side is asked for degree 7.
-    with pytest.raises(MemoryGuardError, match="cell count"):
+    with pytest.raises(MemoryGuardError, match="degree 7 needs D\\^n = 128 basis words"):
         dimension_cross_check(2, 7, word_limit=100)
 
 
