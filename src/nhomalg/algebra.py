@@ -15,17 +15,18 @@ of the word through it; and the normal words are listed by carrying each
 word's state to the next degree.  The list is built only where something
 reads it, and :mod:`nhomalg.checks` compares its length with the count.
 The stepwise ideal component I_n = I_{n-1} (x) E + E^(n-N) (x) R is kept
-as the cross-check, built only by :mod:`nhomalg.checks` and the tests.
+as the cross-check, built only by :mod:`nhomalg.checks` and the tests;
+``checks`` builds I_n once more from the other side,
+E (x) I_{n-1} + R (x) E^(n-N), with one join per degree.
 
 The dual-side components (annihilator presentation and the intersection
 spaces underlying the canonical complexes) live here as well, built one
 degree at a time from the previous one:
 W_n = (W_{n-1} (x) E) cap (E^(n-N) (x) R), each meet the kernel of a
 remainder map on rows (:func:`nhomalg.linalg.intersect`), so no D^n-wide
-annihilator is built.  The direct routes are cross-checks: the union of
-all n-N+1 shifts of R in :mod:`nhomalg.checks` and the tests, their
-intersection in the tests only, where it runs through Fraction
-annihilators.
+annihilator is built.  The direct routes, the union of all n-N+1
+shifts of R and their intersection, are oracles in the tests only; the
+intersection runs there through Fraction annihilators.
 """
 
 from __future__ import annotations
@@ -374,7 +375,9 @@ class GradedAlgebra:
         """Degree-n piece of the two-sided ideal generated by the relations.
 
         Built stepwise as explicit rows; the cross-check of the Groebner
-        route, read by :mod:`nhomalg.checks` and the tests.
+        route, read by :mod:`nhomalg.checks` and the tests.  ``checks``
+        compares it at each degree with E (x) I_{n-1} + R (x) E^(n-N),
+        built from the cached degree n - 1.
         """
         def compute():
             guard_words(self.D, n, self.word_limit)

@@ -501,18 +501,27 @@ def shift(space: Subspace, left: int, right: int) -> Subspace:
     Prefixing u and suffixing w keeps the order of equal-length words,
     so the row ``u.r.w`` has pivot ``u.p.w`` for the pivot p of r, and it
     meets no other shifted row's pivot: the shifted rows are already the
-    reduced row-echelon form.
+    reduced row-echelon form.  The words of the rows' supports are
+    numbered once; for each (u, w) every shifted word ``u.x.w`` is built
+    once, and every row that holds x, as a term or as its pivot key,
+    shares that one tuple.  The loops run prefix, then pivot, then suffix,
+    so the pivots come out strictly decreasing.
     """
     if left < 0 or right < 0:
         raise ValueError("shift lengths must be nonnegative")
     prefixes = list(all_words(space.alphabet, left))[::-1]
     suffixes = list(all_words(space.alphabet, right))[::-1]
-    ints = space._ints
+    index: dict[Word, int] = {}
+    rows = [(index.setdefault(p, len(index)),
+             [(index.setdefault(x, len(index)), c) for x, c in row.items()])
+            for p, row in space._ints.items()]
+    words = list(index)
     shifted = {}
     for u in prefixes:
-        for p, row in ints.items():
-            for w in suffixes:
-                shifted[u + p + w] = {u + x + w: c for x, c in row.items()}
+        keys = [[u + x + w for x in words] for w in suffixes]
+        for i, terms in rows:
+            for key in keys:
+                shifted[key[i]] = {key[k]: c for k, c in terms}
     return Subspace._from_ints(space.alphabet, left + space.degree + right, shifted)
 
 

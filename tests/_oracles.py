@@ -15,7 +15,9 @@ the leftmost lead occurrence by slicing every start and lead length,
 against the automaton scan; the word matrices by normal forms of the
 whole products, against the products of one-letter matrices; and the
 relabelling x -> D + 1 - x of the letters, under which a lex run stands
-for a run under the reversed letter order.
+for a run under the reversed letter order; and the ideal component as the
+union of all n-N+1 shifts of the relations, joined from zero, against
+the stepwise route and the one-join check of ``checks``.
 """
 
 from fractions import Fraction
@@ -282,3 +284,15 @@ def relabelled(presentation):
     from nhomalg.algebra import Presentation
 
     return Presentation(presentation.D, presentation.N, relabel(presentation.relations))
+
+
+def direct_ideal_component(algebra, n):
+    """I_n as the span of all n-N+1 shifts E^r (x) R (x) E^(n-N-r), joined
+    one at a time from zero: the direct route, against the stepwise one."""
+    from nhomalg.linalg import Subspace, shift
+
+    relations = algebra.presentation.relations
+    space = Subspace.zero(algebra.D, n)
+    for r in range(n - algebra.N + 1):
+        space = space.join(shift(relations, r, n - algebra.N - r))
+    return space

@@ -11,7 +11,6 @@ from nhomalg.algebra import (
     free_presentation,
 )
 from nhomalg.catalog import artin_schelter, paraboson, parafermion, plactic
-from nhomalg.checks import direct_ideal_component
 from nhomalg.series import poincare_series
 from nhomalg.linalg import (
     Subspace,
@@ -25,6 +24,7 @@ from nhomalg.linalg import (
 from _oracles import (
     bracket_vectors,
     dense_rank,
+    direct_ideal_component,
     iterated_intersection,
     occurrence,
     parafermion_dims,

@@ -4,6 +4,7 @@ from nhomalg import checks
 from nhomalg.algebra import GradedAlgebra
 from nhomalg.catalog import make_entry
 from nhomalg.checks import run_checks
+from nhomalg.linalg import Subspace
 from nhomalg.relfile import parse_relations
 from nhomalg.series import IntSeries
 
@@ -91,3 +92,45 @@ def test_normal_basis_check_compares_the_count_with_the_list(monkeypatch):
     for cap, failed in ((3, []), (5, ["component dimension equals the normal basis size"])):
         results = run_checks(MiscountsDegreeFour(entry.presentation), cap, entry)
         assert [r.name for r in results if not r.passed] == failed
+
+
+def test_ideal_check_catches_a_corrupted_cached_component():
+    # I_{N+2} is swapped, once for a copy missing its last row and once for
+    # a copy with a spurious normal word; the left-built space from the
+    # right I_{N+1} tells either apart.
+    entry = make_entry("plactic", D=2)
+    n = entry.presentation.N + 2
+    algebra = GradedAlgebra(entry.presentation)
+    good = algebra.ideal_component(n)
+    missing = Subspace._from_ints(2, n, dict(list(good._ints.items())[:-1]))
+    spurious = good._extend([{next(iter(algebra.normal_basis(n))): 1}])
+    name = "ideal components agree with the stepwise route"
+    for bad in (missing, spurious):
+        assert abs(bad.dim - good.dim) == 1
+        algebra = GradedAlgebra(entry.presentation)
+        algebra.ideal_component(n)
+        algebra._ideal[n] = bad
+        results = {r.name: r for r in run_checks(algebra, 6, entry)}
+        assert not results[name].passed
+        assert results[name].detail == "checked degrees 4..6"
+
+
+def test_ideal_check_makes_two_joins_per_degree(monkeypatch):
+    # One join builds the stepwise I_n and one the left-built I_n; the
+    # other checks make a fixed number of joins.
+    calls = []
+    extend = Subspace._extend
+
+    def counted(self, rows):
+        calls.append(self.degree)
+        return extend(self, rows)
+
+    monkeypatch.setattr(Subspace, "_extend", counted)
+    entry = make_entry("plactic", D=2)
+    counts = []
+    for n_max in (6, 9, 12):
+        calls.clear()
+        results = run_checks(GradedAlgebra(entry.presentation), n_max, entry)
+        assert all(r.passed for r in results)
+        counts.append(len(calls))
+    assert counts == [12, 18, 24]

@@ -123,6 +123,48 @@ def test_benchmark_inputs_pin_their_full_tables():
         assert json.loads(result.output)["cohomologyByDegree"] == expected, name
 
 
+def test_checks_jobs_pin_every_result():
+    # Every check's name, verdict and detail, including the ideal check
+    # that builds I_n from E (x) I_{n-1} and the normal-word check that
+    # lists no D^n words.
+    def shared(dims, dual, top, chi, q):
+        return [
+            ("rank-nullity of the relation space", True,
+             "dim R = {}, dim ann = {}, ambient = {}".format(*dims)),
+            ("annihilator is involutive", True, "double annihilator returns the relation rows"),
+            ("double dual presentation", True, "dual applied twice restores the relations"),
+            ("dual dimensions by quotient and by intersection", True,
+             f"quotient {dual}, intersection {dual}"),
+            ("dual spaces nest on both sides", True, f"checked degrees 3..{top}"),
+            ("ideal components agree with the stepwise route", True, f"checked degrees 4..{top}"),
+            ("component dimension equals the normal basis size", True, f"degrees 0..{top}"),
+            ("chi by product equals chi by dimensions", True, f"chi = {chi}"),
+            ("q series supported on degrees 0 and 1 mod N", True, f"q = {q}"),
+            ("slice Euler characteristics match chi", True, f"degrees 1..{top}"),
+            ("reduction is canonical modulo the relation span", True,
+             "remainders agree after adding relation elements"),
+        ]
+
+    plactic = shared((8, 19, 27), "[1, 3, 9, 8, 6, 0, 0]", 6,
+                     "[1, 0, 0, 0, 0, 6, 10]", "[1, -3, 0, 8, -6, 0, 0]") + [
+        ("explicit dual span matches the annihilator (plactic)", True, "dim R = 8, dim ann = 19"),
+        ("relation space not invariant (expected for the plactic algebra)", True,
+         "witness {(3, 2, 1): Fraction(1, 1), (2, 1, 3): Fraction(-1, 1)}"),
+        ("tableau counts match graded dimensions", True, "degrees 0..5"),
+    ]
+    family = shared((2, 6, 8), "[1, 2, 4, 2, 1, 0, 0, 0, 0, 0]", 9,
+                    "[1, 0, 0, 0, 0, 0, 0, 0, 0, 0]", "[1, -2, 0, 2, -1, 0, 0, 0, 0, 0]")
+    for args, expected in (
+            (("--algebra", "plactic", "--D", "3", "--max-degree", "6"), plactic),
+            (("--algebra", "as", "--q", "706/657", "--r", "478/718", "--max-degree", "9"),
+             family)):
+        result = run_cli("checks", *args, "--format", "json")
+        assert result.exit_code == 0
+        payload = json.loads(result.output)
+        assert [(r["name"], r["passed"], r["detail"]) for r in payload["results"]] == expected
+        assert payload["allPassed"] is True
+
+
 def test_koszul_tables_where_rank_pivots_on_sparsest_columns():
     # Rank pivots on the sparsest columns first, so these slices are
     # eliminated along another path than greatest column first; the full

@@ -245,6 +245,30 @@ def test_shifted_span_counts():
         shift(big, -1, 0)
 
 
+@pytest.mark.parametrize("left, right", [(0, 0), (2, 0), (0, 1), (1, 1), (2, 1), (1, 2)])
+def test_shift_shares_one_key_per_word(left, right):
+    # Both rows hold 11 and 12; the pivot coefficients are 3 and 2.
+    space = rref([tv(2, {(2, 1): Fraction(1, 3), (1, 1): 2, (1, 2): 1}),
+                  tv(2, {(2, 2): Fraction(1, 2), (1, 1): -1, (1, 2): 3})], alphabet=2)
+    assert space.dim == 2 and len({w for row in space._ints.values() for w in row}) == 4
+    shifted = shift(space, left, right)
+    assert shifted.degree == left + 2 + right
+    pivots = list(shifted._ints)
+    assert all(a > b for a, b in zip(pivots, pivots[1:]))
+    assert shifted._ints == {u + p + w: {u + x + w: c for x, c in row.items()}
+                             for u in all_words(2, left) for p, row in space._ints.items()
+                             for w in all_words(2, right)}
+    assert shifted == rref(shifted.rows, alphabet=2)
+    keys = {}
+    for p, row in shifted._ints.items():
+        assert next(k for k in row if k == p) is p
+        for k in row:
+            assert keys.setdefault(k, k) is k
+    assert len(keys) == 4 * 2 ** (left + right)
+    empty = shift(Subspace.zero(2, 2), left, right)
+    assert empty == Subspace.zero(2, left + 2 + right) and empty.dim == 0
+
+
 @pytest.mark.parametrize("relabel_letters", [False, True], ids=["lex", "revlex"])
 def test_extend_equals_rref_of_the_union(relabel_letters):
     rng = random.Random(5)

@@ -4,7 +4,8 @@ presentations with D = 1..3 generators, relations in degree N = 2..4
 of mixed ratios), as drawn or with their letters relabelled by
 x -> D + 1 - x, in degrees with at most 729 words; the Groebner route
 (normal words and their count, normal forms, basis rows) against the
-stepwise ideal components; the dual dimensions by quotient and by
+stepwise ideal components; one left join from the union of shifts in
+degree n - 1 against the union in degree n; the dual dimensions by quotient and by
 intersection, the dimensions against those of the relabelled
 presentation, chi by two routes,
 Koszul-slice ranks against the dense oracle and the relation-file round
@@ -26,7 +27,6 @@ from fractions import Fraction
 from hypothesis import example, given, settings, strategies as st
 
 from nhomalg.algebra import GradedAlgebra, Presentation
-from nhomalg.checks import direct_ideal_component
 from nhomalg.koszul import build_koszul_slice, euler_agrees_with_chi
 from nhomalg.linalg import (
     Matrix,
@@ -46,6 +46,7 @@ from nhomalg.series import chi_via_product
 from _oracles import (
     dense_matrix_rank,
     dense_rank,
+    direct_ideal_component,
     fraction_annihilator,
     fraction_intersect,
     iterated_intersection,
@@ -134,6 +135,21 @@ def test_stepwise_ideal_equals_union_of_shifts(case):
     algebra, top = case
     for n in range(top + 1):
         assert algebra.ideal_component(n) == direct_ideal_component(algebra, n)
+
+
+@given(algebras())
+@example(rational_quadratic_case())
+@example((GradedAlgebra(Presentation(2, 3, Subspace.zero(2, 3))), 6))
+@example((GradedAlgebra(Presentation(3, 2, Subspace.full(3, 2))), 5))
+def test_one_left_join_builds_the_union_of_shifts(case):
+    # The identity behind the ideal check of ``checks``: from the union of
+    # shifts in degree n - 1, one join with R (x) E^(n-N) gives degree n.
+    algebra, top = case
+    relations, N = algebra.presentation.relations, algebra.N
+    for n in range(N + 1, top + 1):
+        left_built = shift(direct_ideal_component(algebra, n - 1), 1, 0).join(
+            shift(relations, 0, n - N))
+        assert left_built == direct_ideal_component(algebra, n)
 
 
 @given(algebras())
