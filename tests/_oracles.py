@@ -13,11 +13,13 @@ remainder map), and the dual spaces by iterated intersection on that
 Fraction route, so no dual oracle calls the package's ``intersect``;
 the leftmost lead occurrence by slicing every start and lead length,
 against the automaton scan; the word matrices by normal forms of the
-whole products, against the products of one-letter matrices; and the
+whole products, against the products of one-letter matrices; the
 relabelling x -> D + 1 - x of the letters, under which a lex run stands
-for a run under the reversed letter order; and the ideal component as the
+for a run under the reversed letter order; the ideal component as the
 union of all n-N+1 shifts of the relations, joined from zero, against
-the stepwise route and the one-join check of ``checks``.
+the stepwise route and the one-join check of ``checks``; and the tail
+split of W_m on its rows by intersection, against the transposed word
+matrices of the dual algebra that the complexes use.
 """
 
 from fractions import Fraction
@@ -296,3 +298,28 @@ def direct_ideal_component(algebra, n):
     for r in range(n - algebra.N + 1):
         space = space.join(shift(relations, r, n - algebra.N - r))
     return space
+
+
+def dual_row_tails(algebra, m, j):
+    """The tail split of W_m on the rows of ``dual_space``: per length-j
+    prefix u, the matrix whose column c holds the coordinates, over the
+    rows of W_{m-j}, of the tail after u of row c of W_m.  A tail outside
+    W_{m-j} would break the nesting of the dual spaces, and raises."""
+    from nhomalg.linalg import Matrix, TensorVector
+
+    source = algebra.dual_space(m)
+    target = algebra.dual_space(m - j)
+    columns = {}
+    for c, row in enumerate(source.rows):
+        tails = {}
+        for word, coeff in row.terms.items():
+            tails.setdefault(word[:j], {})[word[j:]] = coeff
+        for prefix, tail in tails.items():
+            coordinates = target.coordinates(TensorVector(m - j, tail))
+            if coordinates is None:
+                raise AssertionError(f"a tail of a row of W_{m} escapes W_{m - j}")
+            rows = columns.setdefault(prefix, {})
+            for i, value in enumerate(coordinates):
+                rows.setdefault(i, {})[c] = value
+    return {prefix: Matrix(target.dim, source.dim, rows)
+            for prefix, rows in columns.items()}

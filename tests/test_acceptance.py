@@ -69,9 +69,8 @@ def test_criterion_2_dual_dimensions():
                     D * D * (D * D - 1) // 12, 0, 0]
         for name in ("parafermion", "plactic"):
             algebra = algebra_of(name, D)
-            via_intersection = [algebra.dual_dim(n) for n in range(7)]
-            dual_quotient = GradedAlgebra(algebra.presentation.dual())
-            via_quotient = [dual_quotient.component_dim(n) for n in range(7)]
+            via_intersection = [algebra.dual_space(n).dim for n in range(7)]
+            via_quotient = [algebra.dual_dim(n) for n in range(7)]
             assert via_intersection == expected, (name, D)
             assert via_quotient == expected, (name, D)
 

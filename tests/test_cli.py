@@ -4,10 +4,13 @@ import subprocess
 import sys
 import time
 from pathlib import Path
+from types import SimpleNamespace
 
 from click.testing import CliRunner
 
+from nhomalg.catalog import parafermion
 from nhomalg.cli import main
+from nhomalg.relfile import write_relation_file
 
 from _oracles import paraboson_dims, parafermion_dims
 
@@ -247,7 +250,8 @@ def test_checks_exit_nonzero_on_violation(tmp_path, monkeypatch):
 
 
 def test_dual_prints_its_report_before_failing_on_disagreeing_routes(monkeypatch):
-    monkeypatch.setattr("nhomalg.algebra.GradedAlgebra.dual_dim", lambda self, n: -1)
+    monkeypatch.setattr("nhomalg.algebra.GradedAlgebra.dual_space",
+                        lambda self, n: SimpleNamespace(dim=-1))
     result = run_cli("dual", "--algebra", "paraboson", "--D", "2",
                      "--max-degree", "3", "--format", "json")
     assert result.exit_code == 1
@@ -273,6 +277,65 @@ def test_gorenstein_refuses_a_quadratic_file(tmp_path):
     assert result.exit_code == 1
     assert result.stdout == ""
     assert result.stderr == "Error: the Gorenstein probe needs a cubic algebra\n"
+
+
+def _dual_file(tmp_path, D):
+    path = tmp_path / f"parafermion{D}-dual.rel"
+    write_relation_file(path, parafermion(D).dual())
+    return str(path)
+
+
+def test_chi_of_the_dual_of_parafermion_3_is_pinned(tmp_path):
+    # The dual algebra here is parafermion(3) itself, infinite, and the
+    # dual dimensions are those of the finite parafermion(3)^!.
+    result = run_cli("chi", "--file", _dual_file(tmp_path, 3), "--max-degree", "10",
+                     "--format", "json")
+    assert result.exit_code == 0
+    payload = json.loads(result.stdout)
+    chi = [1, 0, 0, 0, 0, 36, -80, -30, 270, -315, -126]
+    assert payload["chiDirect"] == payload["chiViaProduct"] == chi
+    assert payload["koszulNecessary"] == {"consistent": False, "refutedAt": 5}
+
+
+# Per degree: dims, kernel dims, image dims, homology.
+DUAL_PARAFERMION_2_KOSZUL = [
+    ([2, 2], [2, 0], [2, 0], [0, 0]),
+    ([4, 4], [4, 0], [4, 0], [0, 0]),
+    ([2, 8, 6], [2, 6, 0], [2, 6, 0], [0, 0, 0]),
+    ([1, 4, 12, 9], [1, 3, 9, 0], [1, 3, 9, 0], [0, 0, 0, 0]),
+    ([0, 2, 24, 18], [0, 2, 22, 0], [0, 2, 18, 0], [0, 0, 4, 0]),
+    ([0, 0, 12, 36, 16], [0, 0, 12, 24, 0], [0, 0, 12, 16, 0], [0, 0, 0, 8, 0]),
+    ([0, 0, 6, 18, 32, 20], [0, 0, 6, 12, 20, 0], [0, 0, 6, 12, 20, 0],
+     [0, 0, 0, 0, 0, 0]),
+    ([0, 0, 0, 9, 64, 40], [0, 0, 0, 9, 55, 0], [0, 0, 0, 9, 40, 0], [0, 0, 0, 0, 15, 0]),
+    ([0, 0, 0, 0, 32, 80, 30], [0, 0, 0, 0, 32, 48, 0], [0, 0, 0, 0, 32, 30, 0],
+     [0, 0, 0, 0, 0, 18, 0]),
+    ([0, 0, 0, 0, 16, 40, 60, 36], [0, 0, 0, 0, 16, 24, 36, 0],
+     [0, 0, 0, 0, 16, 24, 36, 0], [0, 0, 0, 0, 0, 0, 0, 0]),
+    ([0, 0, 0, 0, 0, 20, 120, 72], [0, 0, 0, 0, 0, 20, 100, 0],
+     [0, 0, 0, 0, 0, 20, 72, 0], [0, 0, 0, 0, 0, 0, 28, 0]),
+    ([0, 0, 0, 0, 0, 0, 60, 144, 49], [0, 0, 0, 0, 0, 0, 60, 84, 0],
+     [0, 0, 0, 0, 0, 0, 60, 49, 0], [0, 0, 0, 0, 0, 0, 0, 35, 0]),
+]
+
+
+def test_koszul_of_the_dual_of_parafermion_2_is_pinned(tmp_path):
+    result = run_cli("koszul", "--file", _dual_file(tmp_path, 2), "--max-degree", "12",
+                     "--format", "json")
+    assert result.exit_code == 0
+    payload = json.loads(result.stdout)
+    assert payload["firstNonacyclicDegree"] == 5
+    assert [(r["dims"], r["kernelDims"], r["imageDims"], r["homology"])
+            for r in payload["perDegree"]] == DUAL_PARAFERMION_2_KOSZUL
+
+
+def test_gorenstein_cohomology_of_a_generic_member_is_pinned():
+    result = run_cli("gorenstein", "--algebra", "as", "--q", "682/967", "--r", "361/220",
+                     "--max-degree", "10", "--format", "json")
+    assert result.exit_code == 0
+    payload = json.loads(result.stdout)
+    assert payload["verdict"] == "consistent"
+    assert payload["cohomologyByDegree"] == [[0, 0, 0, 1]] + [[0, 0, 0, 0]] * 10
 
 
 HELP_COMMANDS = ([], ["hilbert"], ["dual"], ["chi"], ["koszul"], ["homology"],

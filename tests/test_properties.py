@@ -6,7 +6,9 @@ x -> D + 1 - x, in degrees with at most 729 words; the Groebner route
 (normal words and their count, normal forms, basis rows) against the
 stepwise ideal components; one left join from the union of shifts in
 degree n - 1 against the union in degree n; the dual dimensions by quotient and by
-intersection, the dimensions against those of the relabelled
+intersection, the tail split of the rows of W_n against the transposed
+word matrices of the dual algebra (also on the catalogue), the
+dimensions against those of the relabelled
 presentation, chi by two routes,
 Koszul-slice ranks against the dense oracle and the relation-file round
 trip on the same presentations; the integer-row annihilator and
@@ -27,6 +29,7 @@ from fractions import Fraction
 from hypothesis import example, given, settings, strategies as st
 
 from nhomalg.algebra import GradedAlgebra, Presentation
+from nhomalg.catalog import artin_schelter, paraboson, parafermion, plactic
 from nhomalg.koszul import build_koszul_slice, euler_agrees_with_chi
 from nhomalg.linalg import (
     Matrix,
@@ -47,6 +50,7 @@ from _oracles import (
     dense_matrix_rank,
     dense_rank,
     direct_ideal_component,
+    dual_row_tails,
     fraction_annihilator,
     fraction_intersect,
     iterated_intersection,
@@ -183,13 +187,50 @@ def test_stepwise_dual_equals_iterated_intersection(case):
         assert algebra.dual_space(n) == iterated_intersection(relations, n)
 
 
+def _dual_change_of_basis(algebra, m):
+    """T_m[b][c], the coefficient of row c of W_m by intersection at the
+    normal word b of the dual algebra in degree m."""
+    rows = algebra.dual_space(m).rows
+    normal = algebra.dual().normal_basis(m)
+    return Matrix(len(normal), len(rows),
+                  {i: {c: row.coefficient(b) for c, row in enumerate(rows)}
+                   for b, i in normal.items()})
+
+
+@given(algebras())
+@example(rational_quadratic_case())
+@example((GradedAlgebra(parafermion(2)), 7))
+@example((GradedAlgebra(parafermion(3)), 5))
+@example((GradedAlgebra(plactic(2)), 7))
+@example((GradedAlgebra(paraboson(2)), 6))
+@example((GradedAlgebra(artin_schelter(Fraction(-3, 7), Fraction(5, 2))), 7))
+def test_dual_word_matrices_carry_the_tail_split_of_the_rows(case):
+    # W_m = (A^!_m)^*: on the rows of W_m by intersection, the tail split
+    # after a prefix u is the transposed left multiplication by u in the
+    # dual algebra, up to the invertible change of basis T_m.
+    algebra, top = case
+    dual = algebra.dual()
+    bases = []
+    for m in range(top + 1):
+        basis = _dual_change_of_basis(algebra, m)
+        assert basis.nrows == basis.ncols == basis.rank()
+        bases.append(basis)
+    for j in range(1, algebra.N):
+        for m in range(j, top + 1):
+            tails = dual_row_tails(algebra, m, j)
+            for u in all_words(algebra.D, j):
+                tail = tails.get(u, Matrix(bases[m - j].ncols, bases[m].ncols))
+                assert bases[m - j].mul(tail) == \
+                    dual.word_matrix(m - j, u, "left").transpose().mul(bases[m])
+
+
 @given(algebras())
 @example(rational_quadratic_case())
 def test_dual_dims_and_chi_agree_by_both_routes(case):
     algebra, top = case
     quotient = GradedAlgebra(algebra.presentation.dual())
     for n in range(top + 1):
-        assert quotient.component_dim(n) == algebra.dual_dim(n)
+        assert quotient.component_dim(n) == algebra.dual_space(n).dim
     chi_via_product(algebra, top)  # raises if it differs from chi_direct
 
 
@@ -395,7 +436,7 @@ def test_dual_route_on_dense_annihilator_presentations(case):
     double = GradedAlgebra(dual.presentation.dual())
     relations = dual.presentation.relations
     for n in range(top + 1):
-        assert dual.dual_dim(n) == double.component_dim(n)
+        assert dual.dual_space(n).dim == double.component_dim(n)
         # The oracle stacks D^n-wide Fraction annihilators: at most 243 words.
         if algebra.D ** n <= 243:
             assert dual.dual_space(n) == iterated_intersection(relations, n)
