@@ -25,10 +25,13 @@ dimensions, and as W_n = (A^!_n)^* its word matrices give the canonical
 complexes of :mod:`nhomalg.koszul`.  W_n by intersection is kept as the
 cross-check that ``dual`` and ``checks`` read, built degree by degree,
 W_n = (W_{n-1} (x) E) cap (E^(n-N) (x) R), each meet the kernel of a
-remainder map on rows (:func:`nhomalg.linalg.intersect`), so no D^n-wide
-annihilator is built.  The direct routes, the union of all n-N+1
-shifts of R and their intersection, are oracles in the tests only; the
-intersection runs there through Fraction annihilators.
+remainder map on the rows of W_{n-1} (x) E, with the remainders read
+off a table of the degree-N words modulo R
+(:func:`_meet_shifted_relations`), so neither the shifted
+relations nor a D^n-wide annihilator is built.  The direct routes, the
+union of all n-N+1 shifts of R and their intersection, and the meet
+with the shifted relations built in full, are oracles in the tests
+only; the intersection runs there through Fraction annihilators.
 """
 
 from __future__ import annotations
@@ -48,8 +51,10 @@ from .linalg import (
     _full_reduce,
     _IntRow,
     _over_lcm,
+    _lex_index,
+    _meet,
+    all_words,
     annihilator,
-    intersect,
     rref,  # not called here; perfbench/test_perfbench.py checks this traced binding
     shift,
 )
@@ -83,6 +88,72 @@ def guard_words(D: int, degree: int, word_limit: int):
 
 
 # ---------------------------------------------------------------------------
+# W_n by intersection, with the shifted relations read through a table.
+
+def _tail_remainders(relations: Subspace) -> tuple[dict[Word, dict[int, int]], int, int]:
+    """``(table, scale, free)``: the remainder modulo ``relations`` of every
+    word of their degree, over one scale, for :func:`_meet_shifted_relations`.
+
+    ``free`` is the number of non-pivot words f and ``scale`` the lcm M of
+    the pivot coefficients; ``table[t]`` is the remainder of M t, keyed by
+    the position of each f among the non-pivot words, ascending lex.  A
+    remainder holds only words below t, so the words are numbered as the
+    ascending scan meets them.
+    """
+    ints = relations._ints
+    scale = lcm(*(row[p] for p, row in ints.items()))
+    position: dict[Word, int] = {}
+    table = {}
+    for t in all_words(relations.alphabet, relations.degree):
+        if t not in ints:
+            position[t] = len(position)
+        rem, m = relations._remainder({t: 1})
+        table[t] = {position[f]: c * (scale // m) for f, c in rem.items()}
+    return table, scale, len(position)
+
+
+def _meet_shifted_relations(space: Subspace, tails) -> Subspace:
+    """(space (x) E) cap (E^k (x) R), k = space.degree + 1 - N, with no row
+    of the shifted relations built; ``tails`` is :func:`_tail_remainders`
+    of R.
+
+    The meet is the kernel (:func:`nhomalg.linalg._meet`) of the
+    remainder map modulo E^k (x) R on the rows of space (x) E, which run
+    in the order of :func:`nhomalg.linalg.shift`, pivots decreasing.  The
+    rows u.r of E^k (x) R have pivots u.p, so the remainder of a word
+    u.t, |u| = k, is u (x) (the remainder of t modulo R): one table row,
+    its keys offset by lex(u) times the number of non-pivot words of R,
+    which keeps the order of the words u.f.
+    """
+    table, scale, free = tails
+    alphabet = space.alphabet
+    k = space.degree + 1 - len(next(iter(table)))  # the table's words have length N
+    offsets: dict[Word, int] = {}
+    ys, remainders = [], []
+    for p, y in space._ints.items():
+        split = []
+        for w, c in y.items():
+            u = w[:k]
+            offset = offsets.get(u)
+            if offset is None:
+                offset = offsets[u] = _lex_index(u, alphabet) * free
+            split.append((offset, w[k:], c))
+        for x in range(alphabet, 0, -1):
+            rem: dict[int, int] = {}
+            for offset, t, c in split:
+                for f, a in table[t + (x,)].items():
+                    key = offset + f
+                    nc = rem.get(key, 0) + c * a
+                    if nc:
+                        rem[key] = nc
+                    else:
+                        del rem[key]
+            ys.append((p + (x,), {w + (x,): c for w, c in y.items()}))
+            remainders.append((rem, scale))
+    return Subspace._from_ints(alphabet, space.degree + 1, _meet(ys, remainders))
+
+
+# ---------------------------------------------------------------------------
 # Rewriting by a truncated reduced Groebner basis.  A basis maps each
 # leading word to its primitive integer row, positive at the lead; the row
 # with lead p is the canonical row of the ideal component at pivot p.  A
@@ -100,7 +171,7 @@ class _LeadAutomaton:
     the longest suffix of s.x that is a prefix of a lead.  ``ends[s]`` is
     the length of a lead that is a suffix of state s, through its failure
     chain, or 0: a state is dead when it is nonzero.  One automaton serves
-    counting (:func:`_avoiding_counts`), scanning (:meth:`occurrence`) and
+    counting (:func:`_walk_step`), scanning (:meth:`occurrence`) and
     listing (:meth:`GradedAlgebra.normal_basis`).
     """
 
@@ -215,27 +286,18 @@ def _normal_form(word: Word, basis: dict[Word, _IntRow], leads: _LeadAutomaton,
     return memo[word]
 
 
-def _avoiding_counts(leads: _LeadAutomaton, n: int) -> list[int]:
-    """Numbers of words of lengths 0..n with no lead of ``leads`` in them.
-
-    They are the walks from the root of the automaton that never enter a
-    dead state (Ufnarovski, Math. Notes 31, 1982).  Each length costs one
-    step of states x D, and no word is built.
-    """
-    live = [state for state, length in enumerate(leads.ends) if not length]
-    edges = {state: [t for t in leads.moves[state] if not leads.ends[t]] for state in live}
-    walks = {state: 0 for state in live}
-    walks[0] = 1
-    counts = [1]
-    for _ in range(n):
-        step = {state: 0 for state in live}
-        for state, count in walks.items():
-            if count:
-                for target in edges[state]:
-                    step[target] += count
-        walks = step
-        counts.append(sum(walks.values()))
-    return counts
+def _walk_step(leads: _LeadAutomaton, walks: dict[int, int]) -> dict[int, int]:
+    """The walks one letter longer than ``walks``, a map from each state
+    to the number of walks from the root that end there and never enter
+    a dead state (Ufnarovski's graph, Math. Notes 31, 1982).  One step
+    costs at most states x D, and no word is built."""
+    moves, ends = leads.moves, leads.ends
+    step: dict[int, int] = {}
+    for state, count in walks.items():
+        for target in moves[state]:
+            if not ends[target]:
+                step[target] = step.get(target, 0) + count
+    return step
 
 
 def _extend_basis(basis: dict[Word, _IntRow], degree: int, leads: _LeadAutomaton):
@@ -333,9 +395,11 @@ class GradedAlgebra:
         self._leads = _LeadAutomaton((), self.D)  # of G's leads, rebuilt as G grows
         self._frontier: tuple[int, list[int]] | None = None  # states of the top listed degree
         self._dims: list[int] = []  # dim A_m for m = 0..len - 1
+        self._walks: tuple[_LeadAutomaton, dict[int, int]] | None = None  # at the top dim
         self._normal: dict[int, dict[Word, int]] = {}
         self._forms: dict[int, dict[Word, _Form]] = {}
         self._dual: dict[int, Subspace] = {}  # W_n by intersection
+        self._tails = None  # remainders of the degree-N words modulo R
         self._dual_algebra: GradedAlgebra | None = None
         self._word_mats: dict[tuple, Matrix] = {}
 
@@ -409,11 +473,13 @@ class GradedAlgebra:
 
     def component_dim(self, n: int) -> int:
         """dim A_n, the number of words of degree n with no leading word of
-        G in them, counted by the automaton of the leads
-        (:func:`_avoiding_counts`).  The degrees past the cache are
-        completed and counted one at a time; once one is 0 every higher
-        one is 0 (the algebra is generated in degree 1), so G is not
-        completed past the first vanishing degree.
+        G in them, counted as walks in the automaton of the leads
+        (:func:`_walk_step`).  The degrees past the cache are completed
+        and counted one at a time, each one step on from the walks of the
+        degree below; only when completing G rebuilt the automaton are the
+        walks counted again from the root.  Once a degree is 0 every
+        higher one is 0 (the algebra is generated in degree 1), so G is
+        not completed past the first vanishing degree.
 
         No word is listed, and :meth:`normal_basis` is not read even when
         it is cached: ``checks`` compares the two routes.
@@ -422,8 +488,17 @@ class GradedAlgebra:
         while n >= len(self._dims):
             if self._dims and not self._dims[-1]:
                 return 0
-            self._complete_basis(len(self._dims))
-            self._dims = _avoiding_counts(self._leads, len(self._dims))
+            top = len(self._dims)
+            self._complete_basis(top)
+            leads = self._leads
+            if self._walks is not None and self._walks[0] is leads:
+                walks = _walk_step(leads, self._walks[1])
+            else:
+                walks = {0: 1}
+                for _ in range(top):
+                    walks = _walk_step(leads, walks)
+            self._walks = (leads, walks)
+            self._dims.append(sum(walks.values()))
         return self._dims[n]
 
     def normal_basis(self, n: int) -> dict[Word, int]:
@@ -542,11 +617,13 @@ class GradedAlgebra:
         and ``checks``: W_n = (A^!_n)^*, so the two dimensions agree.
         Full space below the relation degree and the relations themselves
         at degree N.  Above, W_n = (W_{n-1} (x) E) cap (E^(n-N) (x) R):
-        the shifts with r < n - N are exactly W_{n-1} (x) E, so one
-        intersection per degree suffices.  It is the kernel of the
-        remainder map modulo one space on the rows of the other, so
-        nothing D^n wide is built beside the two shifted spaces.  Once
-        one W_n vanishes all higher ones do.
+        the shifts with r < n - N are exactly W_{n-1} (x) E, so one meet
+        per degree suffices.  It is the kernel of the remainder map modulo
+        E^(n-N) (x) R on the rows of W_{n-1} (x) E, and each remainder is
+        read off the remainders of the degree-N words modulo R, computed
+        once (:func:`_meet_shifted_relations`): no row of
+        the shifted relations is built, and the rows of W_{n-1} (x) E are
+        all that grows with n.  Once one W_n vanishes all higher ones do.
         """
         def compute():
             guard_words(self.D, n, self.word_limit)
@@ -558,7 +635,9 @@ class GradedAlgebra:
             prev = self.dual_space(n - 1)
             if prev.dim == 0:
                 return Subspace.zero(self.D, n)
-            return intersect(shift(prev, 0, 1), shift(relations, n - self.N, 0))
+            if self._tails is None:
+                self._tails = _tail_remainders(relations)
+            return _meet_shifted_relations(prev, self._tails)
         return self._cached(self._dual, n, compute)
 
     def dual_dim(self, n: int) -> int:

@@ -338,9 +338,7 @@ def normal_form(word, generators, fmt):
 @guarded
 def count(generators, max_degree, fmt):
     """Number of tableaux with entries up to D, per cell count."""
-    # Largest cell count first, so a refusal comes before any enumeration.
-    counts = [tableaux.count_tableaux(generators, n)
-              for n in reversed(range(max_degree + 1))][::-1]
+    counts = tableaux.count_tableaux(generators, max_degree)
     payload = {"schemaVersion": SCHEMA_VERSION, "command": "plactic count",
                "D": generators, "maxDegree": max_degree, "counts": counts}
     lines = ["cells  tableaux"]

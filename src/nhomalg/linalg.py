@@ -20,8 +20,11 @@ membership tests never leave the integers.  Fractions, always in lowest
 terms, are made only in the vectors handed back to callers (``rows``,
 ``reduce``, ``coordinates``).  An intersection is the kernel of the
 remainder map on the rows of the smaller space, so it reads the rows of
-both spaces and nothing else; only the annihilator lists every word of
-its degree.  A :class:`Matrix` likewise stores integer rows over one scale;
+both spaces and nothing else; its kernel (:func:`_meet`) takes the
+remainders from its caller, keyed by ints, so W_n of
+:mod:`nhomalg.algebra` runs on it with no shifted relation built.  Only
+the annihilator lists every word of its degree.
+A :class:`Matrix` likewise stores integer rows over one scale;
 its rank runs the same elimination kernel with the columns relabelled so
 that the sparsest column ranks highest, since a rank needs no canonical
 pivots, while a span keeps its greatest-word pivots.
@@ -450,37 +453,41 @@ def annihilator(space: Subspace) -> Subspace:
     return Subspace.zero(space.alphabet, space.degree)._extend(rows)
 
 
-def intersect(s1: Subspace, s2: Subspace) -> Subspace:
-    """Intersection, as the kernel of the remainder map on the smaller space.
+def _lex_index(word: Word, alphabet: int) -> int:
+    """Position of ``word`` among the words of its length, ascending lex."""
+    index = 0
+    for letter in word:
+        index = index * alphabet + letter - 1
+    return index
 
-    Let y_i be the rows of the smaller space, pivots decreasing, L_i the
-    pivot coefficient of y_i and ``(r_i, m_i)`` the remainder of y_i
-    modulo the other space, so r_i is the remainder of m_i y_i.  A vector
-    v = sum b_i y_i is fixed by its coordinates b_i L_i at the pivots,
-    which no other row meets, and its remainder is linear in v.  So the
-    row for m_i y_i holds r_i, keyed ``(1, word)``, and the coordinate
-    m_i L_i, keyed by the tag ``(0, -i)``: every word ranks above every
-    tag, and the tags rank as the pivots do.  An echelon row led by a
-    tag has no word left, so these rows span the intersection in pivot
-    coordinates; fully reduced, they are its canonical rows there, and
-    coordinates t_i give back the row sum (t_i / L_i) y_i.  Only the rows
-    of the two spaces are read, so nothing grows with alphabet ** degree.
+
+def _meet(ys: list[tuple[Word, _IntRow]],
+          remainders: Iterable[tuple[dict[int, int], int]]) -> dict[Word, _IntRow]:
+    """Canonical rows of the kernel of a remainder map on the rows ``ys``.
+
+    ``ys`` are (pivot, row) pairs of a reduced span, pivots decreasing,
+    L_i the pivot coefficient of y_i.  ``remainders`` gives, per row,
+    ``(r_i, m_i)`` with r_i the remainder of m_i y_i, its words keyed by
+    nonnegative ints that rank as the words do; the dicts are taken over.
+    A vector v = sum b_i y_i is fixed by its coordinates b_i L_i at the
+    pivots, which no other row meets, and its remainder is linear in v.
+    So the row for m_i y_i holds r_i and the coordinate m_i L_i, keyed by
+    the tag -1 - i: every word ranks above every tag, and the tags rank
+    as the pivots do.  An echelon row led by a tag has no word left, so
+    these rows span the kernel in pivot coordinates; fully reduced, they
+    are its canonical rows there, and coordinates t_i give back the row
+    sum (t_i / L_i) y_i.  A positive scale on a row changes no echelon
+    row, since every echelon row is primitive.
     """
-    s1._check_ambient(s2)
-    if s2.dim < s1.dim:
-        s1, s2 = s2, s1
-    ys = list(s1._ints.items())
     tagged = []
-    for i, (p, y) in enumerate(ys):
-        rem, m = s2._remainder(y)
-        row = {(1, w): c for w, c in rem.items()}
-        row[(0, -i)] = m * y[p]
-        tagged.append(row)
-    coords = {tag: row for tag, row in _echelon(tagged).items() if tag[0] == 0}
+    for i, ((p, y), (rem, m)) in enumerate(zip(ys, remainders)):
+        rem[-1 - i] = m * y[p]
+        tagged.append(rem)
+    coords = {tag: row for tag, row in _echelon(tagged).items() if tag < 0}
     meet: dict[Word, _IntRow] = {}
-    # Ascending i, so the pivots of the intersection come out decreasing.
-    for (_, minus_i), coord in sorted(_full_reduce(coords).items(), reverse=True):
-        terms = [(t, *ys[-minus_j]) for (_, minus_j), t in coord.items()]
+    # Ascending i, so the pivots of the kernel come out decreasing.
+    for tag, coord in sorted(_full_reduce(coords).items(), reverse=True):
+        terms = [(t, *ys[-1 - j]) for j, t in coord.items()]
         scale = lcm(*(y[p] for _, p, y in terms))
         vector: _IntRow = {}
         for t, p, y in terms:
@@ -491,8 +498,26 @@ def intersect(s1: Subspace, s2: Subspace) -> Subspace:
                     vector[w] = nc
                 else:
                     del vector[w]
-        meet[ys[-minus_i][0]] = _primitive(vector)
-    return Subspace._from_ints(s1.alphabet, s1.degree, meet)
+        meet[ys[-1 - tag][0]] = _primitive(vector)
+    return meet
+
+
+def intersect(s1: Subspace, s2: Subspace) -> Subspace:
+    """Intersection, as the kernel of the remainder map on the smaller space
+    (:func:`_meet`), its words keyed by their lex positions.
+
+    Only the rows of the two spaces are read, so nothing grows with
+    alphabet ** degree.
+    """
+    s1._check_ambient(s2)
+    if s2.dim < s1.dim:
+        s1, s2 = s2, s1
+    ys = list(s1._ints.items())
+    remainders = []
+    for _, y in ys:
+        rem, m = s2._remainder(y)
+        remainders.append(({_lex_index(w, s1.alphabet): c for w, c in rem.items()}, m))
+    return Subspace._from_ints(s1.alphabet, s1.degree, _meet(ys, remainders))
 
 
 def shift(space: Subspace, left: int, right: int) -> Subspace:

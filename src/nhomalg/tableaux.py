@@ -2,9 +2,10 @@
 
 Words over 1..D are sent to semistandard Young tableaux by row bumping;
 two words are Knuth equivalent exactly when they share a tableau.  The
-tableaux with a given cell count are counted as chains of horizontal
-strips, with no tableau built: an independent combinatorial count of
-graded dimensions.  Their enumeration stays for the listing tests.
+tableaux of every cell count up to a bound are counted in one pass, as
+chains of horizontal strips, with no tableau built: an independent
+combinatorial count of graded dimensions.  Their enumeration stays for
+the listing tests.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .algebra import DEFAULT_WORD_LIMIT, GradedAlgebra, guard_words
+from .algebra import DEFAULT_WORD_LIMIT, GradedAlgebra, MemoryGuardError, guard_words
 from .linalg import InternalConsistencyError, Word
 
 
@@ -192,16 +193,33 @@ def _horizontal_strips(shape: tuple[int, ...], room: int):
         yield lam if lam[-1] else lam[:-1]
 
 
-def count_tableaux(D: int, n: int, word_limit: int = DEFAULT_WORD_LIMIT) -> int:
-    """Number of tableaux with n cells and entries up to D, none of them built.
+def _guard_shapes(D: int, n: int, word_limit: int):
+    """Refuse a count whose shapes, the keys :func:`count_tableaux` holds,
+    exceed ``word_limit``.  For D >= 2 ``guard_words`` has bounded them:
+    there are at most 2^n <= D^n shapes of at most n cells, since each
+    partition of k is one of the 2^(k-1) compositions of k.  For D = 1
+    they are the n + 1 one-row shapes, which 1^n = 1 does not bound.
+    """
+    if D == 1 and n + 1 > word_limit:
+        raise MemoryGuardError(
+            f"{n} cells need {n + 1} one-row shapes, "
+            f"above the configured limit of {word_limit}")
+
+
+def count_tableaux(D: int, n: int, word_limit: int = DEFAULT_WORD_LIMIT) -> list[int]:
+    """Numbers of tableaux with 0..n cells and entries up to D, none of them
+    built, in one pass.
 
     The cells holding entries up to k form a shape lam^k, and a tableau
     is a chain () = lam^0 <= lam^1 <= ... <= lam^D in which every lam^k /
-    lam^(k-1) is a horizontal strip and |lam^D| = n (Macdonald,
-    *Symmetric Functions*, I.5).  The chains are counted letter by
-    letter, keyed by their last shape, with at most n cells throughout.
+    lam^(k-1) is a horizontal strip (Macdonald, *Symmetric Functions*,
+    I.5).  The chains are counted letter by letter, keyed by their last
+    shape, with at most n cells throughout, and summed by the size of
+    that shape.  Refused, before any chain is counted, by
+    ``guard_words`` at degree n and when the shapes exceed the limit.
     """
     _guard_cells(D, n, word_limit)
+    _guard_shapes(D, n, word_limit)
     chains = {(): 1}
     for _ in range(D):
         grown: dict[tuple[int, ...], int] = {}
@@ -209,7 +227,10 @@ def count_tableaux(D: int, n: int, word_limit: int = DEFAULT_WORD_LIMIT) -> int:
             for lam in _horizontal_strips(shape, n - sum(shape)):
                 grown[lam] = grown.get(lam, 0) + count
         chains = grown
-    return sum(count for shape, count in chains.items() if sum(shape) == n)
+    counts = [0] * (n + 1)
+    for shape, count in chains.items():
+        counts[sum(shape)] += count
+    return counts
 
 
 @dataclass(frozen=True)
@@ -232,14 +253,12 @@ def dimension_cross_check(D: int, n_max: int,
 
     plactic_algebra = GradedAlgebra(plactic(D), word_limit=word_limit)
     parafermi_algebra = GradedAlgebra(parafermion(D), word_limit=word_limit)
-    counts = []
-    for n in range(n_max + 1):
-        tableaux = count_tableaux(D, n, word_limit)
+    counts = count_tableaux(D, n_max, word_limit)
+    for n, tableaux in enumerate(counts):
         from_plactic = plactic_algebra.component_dim(n)
         from_parafermion = parafermi_algebra.component_dim(n)
         if not tableaux == from_plactic == from_parafermion:
             raise InternalConsistencyError(
                 f"dimension mismatch at degree {n}: {tableaux} tableaux, "
                 f"plactic {from_plactic}, parafermionic {from_parafermion}")
-        counts.append(tableaux)
     return DimensionCrossCheck(D, n_max, tuple(counts))

@@ -19,7 +19,10 @@ for a run under the reversed letter order; the ideal component as the
 union of all n-N+1 shifts of the relations, joined from zero, against
 the stepwise route and the one-join check of ``checks``; and the tail
 split of W_m on its rows by intersection, against the transposed word
-matrices of the dual algebra that the complexes use.
+matrices of the dual algebra that the complexes use; and W_n by the
+two-shift step, each degree the package's ``intersect`` with the
+D^(n-N) dim R rows of E^(n-N) (x) R, against ``dual_space``, which reads
+remainders modulo that space off a table of the degree-N words.
 """
 
 from fractions import Fraction
@@ -323,3 +326,19 @@ def dual_row_tails(algebra, m, j):
                 rows.setdefault(i, {})[c] = value
     return {prefix: Matrix(target.dim, source.dim, rows)
             for prefix, rows in columns.items()}
+
+
+def two_shift_dual_spaces(relations, top):
+    """W_0..W_top by W_n = (W_{n-1} (x) E) cap (E^(n-N) (x) R), both shifts
+    built in full by ``shift`` and met by the package's ``intersect``."""
+    from nhomalg.linalg import Subspace, intersect, shift
+
+    D, N = relations.alphabet, relations.degree
+    spaces = [Subspace.full(D, n) for n in range(min(N, top + 1))]
+    if top >= N:
+        spaces.append(relations)
+    for n in range(N + 1, top + 1):
+        prev = spaces[-1]
+        spaces.append(intersect(shift(prev, 0, 1), shift(relations, n - N, 0))
+                      if prev.dim else Subspace.zero(D, n))
+    return spaces

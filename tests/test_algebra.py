@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -6,8 +7,8 @@ from nhomalg.algebra import (
     GradedAlgebra,
     MemoryGuardError,
     Presentation,
-    _avoiding_counts,
     _LeadAutomaton,
+    _walk_step,
     free_presentation,
 )
 from nhomalg.catalog import artin_schelter, paraboson, parafermion, plactic
@@ -30,6 +31,7 @@ from _oracles import (
     parafermion_dims,
     relabelled,
     stepwise_normal_words,
+    two_shift_dual_spaces,
     word_matrix_grid,
 )
 
@@ -123,7 +125,11 @@ def test_avoiding_counts_against_brute_force():
                      (3, [(1, 2, 1), (2, 1, 1), (2, 1)]),
                      (2, []),
                      (1, [(1, 1, 1)])):
-        counts = _avoiding_counts(_LeadAutomaton(leads, D), 6)
+        automaton = _LeadAutomaton(leads, D)
+        walks, counts = {0: 1}, [1]
+        for _ in range(6):
+            walks = _walk_step(automaton, walks)
+            counts.append(sum(walks.values()))
         for n, count in enumerate(counts):
             free = [w for w in all_words(D, n)
                     if not any(w[i:i + len(p)] == p for p in leads
@@ -256,6 +262,32 @@ def test_dual_dims_agree_with_quotient_route(parafermi3):
         assert parafermi3.dual_space(n).dim == parafermi3.dual_dim(n)
 
 
+def test_component_dim_steps_on_from_the_cached_walks(monkeypatch):
+    import nhomalg.algebra as module
+
+    steps = []
+    step = module._walk_step
+
+    def counting(leads, walks):
+        steps.append(leads)
+        return step(leads, walks)
+
+    monkeypatch.setattr(module, "_walk_step", counting)
+    # G of parafermion(2) is its degree-3 relations: one step per degree,
+    # and three more when the automaton is rebuilt at degree 3.
+    algebra = GradedAlgebra(parafermion(2))
+    assert algebra.component_dim(20) == parafermion_dims(2, 20)[20]
+    assert len(steps) == 20 + 2
+    # G of plactic(3) grows in degrees 3, 4 and 5: a recount from the
+    # root after each rebuild, one step per degree otherwise.
+    steps.clear()
+    algebra = GradedAlgebra(plactic(3))
+    assert [algebra.component_dim(n) for n in (8, 4, 12)] == [parafermion_dims(3, 12)[n]
+                                                              for n in (8, 4, 12)]
+    assert len(steps) == 12 + 2 + 3 + 4
+    assert sorted({len(lead) for lead in algebra._basis}) == [3, 4, 5]
+
+
 def test_dual_dims_stop_completing_at_the_first_vanishing_degree():
     # A^! of parafermion(2) vanishes from degree 5 on: G is not completed
     # past it, however high the degree asked.
@@ -263,6 +295,56 @@ def test_dual_dims_stop_completing_at_the_first_vanishing_degree():
     assert dual.component_dim(40) == 0
     assert dual._basis_degree <= 5
     assert [dual.component_dim(n) for n in range(7)] == [1, 2, 4, 2, 1, 0, 0]
+
+
+def _seeded_artin_schelter(seed):
+    rng = random.Random(seed)
+
+    def rational():
+        return Fraction(rng.choice((1, -1)) * rng.randint(100, 999), rng.randint(100, 999))
+
+    return artin_schelter(rational(), rational())
+
+
+DUAL_SPACE_CASES = [
+    pytest.param(make, D, top, id=f"{make.__name__}{D}")
+    for make, tops in ((parafermion, (10, 7, 6)), (paraboson, (10, 7, 6)), (plactic, (10, 7, 6)))
+    for D, top in zip((2, 3, 4), tops)
+] + [pytest.param(_seeded_artin_schelter, seed, 9, id=f"as-seed{seed}")
+     for seed in (1, 2, 3)] + [
+    pytest.param(lambda D: free_presentation(D, 3), 2, 6, id="empty"),
+    pytest.param(lambda D: Presentation(D, 3, Subspace.full(D, 3)), 2, 6, id="full"),
+    pytest.param(lambda D: Presentation(D, 2, Subspace.full(D, 2)), 3, 5, id="full-quadratic"),
+]
+
+
+@pytest.mark.parametrize("make, arg, top", DUAL_SPACE_CASES)
+def test_dual_space_equals_the_two_shift_step(make, arg, top):
+    presentation = make(arg)
+    for pres in (presentation, presentation.dual()):
+        algebra = GradedAlgebra(pres, word_limit=10 ** 9)
+        oracle = two_shift_dual_spaces(pres.relations, top)
+        for n in range(top + 1):
+            space = algebra.dual_space(n)
+            assert (space.pivots, space._ints) == (oracle[n].pivots, oracle[n]._ints), n
+
+
+def test_dual_space_builds_no_shift_of_the_relations(monkeypatch):
+    import nhomalg.algebra
+    import nhomalg.linalg
+
+    shifted = []
+
+    def spy(space, left, right):
+        shifted.append(space)
+        return shift(space, left, right)
+
+    monkeypatch.setattr(nhomalg.linalg, "shift", spy)
+    monkeypatch.setattr(nhomalg.algebra, "shift", spy)
+    for presentation, top in ((parafermion(3).dual(), 7), (_seeded_artin_schelter(4).dual(), 9)):
+        algebra = GradedAlgebra(presentation)
+        assert algebra.dual_space(top).dim > 0
+        assert not any(space == presentation.relations for space in shifted)
 
 
 def test_dual_space_nesting(parafermi3):

@@ -8,7 +8,7 @@ from types import SimpleNamespace
 
 from click.testing import CliRunner
 
-from nhomalg.catalog import parafermion
+from nhomalg.catalog import parafermion, plactic
 from nhomalg.cli import main
 from nhomalg.relfile import write_relation_file
 
@@ -124,6 +124,28 @@ def test_benchmark_inputs_pin_their_full_tables():
                          "--max-degree", str(n), "--format", "json")
         assert result.exit_code == 0
         assert json.loads(result.output)["cohomologyByDegree"] == expected, name
+
+
+def test_dual_benchmark_inputs_pin_their_full_tables(tmp_path):
+    # The dual-of-dual relation files give back R, so both routes read the
+    # original algebra's dimensions; parafermion(4) reads A^!'s.
+    cases = []
+    for name, make, D, n, dims in (
+            ("parafermion", parafermion, 3, 7, [1, 3, 9, 19, 39, 69, 119, 189]),
+            ("plactic", plactic, 3, 7, [1, 3, 9, 19, 39, 69, 119, 189]),
+            ("parafermion", parafermion, 2, 10, [1, 2, 4, 6, 9, 12, 16, 20, 25, 30, 36])):
+        path = tmp_path / f"{name}{D}-dual.rel"
+        write_relation_file(path, make(D).dual())
+        cases.append((("--file", str(path), "--max-degree", str(n)), dims))
+    cases.append((("--algebra", "parafermion", "--D", "4", "--max-degree", "6"),
+                  [1, 4, 16, 20, 20, 0, 0]))
+    for args, dims in cases:
+        result = run_cli("dual", *args, "--format", "json")
+        assert result.exit_code == 0, args
+        payload = json.loads(result.output)
+        assert payload["dualDimsViaQuotient"] == dims, args
+        assert payload["dualDimsViaIntersection"] == dims, args
+        assert payload["routesAgree"] is True
 
 
 def test_checks_jobs_pin_every_result():
@@ -393,6 +415,44 @@ def _assert_clean_error(result):
     assert "Traceback" not in result.output
     errors = [line for line in result.output.splitlines() if line.startswith("Error")]
     assert len(errors) == 1
+
+
+def test_plactic_count_counts_every_degree_in_one_pass(monkeypatch):
+    # At D = 1 every degree has one tableau; counting each degree from
+    # scratch made --max-degree 4000 take seconds.
+    import nhomalg.tableaux as module
+
+    calls, strips = [], []
+    count, grow = module.count_tableaux, module._horizontal_strips
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return count(*args, **kwargs)
+
+    def growing(shape, room):
+        strips.append(shape)
+        return grow(shape, room)
+
+    monkeypatch.setattr(module, "count_tableaux", counting)
+    monkeypatch.setattr(module, "_horizontal_strips", growing)
+    result = run_cli("plactic", "count", "--D", "1", "--max-degree", "4000",
+                     "--format", "json")
+    assert result.exit_code == 0
+    assert json.loads(result.output)["counts"] == [1] * 4001
+    assert calls == [(1, 4000)]
+    assert strips == [()]
+
+
+def test_plactic_count_refuses_too_many_shapes_at_once():
+    # 1^n = 1 passes the word guard at every degree; the n + 1 one-row
+    # shapes the count would hold do not.
+    start = time.perf_counter()
+    result = run_cli("plactic", "count", "--D", "1", "--max-degree", "10000000")
+    assert time.perf_counter() - start < 1
+    _assert_clean_error(result)
+    assert result.output.splitlines() == [
+        "Error: 10000000 cells need 10000001 one-row shapes, "
+        "above the configured limit of 10000000"]
 
 
 def test_plactic_count_rejects_bad_degrees_cleanly():

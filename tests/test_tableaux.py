@@ -112,13 +112,13 @@ def test_enumerate_tableaux_golden_order():
 
 
 def test_enumeration_counts():
-    assert count_tableaux(2, 0) == 1
+    assert count_tableaux(2, 0) == [1]
     assert enumerate_tableaux(2, 0) == [EMPTY_TABLEAU]
-    assert count_tableaux(2, 3) == 6
-    assert count_tableaux(3, 4) == 39
-    assert [count_tableaux(2, n) for n in range(8)] == parafermion_dims(2, 7)
-    assert [count_tableaux(3, n) for n in range(6)] == parafermion_dims(3, 5)
-    assert [count_tableaux(1, n) for n in range(6)] == [1] * 6
+    assert count_tableaux(2, 3)[3] == 6
+    assert count_tableaux(3, 4)[4] == 39
+    assert count_tableaux(2, 7) == parafermion_dims(2, 7)
+    assert count_tableaux(3, 5) == parafermion_dims(3, 5)
+    assert count_tableaux(1, 5) == [1] * 6
 
 
 def test_count_tableaux_builds_no_list(monkeypatch):
@@ -129,27 +129,29 @@ def test_count_tableaux_builds_no_list(monkeypatch):
 
     monkeypatch.setattr(module.Tableau, "__init__", refuse)
     monkeypatch.setattr(module, "tableaux_of_shape", refuse)
-    assert module.count_tableaux(4, 8) == parafermion_dims(4, 8)[8]
+    assert module.count_tableaux(4, 8) == parafermion_dims(4, 8)
 
 
 def test_counts_equal_the_enumerated_tableaux():
     for D in range(1, 5):
+        counts = count_tableaux(D, 6)
         for n in range(7):
-            assert count_tableaux(D, n) == len(enumerate_tableaux(D, n)), (D, n)
+            assert counts[n] == len(enumerate_tableaux(D, n)), (D, n)
 
 
 def test_counts_equal_parafermion_dims_up_to_the_word_limit():
     # Every D <= 6 and every n with D^n <= 10^7, the default word limit.
     for D in range(1, 7):
         top = 30 if D == 1 else max(n for n in range(30) if D ** n <= 10 ** 7)
-        assert [count_tableaux(D, n) for n in range(top + 1)] == parafermion_dims(D, top)
+        assert count_tableaux(D, top) == parafermion_dims(D, top)
 
 
 def test_counts_match_distinct_normal_forms():
     for D in (2, 3):
+        counts = count_tableaux(D, 4)
         for n in range(5):
             forms = {word_to_tableau(w) for w in all_words(D, n)}
-            assert len(forms) == count_tableaux(D, n)
+            assert len(forms) == counts[n]
 
 
 def test_dimension_cross_check():
@@ -197,7 +199,9 @@ def test_cross_check_reports_offending_degree(monkeypatch):
     import nhomalg.tableaux as module
 
     def corrupted(D, n, word_limit):
-        return count_tableaux(D, n, word_limit) + (1 if n == 3 else 0)
+        counts = count_tableaux(D, n, word_limit)
+        counts[3] += 1
+        return counts
 
     monkeypatch.setattr(module, "count_tableaux", corrupted)
     with pytest.raises(InternalConsistencyError, match="degree 3"):
