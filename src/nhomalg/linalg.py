@@ -14,20 +14,13 @@ A span is built from vectors by :func:`rref` (the checked
 :class:`Subspace` constructor, which always eliminates) and from other
 spans by :meth:`Subspace.join`, :func:`shift`, :func:`annihilator` and
 :func:`intersect`.  Row reduction works on integer-scaled primitive rows
-(fraction-free elimination), and a span stores its rows in that form only:
-joins, shifts, annihilators, intersections, remainders and
-membership tests never leave the integers.  Fractions, always in lowest
+(fraction-free elimination, Geddes, Czapor and Labahn, *Algorithms for
+Computer Algebra*, 1992, ch. 9), and a span stores its rows in that form
+only, so no operation on spans leaves the integers; Fractions, in lowest
 terms, are made only in the vectors handed back to callers (``rows``,
-``reduce``, ``coordinates``).  An intersection is the kernel of the
-remainder map on the rows of the smaller space, so it reads the rows of
-both spaces and nothing else; its kernel (:func:`_meet`) takes the
-remainders from its caller, keyed by ints, so W_n of
-:mod:`nhomalg.algebra` runs on it with no shifted relation built.  Only
-the annihilator lists every word of its degree.
-A :class:`Matrix` likewise stores integer rows over one scale;
-its rank runs the same elimination kernel with the columns relabelled so
-that the sparsest column ranks highest, since a rank needs no canonical
-pivots, while a span keeps its greatest-word pivots.
+``reduce``, ``coordinates``).  Only the annihilator lists every word of
+its degree.  A :class:`Matrix` likewise stores integer rows over one
+scale, and its rank runs the same elimination kernel.
 """
 
 from __future__ import annotations
@@ -191,9 +184,16 @@ def _over_lcm(terms: dict) -> tuple[dict, int]:
 
 
 def _combine(row: _IntRow, other: _IntRow, word: Word) -> _IntRow:
-    """Return ``a*row - b*other`` killing ``word`` (a, b its coefficients)."""
+    """Primitive ``a*row - b*other`` killing ``word``, a/b the ratio of its
+    coefficients in lowest terms: dividing by their gcd first changes no
+    primitive result and keeps the products small."""
     a = other[word]
     b = row[word]
+    if a != 1:
+        g = gcd(a, b)
+        if g > 1:
+            a //= g
+            b //= g
     new = dict(row) if a == 1 else {w: a * c for w, c in row.items()}
     for w, c in other.items():
         nc = new.get(w, 0) - b * c
@@ -259,9 +259,7 @@ class Subspace:
     at another row's pivot, and rows are listed with strictly decreasing
     pivots.  The constructor checks its vectors and eliminates, so every
     span it builds keeps these invariants; :func:`rref` is the same
-    construction with the degree taken from the vectors.  Other spans come
-    from :meth:`join`, :func:`shift`, :func:`annihilator` and
-    :func:`intersect`.
+    construction with the degree taken from the vectors.
 
     The rows are stored in one form only: primitive integer rows, each
     with a positive pivot coefficient, keyed by pivot.  Each is the unique
@@ -349,7 +347,7 @@ class Subspace:
         ints = self._ints
         hits = [(p, ints[p]) for p in num if p in ints]
         m = lcm(*(row[p] for p, row in hits))
-        rem = {w: m * c for w, c in num.items()}
+        rem = {w: m * c for w, c in num.items()} if m > 1 else dict(num)
         for p, row in hits:
             a = num[p] * (m // row[p])
             for k, c in row.items():
@@ -377,10 +375,14 @@ class Subspace:
     def _extend(self, rows: list[_IntRow]) -> "Subspace":
         """Span of this space and the integer ``rows``.
 
-        The rows here are already reduced, so they seed the pivots and
-        only the new rows are eliminated; a row of this space changes
-        only if it holds a new pivot word, and is reused as it is if not.
+        The rows here are already reduced, so they seed the pivots; each
+        new row is first cut to its remainder (:meth:`_remainder`, one
+        pass), and only the nonzero remainders are eliminated.  A row of
+        this space changes only if it holds a new pivot word, and is
+        reused as it is if not.
         """
+        if self._ints:
+            rows = [rem for rem, _ in map(self._remainder, rows) if rem]
         return Subspace._from_ints(self.alphabet, self.degree,
                                    _reduced(rows, dict(self._ints)))
 
@@ -588,15 +590,19 @@ class Matrix:
     @classmethod
     def _from_ints(cls, nrows: int, ncols: int, rows: dict[int, dict[int, int]],
                    scale: int = 1) -> "Matrix":
-        """Integer ``rows`` over a positive ``scale``, taken over unchecked; zeros,
-        empty rows and the common factor of scale and entries are dropped."""
-        rows = {i: row for i, row in ((i, {j: v for j, v in row.items() if v})
-                                      for i, row in rows.items()) if row}
+        """Integer ``rows`` over a positive ``scale``, taken over unchecked.  One
+        pass drops zeros (copying only the rows that hold one), empty rows and
+        the common factor of scale and entries."""
+        kept = {}
         g = scale
-        for row in rows.values():
-            if g == 1:
-                break
-            g = gcd(g, *row.values())
+        for i, row in rows.items():
+            if 0 in row.values():
+                row = {j: v for j, v in row.items() if v}
+            if row:
+                kept[i] = row
+                if g > 1:
+                    g = gcd(g, *row.values())
+        rows = kept
         if g > 1:
             rows = {i: {j: v // g for j, v in row.items()} for i, row in rows.items()}
         matrix = cls.__new__(cls)

@@ -108,14 +108,20 @@ def knuth_equivalent(w1, w2) -> bool:
 @lru_cache(maxsize=None)
 def partitions(n: int) -> tuple[tuple[int, ...], ...]:
     """Partitions of n as weakly decreasing tuples, ascending lex order."""
-    def gen(remaining, cap):
+    return tuple(_shapes(n, n))
+
+
+def _shapes(n: int, rows: int):
+    """The partitions of n with at most ``rows`` parts, ascending lex; a first
+    part below ceil(n / rows) would leave too much for the other parts."""
+    def gen(remaining, cap, parts):
         if remaining == 0:
             yield ()
             return
-        for first in range(min(cap, remaining), 0, -1):
-            for rest in gen(remaining - first, first):
+        for first in range(-(-remaining // parts), min(cap, remaining) + 1):
+            for rest in gen(remaining - first, first, parts - 1):
                 yield (first,) + rest
-    return tuple(sorted(gen(n, n)))
+    return gen(n, n, rows)
 
 
 def tableaux_of_shape(shape, max_letter: int):
@@ -162,9 +168,10 @@ def _guard_cells(D: int, n: int, word_limit: int):
 
 
 def _all_tableaux(D: int, n: int, word_limit: int):
-    """Iterate the tableaux with n cells and entries up to D, by shape then filling."""
+    """Iterate the tableaux with n cells and entries up to D, by shape then
+    filling; only the shapes with at most D rows are walked."""
     _guard_cells(D, n, word_limit)
-    for shape in partitions(n):
+    for shape in _shapes(n, D):
         yield from tableaux_of_shape(shape, D)
 
 

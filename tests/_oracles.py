@@ -22,7 +22,12 @@ split of W_m on its rows by intersection, against the transposed word
 matrices of the dual algebra that the complexes use; and W_n by the
 two-shift step, each degree the package's ``intersect`` with the
 D^(n-N) dim R rows of E^(n-N) (x) R, against ``dual_space``, which reads
-remainders modulo that space off a table of the degree-N words.
+remainders modulo that space off a table of the degree-N words; the
+elimination kernel with undivided multipliers, each new row of a span
+eliminated whole, against the package's kernel, which divides the
+multipliers by their gcd and cuts new rows to their remainders first and
+must give bit-identical rows; and ``Matrix._from_ints`` in two passes,
+every row copied, against the one-pass one.
 """
 
 from fractions import Fraction
@@ -342,3 +347,79 @@ def two_shift_dual_spaces(relations, top):
         spaces.append(intersect(shift(prev, 0, 1), shift(relations, n - N, 0))
                       if prev.dim else Subspace.zero(D, n))
     return spaces
+
+
+def whole_row_combine(row, other, word):
+    """Primitive ``a*row - b*other`` killing ``word``, a and b its two
+    coefficients as they stand: the kernel step with no gcd taken first,
+    against ``linalg._combine``."""
+    from nhomalg.linalg import _primitive
+
+    a = other[word]
+    b = row[word]
+    new = dict(row) if a == 1 else {w: a * c for w, c in row.items()}
+    for w, c in other.items():
+        nc = new.get(w, 0) - b * c
+        if nc:
+            new[w] = nc
+        elif w in new:
+            del new[w]
+    return _primitive(new) if new else new
+
+
+def whole_row_echelon(rows, pivots=None):
+    """``linalg._echelon`` on :func:`whole_row_combine`."""
+    from nhomalg.linalg import _primitive
+
+    if pivots is None:
+        pivots = {}
+    for row in rows:
+        row = dict(row)
+        while row:
+            w = max(row)
+            hit = pivots.get(w)
+            if hit is None:
+                pivots[w] = _primitive(row)
+                break
+            row = whole_row_combine(row, hit, w)
+    return pivots
+
+
+def whole_row_extend(space, rows):
+    """The span of ``space`` and the integer ``rows``, each new row eliminated
+    whole with no remainder pass first, and reduced back to front on
+    :func:`whole_row_combine`: against ``Subspace._extend``."""
+    from nhomalg.linalg import Subspace
+
+    done = {}
+    pivots = whole_row_echelon(rows, dict(space._ints))
+    for w in sorted(pivots):
+        row = pivots[w]
+        for hit in [k for k in row if k != w and k in done]:
+            row = whole_row_combine(row, done[hit], hit)
+        if row[w] < 0:
+            row = {k: -c for k, c in row.items()}
+        done[w] = row
+    return Subspace._from_ints(space.alphabet, space.degree,
+                               {w: done[w] for w in sorted(done, reverse=True)})
+
+
+def two_pass_matrix(nrows, ncols, rows, scale=1):
+    """``Matrix._from_ints`` in two passes, every row copied: zeros and empty
+    rows dropped first, then the common factor of scale and entries."""
+    from math import gcd
+
+    from nhomalg.linalg import Matrix
+
+    rows = {i: row for i, row in ((i, {j: v for j, v in row.items() if v})
+                                  for i, row in rows.items()) if row}
+    g = scale
+    for row in rows.values():
+        if g == 1:
+            break
+        g = gcd(g, *row.values())
+    if g > 1:
+        rows = {i: {j: v // g for j, v in row.items()} for i, row in rows.items()}
+    matrix = Matrix.__new__(Matrix)
+    matrix.nrows, matrix.ncols, matrix.rows, matrix.scale = nrows, ncols, rows, scale // g
+    return matrix

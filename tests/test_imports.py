@@ -1,4 +1,5 @@
-"""Every name a package module imports is used in that module."""
+"""Every name a package module imports is used in that module, and every
+module parses under the oldest Python that ``requires-python`` admits."""
 
 import ast
 from pathlib import Path
@@ -39,3 +40,13 @@ def test_package_modules_have_no_unused_imports():
         found += [(path.stem, name) for name in unused_imports(path.read_text())
                   if (path.stem, name) not in ALLOWED]
     assert found == []
+
+
+OLDEST_PYTHON = (3, 10)
+
+
+def test_package_modules_parse_as_the_oldest_supported_python():
+    pyproject = (PACKAGE.parent.parent / "pyproject.toml").read_text()
+    assert f'requires-python = ">={OLDEST_PYTHON[0]}.{OLDEST_PYTHON[1]}"' in pyproject
+    for path in sorted(PACKAGE.glob("*.py")):
+        ast.parse(path.read_text(), filename=str(path), feature_version=OLDEST_PYTHON)

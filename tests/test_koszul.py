@@ -9,6 +9,7 @@ from nhomalg.algebra import GradedAlgebra, Presentation, free_presentation
 from nhomalg.catalog import artin_schelter, paraboson, parafermion, plactic
 from nhomalg import koszul
 from nhomalg.koszul import (
+    ComplexSlice,
     _differential,
     _dual_slice,
     build_contraction_slice,
@@ -265,6 +266,25 @@ def test_euler_check_builds_no_slice(monkeypatch):
             monkeypatch.setattr(koszul, "chi_direct", lambda algebra, n_max: off)
             assert not euler_agrees_with_chi(algebra, n_max), n
         monkeypatch.setattr(koszul, "chi_direct", chi_direct)
+
+
+def test_slice_refuses_a_nonzero_composition_and_accepts_cancelling_terms():
+    ones = Matrix(2, 1, {0: {0: 1}, 1: {0: 1}})
+    # The product with ``ones`` cancels to zero in rows 0 and 1, not in row 2.
+    last_row = Matrix(3, 2, {0: {0: 1, 1: -1},
+                             1: {0: Fraction(1, 2), 1: Fraction(-1, 2)},
+                             2: {0: 1}})
+    with pytest.raises(InternalConsistencyError,
+                       match="composition nonzero between positions 2 and 0 "
+                             "of the degree-4 slice"):
+        ComplexSlice(4, ((4, 0), (3, 1), (2, 2)), (3, 2, 1), (last_row, ones))
+    with pytest.raises(InternalConsistencyError, match="between positions 3 and 1 "):
+        ComplexSlice(4, ((4, 0), (3, 1), (2, 2), (1, 3)), (1, 3, 2, 1),
+                     (Matrix(1, 3), last_row, ones))
+    cancelling = Matrix(2, 2, {0: {0: 3, 1: -3}, 1: {0: Fraction(-1, 4), 1: Fraction(1, 4)}})
+    accepted = ComplexSlice(4, ((4, 0), (3, 1), (2, 2)), (2, 2, 1), (cancelling, ones))
+    assert accepted.matrices == (cancelling, ones)
+    assert cancelling.mul(ones).is_zero() and not last_row.mul(ones).is_zero()
 
 
 def test_koszul_probe_checks_each_slice_euler_against_chi(parafermi3, monkeypatch):

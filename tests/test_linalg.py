@@ -19,7 +19,7 @@ from nhomalg.linalg import (
     word_vector,
 )
 
-from _oracles import bracket_vectors, dense_rank, relabel, relabel_vector
+from _oracles import bracket_vectors, dense_rank, relabel, relabel_vector, two_pass_matrix
 
 
 def tv(degree, terms):
@@ -403,6 +403,35 @@ def test_matrix_stores_nonzeros_only():
     assert a.mul(a) == Matrix(2, 2, {0: {0: Fraction(-3, 2)}, 1: {1: Fraction(-3, 2)}})
     assert a.transpose().transpose() == a
     assert a.rank() == 2 and b.rank() == 1
+
+
+def test_matrix_from_ints_drops_zeros_empty_rows_and_common_factor_in_one_pass():
+    cases = [
+        # explicit zeros, an all-zero row and an empty row
+        (3, 3, {0: {0: 2, 1: 0}, 1: {0: 0, 2: 0}, 2: {}}, 1),
+        # a common factor 6 of scale and entries, a zero among them
+        (2, 3, {0: {0: 12, 2: -18}, 1: {1: 0, 2: 30}}, 12),
+        # entries whose gcd shares only part of the scale
+        (2, 2, {0: {0: 4}, 1: {1: 10}}, 6),
+        # scale 1: nothing to divide, even with a common factor of entries
+        (2, 2, {0: {0: 4, 1: -8}, 1: {1: 12}}, 1),
+        # no factor shared with the scale
+        (1, 2, {0: {0: 3, 1: 5}}, 4),
+    ]
+    for nrows, ncols, rows, scale in cases:
+        snapshot = {i: dict(row) for i, row in rows.items()}
+        got = Matrix._from_ints(nrows, ncols, rows, scale)
+        want = two_pass_matrix(nrows, ncols, snapshot, scale)
+        assert got == want
+        assert list(got.rows.items()) == list(want.rows.items())
+        assert all(got.rows.values()) and all(all(row.values()) for row in got.rows.values())
+    # With nothing to divide out, a row holding no zero is taken over as it
+    # is and a row holding one is copied, leaving the caller's dict alone.
+    clean, holed = {0: 3, 2: -1}, {1: 0, 2: 5}
+    m = Matrix._from_ints(2, 3, {0: clean, 1: holed}, 2)
+    assert m.rows[0] is clean
+    assert m.rows[1] == {2: 5} and holed == {1: 0, 2: 5}
+    assert m.scale == 2
 
 
 def test_matrix_sum_and_dense_view():

@@ -21,7 +21,10 @@ against the Fraction oracle and the quotient of the double dual; and the
 integer-scaled matrices against dense Fraction grids, on small random
 matrices whose entries have different denominators; and the rank in
 sparsest-column order against the dense oracle, on sparse integer
-matrices with repeated, empty and tied rows and columns."""
+matrices with repeated, empty and tied rows and columns; and the rows of
+``_echelon``, ``_extend`` and ``join`` against the whole-row elimination
+oracle, bit for bit, with the untouched rows of a span reused, on rows
+with large rational coefficients."""
 
 from collections import Counter
 from fractions import Fraction
@@ -35,6 +38,9 @@ from nhomalg.linalg import (
     Matrix,
     Subspace,
     TensorVector,
+    _echelon,
+    _over_lcm,
+    _primitive,
     all_words,
     annihilator,
     intersect,
@@ -57,6 +63,8 @@ from _oracles import (
     relabel,
     relabelled,
     stepwise_normal_words,
+    whole_row_echelon,
+    whole_row_extend,
 )
 
 MAX_WORDS = 729
@@ -571,3 +579,54 @@ def test_rank_in_sparsest_column_order_equals_dense_rank(case):
     labels = matrix._column_labels()
     assert sorted(labels) == sorted(counts)
     assert sorted(labels, key=labels.get) == sorted(counts, key=lambda j: (-counts[j], j))
+
+
+# ---------------------------------------------------------------------------
+# The elimination kernel against the whole-row oracle, on large coefficients.
+
+# Numerators k * f and denominators d with f and d large powers, so the
+# integer rows carry large coefficients whose pivots share large factors.
+large_coefficients = st.builds(
+    lambda k, f, d: Fraction(k * f, d),
+    st.sampled_from((-7, -2, -1, 1, 3, 4, 9)),
+    st.sampled_from((1, 2 ** 40, 6 ** 15, 10 ** 12 + 39)),
+    st.sampled_from((1, 7, 2 ** 30, 3 ** 20)))
+
+
+@st.composite
+def kernel_cases(draw):
+    """Two lists of primitive integer rows, from p/q vectors with
+    ``large_coefficients``, in one degree with at most 27 words."""
+    D = draw(st.sampled_from([3, 2, 1]))
+    degree = draw(st.integers(1, top_degree(D, 3)))
+    words = list(all_words(D, degree))
+
+    def integer_rows():
+        vectors = draw(st.lists(st.dictionaries(st.sampled_from(words), large_coefficients,
+                                                min_size=1, max_size=5), max_size=7))
+        return [_primitive(_over_lcm(v)[0]) for v in vectors]
+
+    return D, degree, integer_rows(), integer_rows()
+
+
+@example((2, 2, [{(2, 2): 3, (1, 1): 1}, {(2, 1): 2, (1, 2): 1}], [{(1, 2): 5}]))
+@given(kernel_cases())
+def test_kernel_rows_are_bit_identical_to_the_whole_row_oracle(case):
+    D, degree, base_rows, new_rows = case
+    assert list(_echelon(new_rows).items()) == list(whole_row_echelon(new_rows).items())
+    empty = Subspace.zero(D, degree)
+    space = empty._extend(base_rows)
+    assert list(space._ints.items()) == list(whole_row_extend(empty, base_rows)._ints.items())
+    assert space == Subspace(D, degree, [TensorVector(degree, row) for row in base_rows])
+    other = empty._extend(new_rows)
+    joined = space.join(other)
+    want = whole_row_extend(space, list(other._ints.values()))
+    assert list(joined._ints.items()) == list(want._ints.items())
+    extended = space._extend(new_rows)
+    want = whole_row_extend(space, new_rows)
+    assert list(extended._ints.items()) == list(want._ints.items())
+    # A row of the space that holds no new pivot word is reused as it is.
+    fresh = set(extended._ints) - set(space._ints)
+    for pivot, row in space._ints.items():
+        if not fresh & row.keys():
+            assert extended._ints[pivot] is row

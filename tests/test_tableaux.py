@@ -111,6 +111,27 @@ def test_enumerate_tableaux_golden_order():
     ]
 
 
+def test_enumeration_fills_only_shapes_within_D_rows(monkeypatch):
+    import nhomalg.tableaux as module
+
+    filled = []
+    fill = module.tableaux_of_shape
+
+    def counted(shape, max_letter):
+        filled.append(tuple(shape))
+        return fill(shape, max_letter)
+
+    monkeypatch.setattr(module, "tableaux_of_shape", counted)
+    assert enumerate_tableaux(1, 60) == [Tableau([[1] * 60])]
+    assert filled == [(60,)]
+    filled.clear()
+    enumerate_tableaux(2, 6)
+    assert filled == [(3, 3), (4, 2), (5, 1), (6,)]
+    filled.clear()
+    enumerate_tableaux(3, 6)
+    assert filled == [(2, 2, 2), (3, 2, 1), (3, 3), (4, 1, 1), (4, 2), (5, 1), (6,)]
+
+
 def test_enumeration_counts():
     assert count_tableaux(2, 0) == [1]
     assert enumerate_tableaux(2, 0) == [EMPTY_TABLEAU]
