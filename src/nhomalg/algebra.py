@@ -4,16 +4,24 @@ A presentation is D generators and a subspace of relations in degree N.
 The quotient algebra is handled degree by degree through a truncated
 reduced Groebner basis G of the two-sided ideal (Bergman's diamond
 lemma): the words that contain no leading word of G are a basis of each
-graded piece, and rewriting an occurrence of a leading word gives the
-normal form of every element.  G is built one degree at a time from the
-overlap ambiguities of its leading words, so nothing D^n wide is stored.
-One Aho-Corasick automaton of the leading words, rebuilt each time G
-grows, serves counting, scanning and listing: the graded dimensions are
-counted without listing a word, as walks in it that avoid its dead
-states (Ufnarovski's graph); a rewriting step finds its lead by one scan
+graded piece, and every word has a unique normal form modulo G.  G is
+built one degree at a time from the overlap ambiguities of its leading
+words, so nothing D^n wide is stored.  One Aho-Corasick automaton of the
+leading words, rebuilt each time G grows, serves counting, scanning and
+listing: the graded dimensions are counted without listing a word, as
+walks in it that avoid its dead states (Ufnarovski's graph); a word's
+first lead, and with it its longest normal prefix, is found by one scan
 of the word through it; and the normal words are listed by carrying each
 word's state to the next degree.  The list is built only where something
 reads it, and :mod:`nhomalg.checks` compares its length with the count.
+
+Normal forms are tabled only for the border words b.x, b normal
+(:meth:`GradedAlgebra._fill_borders`), and any other word is walked from
+its border prefix one letter at a time (:meth:`GradedAlgebra._form`), so
+the left one-letter matrices follow from the right ones by
+associativity.  Only the S-elements of the G completion are rewritten at
+a lead (:func:`_normal_form`).
+
 The stepwise ideal component I_n = I_{n-1} (x) E + E^(n-N) (x) R is kept
 as the cross-check, built only by :mod:`nhomalg.checks` and the tests;
 ``checks`` builds I_n once more from the other side,
@@ -154,11 +162,12 @@ def _meet_shifted_relations(space: Subspace, tails) -> Subspace:
 
 
 # ---------------------------------------------------------------------------
-# Rewriting by a truncated reduced Groebner basis.  A basis maps each
+# Normal forms by a truncated reduced Groebner basis.  A basis maps each
 # leading word to its primitive integer row, positive at the lead; the row
 # with lead p is the canonical row of the ideal component at pivot p.  A
 # normal form is ``(row, den)``: an integer row over normal words and a
-# positive denominator with no common factor, the vector row / den.
+# positive denominator with no common factor, the vector row / den.  Forms
+# are shared between tables and never changed in place.
 
 _Form = tuple[_IntRow, int]
 
@@ -228,19 +237,15 @@ class _LeadAutomaton:
         return None
 
 
-def _combine_forms(terms: list[tuple[Word, int]], memo: dict[Word, _Form],
-                   scale: int) -> _Form:
-    """Normal form of ``sum c * word`` over ``terms``, divided by ``scale`` > 0.
-
-    Every word of ``terms`` must already have its form in ``memo``.
-    """
-    den = lcm(*(memo[word][1] for word, _ in terms))
+def _combine_forms(terms: list[tuple[_Form, int]], scale: int) -> _Form:
+    """The normal form ``sum c * form`` over ``terms``, divided by ``scale`` > 0."""
+    den = lcm(*[d for (_, d), _ in terms])
     acc: _IntRow = {}
-    for word, c in terms:
-        row, d = memo[word]
-        factor = c * (den // d)
+    get = acc.get
+    for (row, d), c in terms:
+        factor = c if d == den else c * (den // d)
         for k, x in row.items():
-            acc[k] = acc.get(k, 0) + factor * x
+            acc[k] = get(k, 0) + factor * x
     row = {k: x for k, x in acc.items() if x}
     den *= scale
     g = gcd(den, *row.values())
@@ -250,9 +255,25 @@ def _combine_forms(terms: list[tuple[Word, int]], memo: dict[Word, _Form],
     return row, den
 
 
+def _border_step(form: _Form, x: int, borders: dict[Word, _Form]) -> _Form:
+    """The normal form of (form).x, one degree up: the combination of the
+    border forms NF(c.x) over the normal words c of ``form``, read from
+    ``borders``, the table of that degree.  A form that is one normal word
+    with coefficient 1 returns its border form itself, with no combination.
+    """
+    row, den = form
+    if den == 1 and len(row) == 1:
+        (c, a), = row.items()
+        if a == 1:
+            return borders[c + (x,)]
+    return _combine_forms([(borders[c + (x,)], a) for c, a in row.items()], den)
+
+
 def _normal_form(word: Word, basis: dict[Word, _IntRow], leads: _LeadAutomaton,
                  memo: dict[Word, _Form]) -> _Form:
-    """Normal form of ``word`` modulo the ideal that ``basis`` generates.
+    """Normal form of ``word`` modulo the ideal that ``basis`` generates, for
+    the S-elements of :func:`_extend_basis`; every other normal form comes
+    from the border tables of :class:`GradedAlgebra`.
 
     ``leads`` is the automaton of the leads of ``basis``.  A word with no
     lead in it is its own normal form.  Otherwise the first occurrence
@@ -281,7 +302,7 @@ def _normal_form(word: Word, basis: dict[Word, _IntRow], leads: _LeadAutomaton,
         if missing:
             pending.extend(missing)
             continue
-        memo[t] = _combine_forms(tails, memo, row[lead])
+        memo[t] = _combine_forms([(memo[tail], c) for tail, c in tails], row[lead])
         pending.pop()
     return memo[word]
 
@@ -329,10 +350,8 @@ def _extend_basis(basis: dict[Word, _IntRow], degree: int, leads: _LeadAutomaton
                 for word, c in gb.items():
                     word = x + word
                     s[word] = s.get(word, 0) - la * c
-                terms = [(word, c) for word, c in s.items() if c]
-                for word, _ in terms:
-                    _normal_form(word, basis, leads, memo)
-                row, _ = _combine_forms(terms, memo, 1)
+                row, _ = _combine_forms(
+                    [(_normal_form(word, basis, leads, memo), c) for word, c in s.items() if c], 1)
                 if row:
                     rows.append(row)
     basis.update(_full_reduce(_echelon(rows)))
@@ -377,10 +396,12 @@ class GradedAlgebra:
 
     The quotient side rests on the truncated reduced Groebner basis G,
     extended degree by degree on first request; the graded dimensions
-    are cached up to the highest degree counted, normal bases and normal
-    forms by degree, and word matrices by degree, word and side.  The
-    dual algebra is built once, on first request; the intersection
-    spaces W_n, its cross-check, are cached by degree.
+    are cached up to the highest degree counted, normal bases by degree,
+    the normal forms of the border words b.x (b normal) in one table per
+    degree, those of the other words asked for (the words x.b of the
+    left one-letter matrices) in one memo, and word matrices by degree,
+    word and side.  The dual algebra is built once, on first request;
+    the intersection spaces W_n, its cross-check, are cached by degree.
     """
 
     def __init__(self, presentation: Presentation,
@@ -397,7 +418,8 @@ class GradedAlgebra:
         self._dims: list[int] = []  # dim A_m for m = 0..len - 1
         self._walks: tuple[_LeadAutomaton, dict[int, int]] | None = None  # at the top dim
         self._normal: dict[int, dict[Word, int]] = {}
-        self._forms: dict[int, dict[Word, _Form]] = {}
+        self._borders: list[dict[Word, _Form]] = []  # NF(b.x) by degree
+        self._forms: dict[Word, _Form] = {}  # words past their border prefix
         self._dual: dict[int, Subspace] = {}  # W_n by intersection
         self._tails = None  # remainders of the degree-N words modulo R
         self._dual_algebra: GradedAlgebra | None = None
@@ -428,14 +450,76 @@ class GradedAlgebra:
                 self._leads = _LeadAutomaton(self._basis, self.D)
                 self._frontier = None
 
+    def _fill_borders(self, n: int):
+        """Extend the border tables through degree n, each degree after the
+        ones below it.  The table of degree m maps every border word b.x,
+        b a normal word of degree m - 1, to NF(b.x): D dim A_{m-1} forms.
+
+        The border words are taken ascending lex (b ascending, then x).  A
+        normal one is its own form.  In any other, a lead p of G is a
+        suffix, as b is normal, so b.x = u.p and
+        NF(b.x) = -(1/L_p) sum_{k != p} c_k NF(u.k) over the row of p.
+        Each NF(u.k) is built from the normal word u one letter of k at a
+        time (:func:`_border_step`), and each step reads only tables that
+        are complete: NF(v) holds no word above v, and u.k < u.p, so the
+        forms of degree m that it reads come earlier in the scan.  The
+        forms of the prefixes u.k[:i] are kept while the degree is filled
+        and dropped after it.
+        """
+        while len(self._borders) <= n:
+            m = len(self._borders)
+            normal = self.normal_basis(m)
+            basis, leads, borders = self._basis, self._leads, self._borders
+            table: dict[Word, _Form] = {}
+            borders.append(table)
+            tails: dict[Word, _Form] = {}
+            for b in self.normal_basis(m - 1) if m else ():
+                for x in range(1, self.D + 1):
+                    w = b + (x,)
+                    if w in normal:
+                        table[w] = ({w: 1}, 1)
+                        continue
+                    start, lead = leads.occurrence(w)
+                    row = basis[lead]
+                    u = w[:start]
+                    terms = [(self._walk(u + k, start, ({u: 1}, 1), tails), -c)
+                             for k, c in row.items() if k != lead]
+                    table[w] = _combine_forms(terms, row[lead])
+
+    def _walk(self, word: Word, start: int, form: _Form,
+              memo: dict[Word, _Form]) -> _Form:
+        """Normal form of ``word`` from ``form``, the form of its first
+        ``start`` letters, or from its longest longer prefix in ``memo``:
+        one :func:`_border_step` per remaining letter, each prefix it
+        reaches memoised.  The border tables must be filled to its degree.
+        """
+        for j in range(len(word), start, -1):
+            found = memo.get(word[:j])
+            if found is not None:
+                start, form = j, found
+                break
+        for j in range(start, len(word)):
+            form = memo[word[:j + 1]] = _border_step(form, word[j], self._borders[j + 1])
+        return form
+
     def _form(self, word: Word) -> _Form:
-        """Normal form of a word, memoised by degree.  A degree's memo is
-        made only once G is complete to that degree."""
-        memo = self._forms.get(len(word))
-        if memo is None:
-            self._complete_basis(len(word))
-            memo = self._forms[len(word)] = {}
-        return _normal_form(word, self._basis, self._leads, memo)
+        """Normal form of a word, from the border tables.
+
+        A normal word is its own form.  Any other word is walked
+        (:meth:`_walk`) from its border prefix, its longest normal prefix
+        and one letter more, whose form is in the table, or from its
+        longest memoised prefix; the words past the border prefix are
+        memoised.  For the words x.b of a left one-letter matrix they are
+        the words x.b' of the matrix one degree down, so its column at
+        b'.y is R(y) applied to that column at b'.
+        """
+        self._fill_borders(len(word))
+        hit = self._leads.occurrence(word)
+        if hit is None:
+            return {word: 1}, 1
+        start, lead = hit
+        edge = start + len(lead)
+        return self._walk(word, edge, self._borders[edge][word[:edge]], self._forms)
 
     def ideal_component(self, n: int) -> Subspace:
         """Degree-n piece of the two-sided ideal generated by the relations.
@@ -539,7 +623,8 @@ class GradedAlgebra:
         """Normal form of v: its canonical representative modulo the ideal,
         supported on normal words.
 
-        Combines the memoised normal forms of v's words under G; the
+        Combines the normal forms of v's words, each read off the border
+        tables or walked from its border prefix (:meth:`_form`); the
         stepwise ``ideal_component(v.degree).reduce(v)`` is the cross-check.
         """
         n = v.degree
@@ -548,7 +633,7 @@ class GradedAlgebra:
             if any(letter > self.D for letter in word):
                 raise ValueError(f"word {word} uses letters above {self.D}")
         num, den = _over_lcm(v.terms)
-        row, den = _combine_forms(list(num.items()), {w: self._form(w) for w in num}, den)
+        row, den = _combine_forms([(self._form(w), c) for w, c in num.items()], den)
         return TensorVector._trusted(n, {w: Fraction(c, den) for w, c in row.items()})
 
     def normal_coordinates(self, v: TensorVector) -> list[Fraction]:
@@ -560,11 +645,13 @@ class GradedAlgebra:
         """Matrix of multiplication by a fixed word, in normal bases.
 
         Maps degree n to degree ``n + len(word)``; ``side`` selects
-        ``a -> a*word`` (right) or ``a -> word*a`` (left).  A word of one
-        letter (or none) is read off the normal forms of the products with
-        the normal words; a longer word u_1...u_k is the product of its
-        memoised one-letter matrices, R(u_k)...R(u_1) on the right and
-        L(u_1)...L(u_k) on the left, so no longer word is rewritten.
+        ``a -> a*word`` (right) or ``a -> word*a`` (left).  A right
+        one-letter matrix is read off the border table of degree n + 1.
+        The column of a left one L(x) at b = b'.y is the form of x.b, which
+        :meth:`_form` builds as R(y) applied to its column at b' one degree
+        down.  A longer word u_1...u_k is the product of its memoised
+        one-letter matrices, R(u_k)...R(u_1) on the right and
+        L(u_1)...L(u_k) on the left, so no longer word is reduced.
         """
         word = tuple(word)
         if side not in ("left", "right"):
@@ -588,10 +675,16 @@ class GradedAlgebra:
 
     def _read_off_forms(self, n: int, word: Word, side: str) -> Matrix:
         """The matrix of :meth:`word_matrix`, column b the normal form of
-        b.word (right) or word.b (left) for each normal word b of degree n."""
+        b.word (right) or word.b (left) for each normal word b of degree n.
+        A right one-letter matrix is read straight off the border table."""
         source = self.normal_basis(n)
         target = self.normal_basis(n + len(word))
-        forms = [self._form(b + word if side == "right" else word + b) for b in source]
+        if side == "right" and word:
+            self._fill_borders(n + 1)
+            borders = self._borders[n + 1]
+            forms = [borders[b + word] for b in source]
+        else:
+            forms = [self._form(word + b) for b in source]
         scale = lcm(*(den for _, den in forms))
         rows: dict[int, dict[int, int]] = {}
         for j, (row, den) in enumerate(forms):

@@ -252,19 +252,25 @@ def occurrence(word, basis):
     return None
 
 
-def word_matrix_grid(algebra, n, word, side):
-    """The matrix of multiplication by ``word`` from degree n, as a dense
-    grid: column b holds the normal coordinates of ``reduce_to_normal`` of
-    the whole word b + word (right) or word + b (left)."""
-    from nhomalg.linalg import word_vector
+def ideal_word_matrix(algebra, n, word, side):
+    """The matrix of multiplication by ``word`` from degree n: column b
+    holds the whole word b + word (right) or word + b (left) reduced modulo
+    the stepwise ideal component, over the normal words.  That route reads
+    no Groebner basis, and its canonical remainder, supported on the
+    non-pivot words, is the normal form.  Built by the checked ``Matrix``
+    constructor from Fraction entries."""
+    from nhomalg.linalg import Matrix, word_vector
 
     word = tuple(word)
+    source = algebra.normal_basis(n)
     target = algebra.normal_basis(n + len(word))
-    columns = []
-    for b in algebra.normal_basis(n):
-        form = algebra.reduce_to_normal(word_vector(b + word if side == "right" else word + b))
-        columns.append([form.coefficient(w) for w in target])
-    return [[column[i] for column in columns] for i in range(len(target))]
+    ideal = algebra.ideal_component(n + len(word))
+    rows = {}
+    for j, b in enumerate(source):
+        form = ideal.reduce(word_vector(b + word if side == "right" else word + b))
+        for w, c in form.terms.items():
+            rows.setdefault(target[w], {})[j] = c
+    return Matrix(len(target), len(source), rows)
 
 
 def relabel_vector(v, D):

@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -12,6 +13,7 @@ from nhomalg.algebra import (
     free_presentation,
 )
 from nhomalg.catalog import artin_schelter, paraboson, parafermion, plactic
+from nhomalg.koszul import gorenstein_probe
 from nhomalg.series import poincare_series
 from nhomalg.linalg import (
     Subspace,
@@ -26,13 +28,13 @@ from _oracles import (
     bracket_vectors,
     dense_rank,
     direct_ideal_component,
+    ideal_word_matrix,
     iterated_intersection,
     occurrence,
     parafermion_dims,
     relabelled,
     stepwise_normal_words,
     two_shift_dual_spaces,
-    word_matrix_grid,
 )
 
 
@@ -164,10 +166,6 @@ def test_multiply_by_generator_degree_zero(parafermi2):
             parafermi2.word_matrix(0, word)
 
 
-def _grid(matrix):
-    return [[matrix.entry(i, j) for j in range(matrix.ncols)] for i in range(matrix.nrows)]
-
-
 def test_multiplication_composes_along_words(parafermi2):
     # Multiplying degree by degree along 1, 2, 1 equals the normal forms
     # of the whole words; the word's own matrix is that product.
@@ -179,7 +177,7 @@ def test_multiplication_composes_along_words(parafermi2):
     assert column == parafermi2.normal_coordinates(word_vector((1, 2, 1)))
     direct = parafermi2.word_matrix(0, (1, 2, 1), "right")
     assert direct == composed
-    assert _grid(direct) == word_matrix_grid(parafermi2, 0, (1, 2, 1), "right")
+    assert direct == ideal_word_matrix(parafermi2, 0, (1, 2, 1), "right")
 
 
 def test_word_matrices_equal_normal_forms_of_whole_words(parafermi2, parafermi3, plactic3):
@@ -191,9 +189,24 @@ def test_word_matrices_equal_normal_forms_of_whole_words(parafermi2, parafermi3,
         for n in range(n_max + 1):
             for word in words:
                 for side in ("right", "left"):
-                    assert _grid(algebra.word_matrix(n, word, side)) == \
-                        word_matrix_grid(algebra, n, word, side), (algebra, n, word, side)
+                    assert algebra.word_matrix(n, word, side) == \
+                        ideal_word_matrix(algebra, n, word, side), (algebra, n, word, side)
     assert generic.word_matrix(2, (2, 1), "left").scale > 1
+
+
+def test_normal_forms_are_memoised_on_border_words_only():
+    # Every one-letter matrix of the Gorenstein probe comes from the border
+    # forms NF(b.x), b normal: D dim A_{m-1} of them in degree m.  The
+    # memo of other words holds only the words x.b of the left matrices.
+    algebra = GradedAlgebra(parafermion(2))
+    gorenstein_probe(algebra, 20)
+    memoised = Counter(len(word) for word in algebra._forms)
+    assert len(algebra._borders) == 21
+    for m in range(1, 21):
+        border_words = 2 * algebra.component_dim(m - 1)
+        assert len(algebra._borders[m]) == border_words
+        assert memoised[m] <= border_words
+    assert len(algebra._borders[20]) == 220
 
 
 def test_lead_automaton_scan_matches_slicing():
@@ -414,7 +427,8 @@ def test_memory_guard_fires_before_lower_degrees_are_built():
             call()
         assert str(err.value) == message
     assert not algebra._ideal
-    assert not algebra._basis and not algebra._normal and not algebra._forms
+    assert not algebra._basis and not algebra._normal
+    assert not algebra._borders and not algebra._forms
     assert not algebra._word_mats and not algebra._dims
 
 

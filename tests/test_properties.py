@@ -17,7 +17,10 @@ and remainders and coordinates against the dense oracle, on random
 spaces of the same kind; and, on denser presentations whose Groebner
 basis mostly grows past degree N, the Groebner route against the
 stepwise ideal and the dual spaces of their annihilator presentations
-against the Fraction oracle and the quotient of the double dual; and the
+against the Fraction oracle and the quotient of the double dual; the
+one-letter word matrices on both sides and the normal forms, all read
+from the border tables, against the stepwise ideal on both kinds of
+presentation; and the
 integer-scaled matrices against dense Fraction grids, on small random
 matrices whose entries have different denominators; and the rank in
 sparsest-column order against the dense oracle, on sparse integer
@@ -59,6 +62,7 @@ from _oracles import (
     dual_row_tails,
     fraction_annihilator,
     fraction_intersect,
+    ideal_word_matrix,
     iterated_intersection,
     relabel,
     relabelled,
@@ -468,6 +472,42 @@ def test_counted_dimensions_on_dense_presentations(case):
     for n in range(top + 1):
         assert fresh.component_dim(n) == len(stepwise_normal_words(algebra, n))
     assert not fresh._normal
+
+
+@given(st.one_of(algebras(), dense_presentations()))
+@example(rational_quadratic_case())
+@example((GradedAlgebra(Presentation(2, 3, Subspace.zero(2, 3))), 6))
+@example((GradedAlgebra(Presentation(3, 4, Subspace.full(3, 4))), 5))
+@example((GradedAlgebra(Presentation(2, 2, rref([TensorVector(2, {(2, 1): 1, (1, 2): 1})],
+                                                2, 2))), 6))
+@example((GradedAlgebra(parafermion(2)), 7))
+def test_border_forms_equal_the_stepwise_ideal(case):
+    # The one-letter matrices on both sides and ``reduce_to_normal``
+    # against remainders modulo the stepwise ideal, which reads no G.  The
+    # left matrices are asked degree by degree, each column one border
+    # step on from the matrix below, and on a fresh algebra at the top
+    # degree alone, each column walked from its border prefix.  In the
+    # examples yx = -xy and parafermion(2), a step starts from a form
+    # that is one normal word with coefficient -1.
+    algebra, top = case
+    D = algebra.D
+    for n in range(top):
+        for x in range(1, D + 1):
+            for side in ("right", "left"):
+                assert algebra.word_matrix(n, (x,), side) == \
+                    ideal_word_matrix(algebra, n, (x,), side), (n, x, side)
+    fresh = GradedAlgebra(algebra.presentation)
+    for x in range(1, D + 1):
+        assert fresh.word_matrix(top - 1, (x,), "left") == \
+            algebra.word_matrix(top - 1, (x,), "left")
+    ideal = algebra.ideal_component(top)
+    words = list(all_words(D, top))
+    for word in words[::max(1, len(words) // 40)]:
+        v = word_vector(word)
+        assert fresh.reduce_to_normal(v) == ideal.reduce(v), word
+    mixed = TensorVector(top, [(word, Fraction((-1) ** i * (i + 2), 2 * i + 3))
+                               for i, word in enumerate(words)])
+    assert fresh.reduce_to_normal(mixed) == ideal.reduce(mixed)
 
 
 # ---------------------------------------------------------------------------
