@@ -326,8 +326,9 @@ def _extend_basis(basis: dict[Word, _IntRow], degree: int, leads: _LeadAutomaton
     ``leads`` is the automaton of its leads.
 
     For leads a = x.y and b = y.z with y nonempty and |x.y.z| = degree,
-    the S-element L_b (g_a . z) - L_a (x . g_b) cancels at x.y.z; its
-    normal form modulo the lower basis is in the ideal.  The nonzero ones,
+    the S-element L_b (g_a . z) - L_a (x . g_b) cancels at x.y.z, so its
+    normal form modulo the lower basis, which is in the ideal, combines
+    those of its other words.  The nonzero ones,
     echeloned and fully reduced, are the new elements: each lead is longer
     than the old ones and contains none of them, so the basis stays
     reduced and has no inclusion ambiguities.
@@ -346,12 +347,11 @@ def _extend_basis(basis: dict[Word, _IntRow], degree: int, leads: _LeadAutomaton
                 gb = basis[b]
                 x, z = a[:len(a) - k], b[k:]
                 la, lb = ga[a], gb[b]
-                s = {word + z: lb * c for word, c in ga.items()}
-                for word, c in gb.items():
-                    word = x + word
-                    s[word] = s.get(word, 0) - la * c
-                row, _ = _combine_forms(
-                    [(_normal_form(word, basis, leads, memo), c) for word, c in s.items() if c], 1)
+                terms = [(_normal_form(word + z, basis, leads, memo), lb * c)
+                         for word, c in ga.items() if word != a]
+                terms += [(_normal_form(x + word, basis, leads, memo), -la * c)
+                          for word, c in gb.items() if word != b]
+                row, _ = _combine_forms(terms, 1)
                 if row:
                     rows.append(row)
     basis.update(_full_reduce(_echelon(rows)))

@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from nhomalg import catalog
 from nhomalg.algebra import GradedAlgebra
 from nhomalg.catalog import (
     CatalogEntry,
@@ -122,6 +123,21 @@ def test_dual_relations_check_plactic():
     report = dual_relations_check(make_entry("plactic", D=2))
     assert report.passed
     assert report.dim_annihilator == 6
+
+
+def test_dual_relations_check_fails_on_a_wrong_span(monkeypatch):
+    # The six plactic vectors at D = 2 are independent: without the first
+    # the span is too small, and 212 pairs with 221 - 212 in R, so with
+    # it the span is too large.
+    explicit = catalog._plactic_dual_span
+    entry = make_entry("plactic", D=2)
+    for wrong in (lambda D: explicit(D)[1:],
+                  lambda D: explicit(D) + [word_vector((2, 1, 2))]):
+        monkeypatch.setattr(catalog, "_plactic_dual_span", wrong)
+        report = dual_relations_check(entry)
+        assert report.dimension_identity
+        assert not report.spans_match
+        assert not report.passed
 
 
 def test_dual_relations_check_rejects_others():

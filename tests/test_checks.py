@@ -117,7 +117,7 @@ def test_ideal_check_catches_a_corrupted_cached_component():
 
 def test_ideal_check_makes_two_joins_per_degree(monkeypatch):
     # One join builds the stepwise I_n and one the left-built I_n; the
-    # other checks make a fixed number of joins.
+    # other checks make three joins.
     calls = []
     extend = Subspace._extend
 
@@ -133,4 +133,4 @@ def test_ideal_check_makes_two_joins_per_degree(monkeypatch):
         results = run_checks(GradedAlgebra(entry.presentation), n_max, entry)
         assert all(r.passed for r in results)
         counts.append(len(calls))
-    assert counts == [12, 18, 24]
+    assert counts == [9, 15, 21]

@@ -20,7 +20,8 @@ stepwise ideal and the dual spaces of their annihilator presentations
 against the Fraction oracle and the quotient of the double dual; the
 one-letter word matrices on both sides and the normal forms, all read
 from the border tables, against the stepwise ideal on both kinds of
-presentation; and the
+presentation and on presentations by signed two-term relations u +- v;
+and the
 integer-scaled matrices against dense Fraction grids, on small random
 matrices whose entries have different denominators; and the rank in
 sparsest-column order against the dense oracle, on sparse integer
@@ -508,6 +509,44 @@ def test_border_forms_equal_the_stepwise_ideal(case):
     mixed = TensorVector(top, [(word, Fraction((-1) ** i * (i + 2), 2 * i + 3))
                                for i, word in enumerate(words)])
     assert fresh.reduce_to_normal(mixed) == ideal.reduce(mixed)
+
+
+@st.composite
+def signed_binomials(draw):
+    """One to three relations u + v or u - v, u and v distinct words, among
+    D = 2..3 generators in degree N = 2..3, up to degree N + 3 or the last
+    one with at most MAX_WORDS words.  Rewriting by such rows gives forms
+    that are one normal word with coefficient -1, which ``algebras()`` and
+    ``dense_presentations()`` almost never draw."""
+    D = draw(st.sampled_from([3, 2]))
+    N = draw(st.sampled_from([3, 2]))
+    words = list(all_words(D, N))
+    vectors = []
+    for _ in range(draw(st.sampled_from([2, 3, 1]))):
+        u, v = draw(st.lists(st.sampled_from(words), min_size=2, max_size=2, unique=True))
+        sign = draw(st.sampled_from([-1, 1]))
+        vectors.append(TensorVector(N, {u: 1, v: sign}))
+    relations = rref(vectors, D, N)
+    return GradedAlgebra(Presentation(D, N, relations)), top_degree(D, N + 3)
+
+
+@given(signed_binomials())
+def test_border_forms_of_signed_binomials_equal_the_stepwise_ideal(case):
+    # The one-letter matrices on both sides and ``reduce_to_normal`` on a
+    # fresh algebra against remainders modulo the stepwise ideal.
+    algebra, top = case
+    D = algebra.D
+    for n in range(top):
+        for x in range(1, D + 1):
+            for side in ("right", "left"):
+                assert algebra.word_matrix(n, (x,), side) == \
+                    ideal_word_matrix(algebra, n, (x,), side), (n, x, side)
+    fresh = GradedAlgebra(algebra.presentation)
+    ideal = algebra.ideal_component(top)
+    words = list(all_words(D, top))
+    for word in words[::max(1, len(words) // 40)]:
+        v = word_vector(word)
+        assert fresh.reduce_to_normal(v) == ideal.reduce(v), word
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,7 @@ from nhomalg.series import (
     series_quotient,
 )
 
-from _oracles import paraboson_dims, parafermion_dims
+from _oracles import dual_dims_formula, paraboson_dims, parafermion_dims, pmul
 
 
 @pytest.fixture(scope="module")
@@ -75,10 +75,11 @@ def test_poincare_matches_closed_form(parafermi2):
 
 
 def test_paraboson_series_equals_parafermion():
-    for D, top in ((2, 7), (3, 6)):
-        assert closed_form_series("paraboson-hilbert", D, top) == \
-            closed_form_series("parafermion-hilbert", D, top)
-        assert tuple(paraboson_dims(D, top)) == tuple(parafermion_dims(D, top))
+    for D in range(1, 7):
+        fermion = closed_form_series("parafermion-hilbert", D, 14)
+        assert closed_form_series("paraboson-hilbert", D, 14) == fermion
+        assert list(fermion.coefficients()) == parafermion_dims(D, 14) == \
+            paraboson_dims(D, 14)
     boson = GradedAlgebra(paraboson(2))
     assert poincare_series(boson, 7) == closed_form_series("paraboson-hilbert", 2, 7)
 
@@ -126,6 +127,12 @@ def test_chi_closed_form_matches_direct(parafermi2, parafermi3):
     assert closed_form_series("parafermion-chi", 2, 7) == chi_direct(parafermi2, 7)
     assert closed_form_series("parafermion-chi", 3, 5) == chi_direct(parafermi3, 5)
     assert closed_form_series("parafermion-chi", 3, 5)[5] == 6
+    # Against Q.H expanded by the oracle, Q the signed dual dimensions.
+    signs = [(1, -1, 0)[n % 3] for n in range(15)]
+    for D in range(1, 7):
+        q = [sign * dim for sign, dim in zip(signs, dual_dims_formula(D, 14))]
+        assert list(closed_form_series("parafermion-chi", D, 14).coefficients()) == \
+            pmul(q, parafermion_dims(D, 14), 14)
 
 
 def test_koszul_necessary_verdicts(parafermi2, parafermi3, plactic3):
