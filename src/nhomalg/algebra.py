@@ -23,9 +23,8 @@ associativity.  Only the S-elements of the G completion are rewritten at
 a lead (:func:`_normal_form`).
 
 The stepwise ideal component I_n = I_{n-1} (x) E + E^(n-N) (x) R is kept
-as the cross-check, built only by :mod:`nhomalg.checks` and the tests;
-``checks`` builds I_n once more from the other side,
-E (x) I_{n-1} + R (x) E^(n-N), with one join per degree.
+as the cross-check, built once per degree, only by :mod:`nhomalg.checks`
+and the tests.
 
 The dual algebra A^! (:meth:`GradedAlgebra.dual`, on the annihilator
 presentation) runs on the same machinery: its dimensions are the dual
@@ -522,32 +521,28 @@ class GradedAlgebra:
         return self._walk(word, edge, self._borders[edge][word[:edge]], self._forms)
 
     def ideal_component(self, n: int) -> Subspace:
-        """Degree-n piece of the two-sided ideal generated by the relations.
+        """Degree-n piece of the two-sided ideal generated by the relations,
+        as explicit rows: :meth:`ideal_component_stepwise`, cached by degree.
 
-        Built stepwise as explicit rows; the cross-check of the Groebner
-        route, read by :mod:`nhomalg.checks` and the tests.  ``checks``
-        compares it at each degree with E (x) I_{n-1} + R (x) E^(n-N),
-        built from the cached degree n - 1.
+        The cross-check of the Groebner route, read by :mod:`nhomalg.checks`
+        and the tests.
         """
-        def compute():
-            guard_words(self.D, n, self.word_limit)
-            if n < self.N:
-                return Subspace.zero(self.D, n)
-            if n == self.N:
-                return self.presentation.relations
-            return self.ideal_component_stepwise(n)
-        return self._cached(self._ideal, n, compute)
+        return self._cached(self._ideal, n, lambda: self.ideal_component_stepwise(n))
 
     def ideal_component_stepwise(self, n: int) -> Subspace:
         """I_n = I_{n-1} (x) E + E^(n-N) (x) R, from the cached degree n - 1.
 
-        The rows of I_{n-1} (x) E are already reduced (see :func:`shift`),
-        so only the D^(n-N) dim R shifted relations are eliminated, on
-        integer rows.  :meth:`ideal_component` caches this step.
+        Zero below the relation degree and the relations at degree N; full
+        after a degree where the algebra vanishes.  Otherwise the rows of
+        I_{n-1} (x) E are already reduced (see :func:`shift`), so one join
+        eliminates only the D^(n-N) dim R shifted relations, on integer
+        rows.
         """
         guard_words(self.D, n, self.word_limit)
-        if n <= self.N:
-            return self.ideal_component(n)
+        if n < self.N:
+            return Subspace.zero(self.D, n)
+        if n == self.N:
+            return self.presentation.relations
         prev = self.ideal_component(n - 1)
         if prev.codim() == 0:
             # Once some graded piece vanishes, so do all higher ones

@@ -9,15 +9,13 @@ so its involution also covers the double dual.  The series Q of signed
 dual dimensions is reported in the detail of chi = H.Q: it is written
 in degrees 0 and 1 mod N only, so its support needs no check.
 
-The stepwise ideal component I_n = I_{n-1} (x) E + E^(n-N) (x) R is
-compared at each degree with the left-built E (x) I_{n-1} + R (x) E^(n-N),
-one join from the cached I_{n-1}.  If I_{n-1} is the span of its n-N
-shifts of R, the left-built space is the span of all n-N+1 shifts, so
-the first degree where the stepwise route goes wrong is caught there;
-the union of all shifts is an oracle of the tests only.  The normal
-words are checked to be the complement of the pivots of I_n without
-listing the D^n words: words of degree n, none a pivot, as many as
-D^n - dim I_n.
+The normal words are checked to be the complement of the pivots of the
+stepwise ideal component I_n = I_{n-1} (x) E + E^(n-N) (x) R, built once
+per degree, without listing the D^n words: words of degree n, none a
+pivot, as many as D^n - dim I_n.  The rows of I_n themselves are
+compared with the union of all shifts of R in the tests only.  A check
+over a degree range that the maximum degree leaves empty says so in its
+detail.
 """
 
 from __future__ import annotations
@@ -46,6 +44,13 @@ class CheckResult:
 
 def _result(name, passed, detail=""):
     return CheckResult(name, bool(passed), detail)
+
+
+def _degrees(label, low, high):
+    """Detail of a check over degrees low..high, or of none when high < low."""
+    if high < low:
+        return f"none (max degree below {low})"
+    return f"{label} {low}..{high}"
 
 
 def run_checks(algebra: GradedAlgebra, n_max: int,
@@ -83,15 +88,7 @@ def run_checks(algebra: GradedAlgebra, n_max: int,
             break
     checks.append(_result(
         "dual spaces nest on both sides",
-        nests, f"checked degrees {N}..{n_max}"))
-
-    routes_agree = all(
-        shift(algebra.ideal_component(n - 1), 1, 0).join(shift(relations, 0, n - N))
-        == algebra.ideal_component(n)
-        for n in range(N + 1, n_max + 1))
-    checks.append(_result(
-        "ideal components agree with the stepwise route", routes_agree,
-        f"checked degrees {N + 1}..{n_max}"))
+        nests, _degrees("checked degrees", N, n_max)))
 
     # The normal words are listed from the Groebner basis and counted by
     # the automaton of its leads, two routes: the list is checked to be
@@ -124,7 +121,7 @@ def run_checks(algebra: GradedAlgebra, n_max: int,
     checks.append(_result(
         "slice Euler characteristics match chi",
         koszul.euler_agrees_with_chi(algebra, n_max),
-        f"degrees 1..{n_max}"))
+        _degrees("degrees", 1, n_max)))
 
     rng = random.Random(0)
     canonical = True

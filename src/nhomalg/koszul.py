@@ -102,15 +102,20 @@ def _differential(algebra: GradedAlgebra, n: int, m: int, j: int) -> Matrix:
     W_m, such as the rows of W_m by intersection, multiplies each
     matrix by invertible factors on both sides, so no rank changes.
     """
-    nrows = _cell_dim(algebra, n - m + j, m - j)
-    ncols = _cell_dim(algebra, n - m, m)
+    dual = algebra.dual()
+    return _word_sum(
+        algebra, _cell_dim(algebra, n - m + j, m - j), _cell_dim(algebra, n - m, m), j,
+        lambda u: (algebra.word_matrix(n - m, u, "right"),
+                   dual.word_matrix(m - j, u, "left").transpose()))
+
+
+def _word_sum(algebra: GradedAlgebra, nrows: int, ncols: int, j: int, factors) -> Matrix:
+    """The nrows x ncols sum over the words u of length j of the Kronecker
+    products of the pairs ``factors(u)``, built in one sparse pass; the
+    zero matrix, with no factor built, when either side is empty."""
     if nrows == 0 or ncols == 0:
         return Matrix(nrows, ncols)
-    dual = algebra.dual()
-    return Matrix.kron_sum(nrows, ncols, (
-        (algebra.word_matrix(n - m, u, "right"),
-         dual.word_matrix(m - j, u, "left").transpose())
-        for u in all_words(algebra.D, j)))
+    return Matrix.kron_sum(nrows, ncols, (factors(u) for u in all_words(algebra.D, j)))
 
 
 def build_contraction_slice(algebra: GradedAlgebra, p: int, r: int,
@@ -201,8 +206,6 @@ def euler_agrees_with_chi(algebra: GradedAlgebra, n_max: int) -> bool:
 # ---------------------------------------------------------------------------
 # Gorenstein probe on the dualised resolution (cubic, finite dual case).
 
-_DUAL_PATTERN = (0, 1, 3, 4)
-
 
 @dataclass(frozen=True)
 class GorensteinReport:
@@ -234,31 +237,26 @@ def _dual_slice(algebra: GradedAlgebra, nu: int) -> ComplexSlice:
     Dualising turns each free left module on a dual space W_m into a free
     right module on its linear dual A^!_m; the tail splits
     sigma_u = (L^!_u)^T of :func:`_differential` transpose back to L^!_u,
-    and the word factors act by left multiplication in A.  Each
-    coboundary, the sum over u of L^!_u (x) L_u, is built in one sparse
-    pass.  Listing the cochain from the terminal position down lets the
-    chain homology mechanics apply unchanged.
+    and the word factors act by left multiplication in A.  The positions
+    are those of the distinguished contraction, dual degrees 0, 1, N and
+    N + 1, and each coboundary, the sum over u of L^!_u (x) L_u, is
+    assembled as the boundaries are (:func:`_word_sum`).  Listing the
+    cochain from the terminal position down lets the chain homology
+    mechanics apply unchanged.
     """
-    top = _DUAL_PATTERN[-1]
-    a_degrees = [nu - top + m for m in _DUAL_PATTERN]
-    dims = [_cell_dim(algebra, a, m) for a, m in zip(a_degrees, _DUAL_PATTERN)]
+    N = algebra.N
+    degrees = contraction_dual_degrees(N, N - 1, 0, N + 1)
+    positions = [(nu - N - 1 + m, m) for m in degrees]
+    dims = [_cell_dim(algebra, a, m) for a, m in positions]
     dual = algebra.dual()
     deltas = []
-    for i in range(1, len(_DUAL_PATTERN)):
-        j = _DUAL_PATTERN[i] - _DUAL_PATTERN[i - 1]
-        if dims[i] and dims[i - 1]:
-            delta = Matrix.kron_sum(dims[i], dims[i - 1], (
-                (dual.word_matrix(_DUAL_PATTERN[i - 1], u, "left"),
-                 algebra.word_matrix(a_degrees[i - 1], u, "left"))
-                for u in all_words(algebra.D, j)))
-        else:
-            delta = Matrix(dims[i], dims[i - 1])
-        deltas.append(delta)
-    return ComplexSlice(
-        nu,
-        tuple((a_degrees[i], _DUAL_PATTERN[i]) for i in reversed(range(4))),
-        tuple(reversed(dims)),
-        tuple(reversed(deltas)))
+    for i in range(1, len(degrees)):
+        a, m = positions[i - 1]
+        deltas.append(_word_sum(
+            algebra, dims[i], dims[i - 1], degrees[i] - m,
+            lambda u: (dual.word_matrix(m, u, "left"), algebra.word_matrix(a, u, "left"))))
+    return ComplexSlice(nu, tuple(reversed(positions)), tuple(reversed(dims)),
+                        tuple(reversed(deltas)))
 
 
 def gorenstein_probe(algebra: GradedAlgebra, n_max: int) -> GorensteinReport:

@@ -96,15 +96,15 @@ def test_normal_basis_check_compares_the_count_with_the_list(monkeypatch):
 
 def test_ideal_check_catches_a_corrupted_cached_component():
     # I_{N+2} is swapped, once for a copy missing its last row and once for
-    # a copy with a spurious normal word; the left-built space from the
-    # right I_{N+1} tells either apart.
+    # a copy with a spurious normal word; the pivots of either miss the
+    # complement of the normal words or their count.
     entry = make_entry("plactic", D=2)
     n = entry.presentation.N + 2
     algebra = GradedAlgebra(entry.presentation)
     good = algebra.ideal_component(n)
     missing = Subspace._from_ints(2, n, dict(list(good._ints.items())[:-1]))
     spurious = good._extend([{next(iter(algebra.normal_basis(n))): 1}])
-    name = "ideal components agree with the stepwise route"
+    name = "component dimension equals the normal basis size"
     for bad in (missing, spurious):
         assert abs(bad.dim - good.dim) == 1
         algebra = GradedAlgebra(entry.presentation)
@@ -112,12 +112,12 @@ def test_ideal_check_catches_a_corrupted_cached_component():
         algebra._ideal[n] = bad
         results = {r.name: r for r in run_checks(algebra, 6, entry)}
         assert not results[name].passed
-        assert results[name].detail == "checked degrees 4..6"
+        assert results[name].detail == "degrees 0..6"
 
 
 def test_ideal_check_makes_two_joins_per_degree(monkeypatch):
-    # One join builds the stepwise I_n and one the left-built I_n; the
-    # other checks make three joins.
+    # One join builds the stepwise I_n at each degree above N; the other
+    # checks make three joins.
     calls = []
     extend = Subspace._extend
 
@@ -133,4 +133,4 @@ def test_ideal_check_makes_two_joins_per_degree(monkeypatch):
         results = run_checks(GradedAlgebra(entry.presentation), n_max, entry)
         assert all(r.passed for r in results)
         counts.append(len(calls))
-    assert counts == [9, 15, 21]
+    assert counts == [6, 9, 12]

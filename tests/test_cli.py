@@ -149,9 +149,8 @@ def test_dual_benchmark_inputs_pin_their_full_tables(tmp_path):
 
 
 def test_checks_jobs_pin_every_result():
-    # Every check's name, verdict and detail, including the ideal check
-    # that builds I_n from E (x) I_{n-1} and the normal-word check that
-    # lists no D^n words.
+    # Every check's name, verdict and detail, including the normal-word
+    # check that lists no D^n words.
     def shared(dims, dual, top, chi, q):
         return [
             ("rank-nullity of the relation space", True,
@@ -160,7 +159,6 @@ def test_checks_jobs_pin_every_result():
             ("dual dimensions by quotient and by intersection", True,
              f"quotient {dual}, intersection {dual}"),
             ("dual spaces nest on both sides", True, f"checked degrees 3..{top}"),
-            ("ideal components agree with the stepwise route", True, f"checked degrees 4..{top}"),
             ("component dimension equals the normal basis size", True, f"degrees 0..{top}"),
             ("chi by product equals chi by dimensions", True, f"chi = {chi}, q = {q}"),
             ("slice Euler characteristics match chi", True, f"degrees 1..{top}"),
@@ -186,6 +184,35 @@ def test_checks_jobs_pin_every_result():
         payload = json.loads(result.output)
         assert [(r["name"], r["passed"], r["detail"]) for r in payload["results"]] == expected
         assert payload["allPassed"] is True
+
+
+def test_checks_say_when_a_degree_range_is_empty():
+    # Below the relation degree (3) nothing nests, and at max degree 0 no
+    # slice has positive degree: the details say that no degree was checked.
+    expected = {
+        0: ("none (max degree below 3)", "none (max degree below 1)"),
+        1: ("none (max degree below 3)", "degrees 1..1"),
+        2: ("none (max degree below 3)", "degrees 1..2"),
+    }
+    for n, details in expected.items():
+        result = run_cli("checks", "--algebra", "plactic", "--D", "2",
+                         "--max-degree", str(n), "--format", "json")
+        assert result.exit_code == 0, n
+        payload = json.loads(result.output)
+        found = {r["name"]: r["detail"] for r in payload["results"]}
+        assert (found["dual spaces nest on both sides"],
+                found["slice Euler characteristics match chi"]) == details, n
+        assert payload["allPassed"] is True
+
+
+def test_readme_command_lines_run():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## Command line", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
+    lines = [line.split() for line in block.splitlines() if line.startswith("nhomalg ")]
+    assert len(lines) == 9
+    for words in lines:
+        result = run_cli(*words[1:])
+        assert result.exit_code == 0, (words, result.output)
 
 
 def test_koszul_tables_where_rank_pivots_on_sparsest_columns():
