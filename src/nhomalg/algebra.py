@@ -31,14 +31,16 @@ presentation) runs on the same machinery: its dimensions are the dual
 dimensions, and as W_n = (A^!_n)^* its word matrices give the canonical
 complexes of :mod:`nhomalg.koszul`.  W_n by intersection is kept as the
 cross-check that ``dual`` and ``checks`` read, built degree by degree,
-W_n = (W_{n-1} (x) E) cap (E^(n-N) (x) R), each meet the kernel of a
-remainder map on the rows of W_{n-1} (x) E, with the remainders read
-off a table of the degree-N words modulo R
-(:func:`_meet_shifted_relations`), so neither the shifted
-relations nor a D^n-wide annihilator is built.  The direct routes, the
-union of all n-N+1 shifts of R and their intersection, and the meet
-with the shifted relations built in full, are oracles in the tests
-only; the intersection runs there through Fraction annihilators.
+W_n = (W_{n-1} (x) E) cap (E^(n-N) (x) R), each meet the kernel K_n of
+the remainder map on the rows of W_{n-1} (x) E, as a tower of kernels
+with no word row (:func:`_next_level`): the remainders are read off a
+table of the degree-N words modulo R, and neither the shifted relations
+nor a D^n-wide annihilator is built.  Word rows are assembled from the
+tower only for their readers (:meth:`GradedAlgebra.dual_space`).  The
+direct routes, the union of all n-N+1 shifts of R and their
+intersection, the meet with the shifted relations built in full, and
+the meet on the word rows, are oracles in the tests only; the
+intersection runs there through Fraction annihilators.
 """
 
 from __future__ import annotations
@@ -57,9 +59,10 @@ from .linalg import (
     _echelon,
     _full_reduce,
     _IntRow,
-    _over_lcm,
+    _assemble,
+    _kernel,
     _lex_index,
-    _meet,
+    _over_lcm,
     all_words,
     annihilator,
     rref,  # not called here; perfbench/test_perfbench.py checks this traced binding
@@ -95,11 +98,16 @@ def guard_words(D: int, degree: int, word_limit: int):
 
 
 # ---------------------------------------------------------------------------
-# W_n by intersection, with the shifted relations read through a table.
+# W_n by intersection, as a tower of kernels with no word row.  The rows of
+# W_{l-1} (x) E are the pairs (row a of W_{l-1}, letter x), numbered
+# i = a D + D - x as :func:`nhomalg.linalg.shift` orders them.  A row of W_l
+# is led by the pair at its pivot word, and is 0 at every other row's lead
+# pair, so an element of W_l has its coordinates over the rows, each scaled
+# to 1 at its lead pair, at their lead pairs: read off, with no solve.
 
 def _tail_remainders(relations: Subspace) -> tuple[dict[Word, dict[int, int]], int, int]:
     """``(table, scale, free)``: the remainder modulo ``relations`` of every
-    word of their degree, over one scale, for :func:`_meet_shifted_relations`.
+    word of their degree, over one scale, for :func:`_next_level`.
 
     ``free`` is the number of non-pivot words f and ``scale`` the lcm M of
     the pivot coefficients; ``table[t]`` is the remainder of M t, keyed by
@@ -119,45 +127,101 @@ def _tail_remainders(relations: Subspace) -> tuple[dict[Word, dict[int, int]], i
     return table, scale, len(position)
 
 
-def _meet_shifted_relations(space: Subspace, tails) -> Subspace:
-    """(space (x) E) cap (E^k (x) R), k = space.degree + 1 - N, with no row
-    of the shifted relations built; ``tails`` is :func:`_tail_remainders`
-    of R.
+class _Level:
+    """W_l: ``leads`` maps each row's lead pair to the row.  From l = N on,
+    ``tails[k]`` expands a multiple v of row k over W_{l+1-N} (x) E^(N-1),
+    tail word -> {row of W_{l+1-N}: integer}, and ``pivots[k]`` is the
+    coefficient of v at its pivot word; above N, ``kernel`` is K_l, the
+    rows of W_l in pivot coordinates (:func:`nhomalg.linalg._kernel`)."""
 
-    The meet is the kernel (:func:`nhomalg.linalg._meet`) of the
-    remainder map modulo E^k (x) R on the rows of space (x) E, which run
-    in the order of :func:`nhomalg.linalg.shift`, pivots decreasing.  The
-    rows u.r of E^k (x) R have pivots u.p, so the remainder of a word
-    u.t, |u| = k, is u (x) (the remainder of t modulo R): one table row,
-    its keys offset by lex(u) times the number of non-pivot words of R,
-    which keeps the order of the words u.f.
+    __slots__ = ("leads", "pivots", "tails", "kernel")
+
+    def __init__(self, leads: dict[int, int], pivots: list[int] | None = None,
+                 tails: list[dict[Word, dict[int, int]]] | None = None,
+                 kernel: dict[int, _IntRow] | None = None):
+        self.leads, self.pivots, self.tails, self.kernel = leads, pivots, tails, kernel
+
+
+def _base_levels(relations: Subspace) -> list[_Level]:
+    """W_0..W_N: the full spaces, their rows the words (descending, so a
+    word's row is its pair index), and R, its rows split after the first
+    letter a, whose row in W_1 is D - a."""
+    D, N = relations.alphabet, relations.degree
+    levels = [_Level({i: i for i in range(D ** l)}) for l in range(N)]
+    leads, pivots, tails = {}, [], []
+    for k, (p, row) in enumerate(relations._ints.items()):
+        leads[D ** N - 1 - _lex_index(p, D)] = k
+        pivots.append(row[p])
+        split: dict[Word, dict[int, int]] = {}
+        for w, c in row.items():
+            split.setdefault(w[1:], {})[D - w[0]] = c
+        tails.append(split)
+    levels.append(_Level(leads, pivots, tails))
+    return levels
+
+
+def _next_level(levels: list[_Level], remainders, D: int, N: int) -> _Level:
+    """W_{n+1} from the tower W_0..W_n, n >= N; ``remainders`` is
+    :func:`_tail_remainders` of R.
+
+    W_{n+1} = (W_n (x) E) cap (E^(n+1-N) (x) R).  With a row of W_n
+    expanded as v = sum c_{j,t} w_j (x) t, the remainder of M v.x modulo
+    E^(n+1-N) (x) R is sum c_{j,t} w_j (x) (table row of t.x), keyed by
+    (j, free word): dim W_{n+1-N} times the free words wide.  K_{n+1} is
+    the kernel of that map, each pair tagged with M times the pivot
+    coefficient L of v, as :func:`nhomalg.linalg.intersect` tags it.  The
+    row of K_{n+1} with coordinates t_i is sum (t_i / L_{a_i}) v_{a_i} (x) x_i;
+    its part at a new tail t'.x, the sum of c_{j,t} w_j (x) y over the tails
+    t = y.t' with x_i = x, lies in W_{n+2-N}, where its coordinates are
+    read at the lead pairs (j, y).  The row is scaled to an integral
+    expansion, and its pivot coefficient t_lead with it.
     """
-    table, scale, free = tails
-    alphabet = space.alphabet
-    k = space.degree + 1 - len(next(iter(table)))  # the table's words have length N
-    offsets: dict[Word, int] = {}
-    ys, remainders = [], []
-    for p, y in space._ints.items():
-        split = []
-        for w, c in y.items():
-            u = w[:k]
-            offset = offsets.get(u)
-            if offset is None:
-                offset = offsets[u] = _lex_index(u, alphabet) * free
-            split.append((offset, w[k:], c))
-        for x in range(alphabet, 0, -1):
+    table, scale, free = remainders
+    n = len(levels) - 1
+    top, target = levels[n], levels[n + 2 - N]
+    tagged = []
+    for split, pivot in zip(top.tails, top.pivots):
+        for x in range(D, 0, -1):
             rem: dict[int, int] = {}
-            for offset, t, c in split:
+            for t, part in split.items():
                 for f, a in table[t + (x,)].items():
-                    key = offset + f
-                    nc = rem.get(key, 0) + c * a
-                    if nc:
-                        rem[key] = nc
-                    else:
-                        del rem[key]
-            ys.append((p + (x,), {w + (x,): c for w, c in y.items()}))
-            remainders.append((rem, scale))
-    return Subspace._from_ints(alphabet, space.degree + 1, _meet(ys, remainders))
+                    for j, c in part.items():
+                        key = j * free + f
+                        nc = rem.get(key, 0) + a * c
+                        if nc:
+                            rem[key] = nc
+                        else:
+                            del rem[key]
+            rem[-1 - len(tagged)] = scale * pivot
+            tagged.append(rem)
+    kernel = _kernel(tagged)
+    # Per row of W_n, (t', k, c_{j,t}) for each t = y.t' with (j, y) the
+    # lead pair of row k of W_{n+2-N}.
+    reads = [[(old[1:], target.leads[j * D + D - old[0]], c)
+              for old, part in split.items() for j, c in part.items()
+              if j * D + D - old[0] in target.leads]
+             for split in top.tails]
+    leads, pivots, tails = {}, [], []
+    for lead, coords in kernel.items():
+        leads[-1 - lead] = len(pivots)
+        common = lcm(*(top.pivots[(-1 - tag) // D] for tag in coords))
+        parts: dict[tuple[Word, int, int], int] = {}  # (t', x, k) -> coordinate
+        for tag, t in coords.items():
+            a, r = divmod(-1 - tag, D)
+            u = t * (common // top.pivots[a])
+            x = D - r
+            for rest, k, c in reads[a]:
+                key = (rest, x, k)
+                parts[key] = parts.get(key, 0) + u * c
+        lead_scale = common * coords[lead]
+        g = gcd(lead_scale, *parts.values())
+        pivots.append(lead_scale // g)
+        split: dict[Word, dict[int, int]] = {}
+        for (rest, x, k), c in parts.items():
+            if c:
+                split.setdefault(rest + (x,), {})[k] = c // g
+        tails.append(split)
+    return _Level(leads, pivots, tails, kernel)
 
 
 # ---------------------------------------------------------------------------
@@ -400,7 +464,8 @@ class GradedAlgebra:
     degree, those of the other words asked for (the words x.b of the
     left one-letter matrices) in one memo, and word matrices by degree,
     word and side.  The dual algebra is built once, on first request;
-    the intersection spaces W_n, its cross-check, are cached by degree.
+    the intersection spaces W_n, its cross-check, are kept as the levels
+    of a tower and, where read, as word rows cached by degree.
     """
 
     def __init__(self, presentation: Presentation,
@@ -419,7 +484,8 @@ class GradedAlgebra:
         self._normal: dict[int, dict[Word, int]] = {}
         self._borders: list[dict[Word, _Form]] = []  # NF(b.x) by degree
         self._forms: dict[Word, _Form] = {}  # words past their border prefix
-        self._dual: dict[int, Subspace] = {}  # W_n by intersection
+        self._tower: list[_Level] = []  # W_n by intersection, without word rows
+        self._dual: dict[int, Subspace] = {}  # word rows of W_n, built for their readers
         self._tails = None  # remainders of the degree-N words modulo R
         self._dual_algebra: GradedAlgebra | None = None
         self._word_mats: dict[tuple, Matrix] = {}
@@ -698,34 +764,52 @@ class GradedAlgebra:
                                                word_limit=self.word_limit)
         return self._dual_algebra
 
-    def dual_space(self, n: int) -> Subspace:
-        """W_n, the intersection of E^r (x) R (x) E^(n-N-r) over all r.
+    def _dual_level(self, n: int) -> _Level:
+        """W_n in the tower, n >= N, built on from the highest level held."""
+        tower = self._tower
+        if not tower:
+            tower.extend(_base_levels(self.presentation.relations))
+        while len(tower) <= n:
+            if self._tails is None:
+                self._tails = _tail_remainders(self.presentation.relations)
+            tower.append(_next_level(tower, self._tails, self.D, self.N))
+        return tower[n]
 
-        The cross-check of ``dual().component_dim(n)``, read by ``dual``
-        and ``checks``: W_n = (A^!_n)^*, so the two dimensions agree.
+    def intersection_dim(self, n: int) -> int:
+        """dim W_n, the cross-check of :meth:`dual_dim` that ``dual`` and
+        ``checks`` read: D^n below the relation degree, and from there the
+        number of rows of W_n in the tower (:func:`_next_level`), where no
+        word row is built.  Once one W_n vanishes, the levels above have no
+        rows either."""
+        guard_words(self.D, n, self.word_limit)
+        if n < self.N:
+            return self.D ** n
+        return len(self._dual_level(n).pivots)
+
+    def dual_space(self, n: int) -> Subspace:
+        """W_n, the intersection of E^r (x) R (x) E^(n-N-r) over all r, as
+        word rows, for the nesting check of ``checks`` and the tests.
+
         Full space below the relation degree and the relations themselves
-        at degree N.  Above, W_n = (W_{n-1} (x) E) cap (E^(n-N) (x) R):
-        the shifts with r < n - N are exactly W_{n-1} (x) E, so one meet
-        per degree suffices.  It is the kernel of the remainder map modulo
-        E^(n-N) (x) R on the rows of W_{n-1} (x) E, and each remainder is
-        read off the remainders of the degree-N words modulo R, computed
-        once (:func:`_meet_shifted_relations`): no row of
-        the shifted relations is built, and the rows of W_{n-1} (x) E are
-        all that grows with n.  Once one W_n vanishes all higher ones do.
+        at degree N.  Above, W_n = (W_{n-1} (x) E) cap (E^(n-N) (x) R): the
+        shifts with r < n - N are exactly W_{n-1} (x) E, so one meet per
+        degree suffices.  Its kernel K_n is read off the tower
+        (:meth:`_dual_level`), and the rows are assembled from K_n and the
+        rows of W_{n-1} (x) E (:func:`nhomalg.linalg._assemble`): the same
+        canonical rows as :func:`nhomalg.linalg.intersect` of the two, with
+        no row of the shifted relations built.
         """
         def compute():
             guard_words(self.D, n, self.word_limit)
             if n < self.N:
                 return Subspace.full(self.D, n)
-            relations = self.presentation.relations
             if n == self.N:
-                return relations
-            prev = self.dual_space(n - 1)
-            if prev.dim == 0:
-                return Subspace.zero(self.D, n)
-            if self._tails is None:
-                self._tails = _tail_remainders(relations)
-            return _meet_shifted_relations(prev, self._tails)
+                return self.presentation.relations
+            kernel = self._dual_level(n).kernel
+            ys = [(p + (x,), {w + (x,): c for w, c in y.items()})
+                  for p, y in self.dual_space(n - 1)._ints.items()
+                  for x in range(self.D, 0, -1)]
+            return Subspace._from_ints(self.D, n, _assemble(ys, kernel))
         return self._cached(self._dual, n, compute)
 
     def dual_dim(self, n: int) -> int:

@@ -17,7 +17,6 @@ from .algebra import GradedAlgebra, Presentation
 from .linalg import (
     Subspace,
     TensorVector,
-    annihilator,
     rref,
     word_vector,
 )
@@ -185,8 +184,10 @@ class DualRelationsReport:
         return self.dimension_identity and self.spans_match
 
 
-def dual_relations_check(entry: CatalogEntry) -> DualRelationsReport:
-    """Compare the computed annihilator with the explicit dual span.
+def dual_relations_check(entry: CatalogEntry, ann: Subspace) -> DualRelationsReport:
+    """Compare the computed annihilator ``ann`` of the entry's relations,
+    which the caller holds as the relations of the dual presentation, with
+    the explicit dual span.
 
     Only the parafermionic and plactic algebras come with explicit spans.
     """
@@ -194,7 +195,6 @@ def dual_relations_check(entry: CatalogEntry) -> DualRelationsReport:
         raise ValueError(f"no explicit dual span for {entry.name!r}")
     relations = entry.presentation.relations
     D = entry.D
-    ann = annihilator(relations)
     span = (_parafermion_dual_span(D) if entry.name == "parafermion"
             else _plactic_dual_span(D))
     explicit = rref(span, D, 3)

@@ -70,7 +70,7 @@ def run_checks(algebra: GradedAlgebra, n_max: int,
         "double annihilator returns the relation rows"))
 
     quotient = [algebra.dual_dim(n) for n in range(n_max + 1)]
-    intersection = [algebra.dual_space(n).dim for n in range(n_max + 1)]
+    intersection = [algebra.intersection_dim(n) for n in range(n_max + 1)]
     checks.append(_result(
         "dual dimensions by quotient and by intersection",
         quotient == intersection,
@@ -141,7 +141,7 @@ def run_checks(algebra: GradedAlgebra, n_max: int,
     if entry is not None:
         name = entry.name
         if name in ("parafermion", "plactic"):
-            report = catalog.dual_relations_check(entry)
+            report = catalog.dual_relations_check(entry, ann)
             checks.append(_result(
                 f"explicit dual span matches the annihilator ({name})",
                 report.passed,

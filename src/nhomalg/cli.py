@@ -197,7 +197,7 @@ def hilbert(algebra, entry, max_degree, payload):
 def dual(algebra, entry, max_degree, payload):
     """Dual algebra dimensions by both routes, plus the explicit-span check."""
     quotient = [algebra.dual_dim(n) for n in range(max_degree + 1)]
-    intersection = [algebra.dual_space(n).dim for n in range(max_degree + 1)]
+    intersection = [algebra.intersection_dim(n) for n in range(max_degree + 1)]
     agree = quotient == intersection
     payload["dualDimsViaQuotient"] = quotient
     payload["dualDimsViaIntersection"] = intersection
@@ -206,7 +206,8 @@ def dual(algebra, entry, max_degree, payload):
     lines += [f"{n:>6}  {a:>8}  {b:>12}"
               for n, (a, b) in enumerate(zip(quotient, intersection))]
     if entry is not None and entry.name in ("parafermion", "plactic"):
-        report = catalog.dual_relations_check(entry)
+        report = catalog.dual_relations_check(
+            entry, algebra.dual().presentation.relations)
         payload["dualRelationsCheck"] = {
             "passed": report.passed,
             "dimRelations": report.dim_relations,

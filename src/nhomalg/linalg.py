@@ -463,32 +463,56 @@ def _lex_index(word: Word, alphabet: int) -> int:
     return index
 
 
-def _meet(ys: list[tuple[Word, _IntRow]],
-          remainders: Iterable[tuple[dict[int, int], int]]) -> dict[Word, _IntRow]:
-    """Canonical rows of the kernel of a remainder map on the rows ``ys``.
+def _column_labels(rows: list[dict[int, int]]) -> dict[int, int]:
+    """Key j >= 0 -> its label in :func:`_markowitz`: the fewer ``rows``
+    hold j, the higher it ranks, ties going to the greater key."""
+    counts = Counter(j for row in rows for j in row)
+    ascending = sorted(j for j in counts if j >= 0)
+    # A stable sort keeps the ascending keys of equal counts in order.
+    return {j: k for k, j in enumerate(sorted(ascending, key=counts.__getitem__, reverse=True))}
+
+
+def _markowitz(rows: list[dict[int, int]]) -> list[dict[int, int]]:
+    """``rows`` for :func:`_echelon` in a static Markowitz order
+    (Management Sci. 3, 1957): the keys j >= 0 relabelled by
+    :func:`_column_labels` and the rows fed shortest first, so each row is
+    pivoted on its sparsest column, which keeps the fill-in low.  Negative
+    keys are kept as they are, below every relabelled one."""
+    label = _column_labels(rows)
+    return sorted(({label.get(j, j): v for j, v in row.items()} for row in rows), key=len)
+
+
+def _kernel(tagged: list[dict[int, int]]) -> dict[int, _IntRow]:
+    """Canonical rows of the kernel of a linear map, in pivot coordinates:
+    the elimination half of the meet.
+
+    Row i of ``tagged`` is the image of a basis vector y_i, scaled by any
+    positive factor, on nonnegative integer keys, plus its coordinate
+    under the tag -1 - i: the coefficient of the scaled y_i at its pivot,
+    which no other y_j meets.  Every tag ranks below every key, so an
+    echelon row led by a tag has no key left and these rows span the
+    kernel in pivot coordinates; fully reduced, they are its canonical
+    rows there, whatever the scales, the keys or the order of the
+    elimination, which runs in :func:`_markowitz` order.  Returned by lead
+    tag, descending: the order of the pivots of the y_i, if they decrease.
+    """
+    coords = {tag: row for tag, row in _echelon(_markowitz(tagged)).items() if tag < 0}
+    return dict(sorted(_full_reduce(coords).items(), reverse=True))
+
+
+def _assemble(ys: list[tuple[Word, _IntRow]],
+              kernel: dict[int, _IntRow]) -> dict[Word, _IntRow]:
+    """The word rows of a kernel found by :func:`_kernel`: the assembly half
+    of the meet.
 
     ``ys`` are (pivot, row) pairs of a reduced span, pivots decreasing,
-    L_i the pivot coefficient of y_i.  ``remainders`` gives, per row,
-    ``(r_i, m_i)`` with r_i the remainder of m_i y_i, its words keyed by
-    nonnegative ints that rank as the words do; the dicts are taken over.
-    A vector v = sum b_i y_i is fixed by its coordinates b_i L_i at the
-    pivots, which no other row meets, and its remainder is linear in v.
-    So the row for m_i y_i holds r_i and the coordinate m_i L_i, keyed by
-    the tag -1 - i: every word ranks above every tag, and the tags rank
-    as the pivots do.  An echelon row led by a tag has no word left, so
-    these rows span the kernel in pivot coordinates; fully reduced, they
-    are its canonical rows there, and coordinates t_i give back the row
-    sum (t_i / L_i) y_i.  A positive scale on a row changes no echelon
-    row, since every echelon row is primitive.
+    L_i the pivot coefficient of y_i; coordinates t_i give back the row
+    sum (t_i / L_i) y_i.  Its coefficient at the pivot of y_i is t_i, so a
+    kernel row fully reduced in pivot coordinates gives a row of the
+    canonical form, and the rows come out keyed by pivot, decreasing.
     """
-    tagged = []
-    for i, ((p, y), (rem, m)) in enumerate(zip(ys, remainders)):
-        rem[-1 - i] = m * y[p]
-        tagged.append(rem)
-    coords = {tag: row for tag, row in _echelon(tagged).items() if tag < 0}
     meet: dict[Word, _IntRow] = {}
-    # Ascending i, so the pivots of the kernel come out decreasing.
-    for tag, coord in sorted(_full_reduce(coords).items(), reverse=True):
+    for tag, coord in kernel.items():
         terms = [(t, *ys[-1 - j]) for j, t in coord.items()]
         scale = lcm(*(y[p] for _, p, y in terms))
         vector: _IntRow = {}
@@ -505,8 +529,9 @@ def _meet(ys: list[tuple[Word, _IntRow]],
 
 
 def intersect(s1: Subspace, s2: Subspace) -> Subspace:
-    """Intersection, as the kernel of the remainder map on the smaller space
-    (:func:`_meet`), its words keyed by their lex positions.
+    """Intersection, as the kernel (:func:`_kernel`, :func:`_assemble`) of
+    the remainder map modulo the larger space on the rows of the smaller,
+    the remainder of m_i y_i tagged with m_i L_i.
 
     Only the rows of the two spaces are read, so nothing grows with
     alphabet ** degree.
@@ -515,11 +540,13 @@ def intersect(s1: Subspace, s2: Subspace) -> Subspace:
     if s2.dim < s1.dim:
         s1, s2 = s2, s1
     ys = list(s1._ints.items())
-    remainders = []
-    for _, y in ys:
+    tagged = []
+    for i, (p, y) in enumerate(ys):
         rem, m = s2._remainder(y)
-        remainders.append(({_lex_index(w, s1.alphabet): c for w, c in rem.items()}, m))
-    return Subspace._from_ints(s1.alphabet, s1.degree, _meet(ys, remainders))
+        row = {_lex_index(w, s1.alphabet): c for w, c in rem.items()}
+        row[-1 - i] = m * y[p]
+        tagged.append(row)
+    return Subspace._from_ints(s1.alphabet, s1.degree, _assemble(ys, _kernel(tagged)))
 
 
 def shift(space: Subspace, left: int, right: int) -> Subspace:
@@ -569,12 +596,10 @@ class Matrix:
     equal exactly when their rows and scales are.  Every operation walks
     the nonzeros only, on integers; a scale changes no rank, so
     :meth:`rank` hands the stored rows to the elimination kernel of
-    :func:`rref`, relabelling the columns so that the one with the fewest
-    nonzeros ranks highest (ties to the greater index) and feeding the
-    rows shortest first: each row is then pivoted on its sparsest column,
-    a static form of Markowitz's order (Management Sci. 3, 1957), which
-    keeps the fill-in of the slice matrices low.  Only :meth:`entry` and
-    :attr:`entries` make Fractions, in lowest terms.
+    :func:`rref` in the static Markowitz order that the meet also uses
+    (:func:`_markowitz`), which keeps the fill-in of the slice matrices
+    low.  Only :meth:`entry` and :attr:`entries` make Fractions, in lowest
+    terms.
     """
 
     __slots__ = ("nrows", "ncols", "rows", "scale")
@@ -674,20 +699,10 @@ class Matrix:
         return Matrix.kron_sum(self.nrows * other.nrows, self.ncols * other.ncols,
                                [(self, other)])
 
-    def _column_labels(self) -> dict[int, int]:
-        """Column j -> its pivot label for :meth:`rank`: the fewer nonzeros a
-        column holds, the higher it ranks, ties going to the greater index."""
-        counts = Counter(j for row in self.rows.values() for j in row)
-        return {j: k for k, j in enumerate(sorted(counts, key=lambda j: (-counts[j], j)))}
-
     def rank(self) -> int:
-        """Rank by :func:`_echelon` on the relabelled columns, shortest rows
-        first, so each row is pivoted on its sparsest column (a static
-        Markowitz order); rank does not depend on the pivot order."""
-        label = self._column_labels()
-        rows = sorted(({label[j]: v for j, v in row.items()} for row in self.rows.values()),
-                      key=len)
-        return len(_echelon(rows))
+        """Rank by :func:`_echelon` in :func:`_markowitz` order; rank does
+        not depend on the pivot order."""
+        return len(_echelon(_markowitz(list(self.rows.values()))))
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, Matrix)

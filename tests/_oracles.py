@@ -21,8 +21,11 @@ the stepwise route and the one-join check of ``checks``; and the tail
 split of W_m on its rows by intersection, against the transposed word
 matrices of the dual algebra that the complexes use; and W_n by the
 two-shift step, each degree the package's ``intersect`` with the
-D^(n-N) dim R rows of E^(n-N) (x) R, against ``dual_space``, which reads
-remainders modulo that space off a table of the degree-N words; the
+D^(n-N) dim R rows of E^(n-N) (x) R, and by the word-row meet, each
+degree's remainders modulo that space read off a table of the degree-N
+words for the word rows of W_{n-1} (x) E, both against ``dual_space``,
+which assembles its rows from a tower of kernels that carries no word
+row; the
 elimination kernel with undivided multipliers, each new row of a span
 eliminated whole, against the package's kernel, which divides the
 multipliers by their gcd and cuts new rows to their remainders first and
@@ -352,6 +355,38 @@ def two_shift_dual_spaces(relations, top):
         prev = spaces[-1]
         spaces.append(intersect(shift(prev, 0, 1), shift(relations, n - N, 0))
                       if prev.dim else Subspace.zero(D, n))
+    return spaces
+
+
+def word_row_dual_spaces(relations, top):
+    """W_0..W_top by the word-row meet: each degree the kernel of the
+    remainder map modulo E^(n-N) (x) R on the word rows of W_{n-1} (x) E.
+    The remainder of a word u.t.x, |u| = n - N, is u (x) (the remainder of
+    t.x modulo R), a row of the package's table of the degree-N words,
+    its keys offset by lex(u) times the number of free words."""
+    from nhomalg.algebra import _tail_remainders
+    from nhomalg.linalg import Subspace, _assemble, _kernel, _lex_index
+
+    D, N = relations.alphabet, relations.degree
+    spaces = [Subspace.full(D, n) for n in range(min(N, top + 1))]
+    if top >= N:
+        spaces.append(relations)
+    table, scale, free = _tail_remainders(relations)
+    for n in range(N + 1, top + 1):
+        k = n - N
+        ys, tagged = [], []
+        for p, y in spaces[-1]._ints.items():
+            for x in range(D, 0, -1):
+                rem = {}
+                for w, c in y.items():
+                    offset = _lex_index(w[:k], D) * free
+                    for f, a in table[w[k:] + (x,)].items():
+                        rem[offset + f] = rem.get(offset + f, 0) + c * a
+                rem = {key: c for key, c in rem.items() if c}
+                rem[-1 - len(tagged)] = scale * y[p]
+                tagged.append(rem)
+                ys.append((p + (x,), {w + (x,): c for w, c in y.items()}))
+        spaces.append(Subspace._from_ints(D, n, _assemble(ys, _kernel(tagged))))
     return spaces
 
 

@@ -177,9 +177,11 @@ def test_criterion_9_invariance():
 @criterion("10 dual-relation-checks")
 def test_criterion_10_dual_relations():
     for D in (2, 3):
-        report = dual_relations_check(make_entry("parafermion", D=D))
+        entry = make_entry("parafermion", D=D)
+        report = dual_relations_check(entry, entry.presentation.dual().relations)
         assert report.passed, D
         assert report.dim_relations + report.dim_annihilator == D ** 3
-    report = dual_relations_check(make_entry("plactic", D=2))
+    entry = make_entry("plactic", D=2)
+    report = dual_relations_check(entry, entry.presentation.dual().relations)
     assert report.passed
     assert report.dim_relations + report.dim_annihilator == 8

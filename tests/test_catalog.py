@@ -114,13 +114,15 @@ def test_make_entry_validation():
 
 def test_dual_relations_check_parafermion():
     for D in (2, 3):
-        report = dual_relations_check(make_entry("parafermion", D=D))
+        entry = make_entry("parafermion", D=D)
+        report = dual_relations_check(entry, entry.presentation.dual().relations)
         assert report.passed
         assert report.dim_relations + report.dim_annihilator == D ** 3
 
 
 def test_dual_relations_check_plactic():
-    report = dual_relations_check(make_entry("plactic", D=2))
+    entry = make_entry("plactic", D=2)
+    report = dual_relations_check(entry, entry.presentation.dual().relations)
     assert report.passed
     assert report.dim_annihilator == 6
 
@@ -134,15 +136,16 @@ def test_dual_relations_check_fails_on_a_wrong_span(monkeypatch):
     for wrong in (lambda D: explicit(D)[1:],
                   lambda D: explicit(D) + [word_vector((2, 1, 2))]):
         monkeypatch.setattr(catalog, "_plactic_dual_span", wrong)
-        report = dual_relations_check(entry)
+        report = dual_relations_check(entry, entry.presentation.dual().relations)
         assert report.dimension_identity
         assert not report.spans_match
         assert not report.passed
 
 
 def test_dual_relations_check_rejects_others():
+    entry = make_entry("paraboson", D=2)
     with pytest.raises(ValueError):
-        dual_relations_check(make_entry("paraboson", D=2))
+        dual_relations_check(entry, entry.presentation.dual().relations)
 
 
 def test_apply_derivation_leibniz():

@@ -117,7 +117,9 @@ def test_ideal_check_catches_a_corrupted_cached_component():
 
 def test_ideal_check_makes_two_joins_per_degree(monkeypatch):
     # One join builds the stepwise I_n at each degree above N; the other
-    # checks make three joins.
+    # checks make two joins, the annihilator of R, which the dual
+    # presentation holds and the explicit-span item reads, and its own
+    # annihilator.
     calls = []
     extend = Subspace._extend
 
@@ -133,4 +135,4 @@ def test_ideal_check_makes_two_joins_per_degree(monkeypatch):
         results = run_checks(GradedAlgebra(entry.presentation), n_max, entry)
         assert all(r.passed for r in results)
         counts.append(len(calls))
-    assert counts == [6, 9, 12]
+    assert counts == [5, 8, 11]

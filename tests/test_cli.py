@@ -4,10 +4,10 @@ import subprocess
 import sys
 import time
 from pathlib import Path
-from types import SimpleNamespace
 
 from click.testing import CliRunner
 
+from nhomalg.algebra import GradedAlgebra
 from nhomalg.catalog import parafermion, plactic
 from nhomalg.cli import main
 from nhomalg.relfile import write_relation_file
@@ -297,8 +297,8 @@ def test_checks_exit_nonzero_on_violation(tmp_path, monkeypatch):
 
 
 def test_dual_prints_its_report_before_failing_on_disagreeing_routes(monkeypatch):
-    monkeypatch.setattr("nhomalg.algebra.GradedAlgebra.dual_space",
-                        lambda self, n: SimpleNamespace(dim=-1))
+    monkeypatch.setattr("nhomalg.algebra.GradedAlgebra.intersection_dim",
+                        lambda self, n: -1)
     result = run_cli("dual", "--algebra", "paraboson", "--D", "2",
                      "--max-degree", "3", "--format", "json")
     assert result.exit_code == 1
@@ -342,6 +342,42 @@ def test_chi_of_the_dual_of_parafermion_3_is_pinned(tmp_path):
     chi = [1, 0, 0, 0, 0, 36, -80, -30, 270, -315, -126]
     assert payload["chiDirect"] == payload["chiViaProduct"] == chi
     assert payload["koszulNecessary"] == {"consistent": False, "refutedAt": 5}
+
+
+def test_dual_builds_no_word_row_above_the_relation_degree(tmp_path, monkeypatch):
+    # The intersection side of ``dual`` reads the dims of the tower of
+    # kernels; the word rows of a W_n above N are assembled only for the
+    # readers of ``dual_space``.
+    import nhomalg.algebra
+
+    assembled = []
+    assemble = nhomalg.algebra._assemble
+
+    def counted(ys, kernel):
+        assembled.append(len(kernel))
+        return assemble(ys, kernel)
+
+    monkeypatch.setattr(nhomalg.algebra, "_assemble", counted)
+    result = run_cli("dual", "--file", _dual_file(tmp_path, 3), "--max-degree", "7",
+                     "--format", "json")
+    assert result.exit_code == 0
+    assert json.loads(result.stdout)["dualDimsViaIntersection"] == parafermion_dims(3, 7)
+    assert assembled == []
+    # The counter sits on the path that builds word rows.
+    assert GradedAlgebra(parafermion(3).dual()).dual_space(4).dim == 39
+    assert assembled == [39]
+
+
+def test_dual_of_parafermion_duals_to_high_degrees(tmp_path):
+    # Degrees past the benchmark's, where a slip in the scale or the
+    # read-off of the tower would show.
+    for D, top in ((3, 9), (2, 14)):
+        result = run_cli("dual", "--file", _dual_file(tmp_path, D), "--max-degree", str(top),
+                         "--format", "json")
+        assert result.exit_code == 0
+        payload = json.loads(result.stdout)
+        assert payload["dualDimsViaIntersection"] == parafermion_dims(D, top), D
+        assert payload["routesAgree"] is True
 
 
 # Per degree: dims, kernel dims, image dims, homology.

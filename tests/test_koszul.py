@@ -25,6 +25,7 @@ from nhomalg.linalg import (
     Matrix,
     Subspace,
     TensorVector,
+    _column_labels,
     _echelon,
     rref,
 )
@@ -208,7 +209,7 @@ def test_benchmark_slice_ranks_in_a_sparsest_column_order(parafermi3):
     matrices = build_koszul_slice(parafermi3, 7).matrices
     reordered = 0
     for matrix in matrices:
-        labels = matrix._column_labels()
+        labels = _column_labels(list(matrix.rows.values()))
         order = sorted(labels, key=labels.get)
         reordered += order != sorted(labels)
         counts = [sum(j in row for row in matrix.rows.values()) for j in order]

@@ -9,7 +9,10 @@ degree n - 1 against the union in degree n; the dual dimensions by quotient and 
 intersection, the tail split of the rows of W_n against the transposed
 word matrices of the dual algebra (also on the catalogue), the
 dimensions against those of the relabelled
-presentation, chi by two routes,
+presentation, the dims of the tower of kernels against the quotient
+route and the word rows assembled from it against the two-shift and
+word-row oracles, row for row (also on dense presentations and signed
+binomials, and on the duals of all three), chi by two routes,
 Koszul-slice ranks against the dense oracle and the relation-file round
 trip on the same presentations; the integer-row annihilator and
 intersection against the Fraction route, the laws of the intersection,
@@ -42,6 +45,7 @@ from nhomalg.linalg import (
     Matrix,
     Subspace,
     TensorVector,
+    _column_labels,
     _echelon,
     _over_lcm,
     _primitive,
@@ -68,8 +72,10 @@ from _oracles import (
     relabel,
     relabelled,
     stepwise_normal_words,
+    two_shift_dual_spaces,
     whole_row_echelon,
     whole_row_extend,
+    word_row_dual_spaces,
 )
 
 MAX_WORDS = 729
@@ -549,6 +555,42 @@ def test_border_forms_of_signed_binomials_equal_the_stepwise_ideal(case):
         assert fresh.reduce_to_normal(v) == ideal.reduce(v), word
 
 
+def _tower_equals_the_word_row_routes(algebra, top):
+    # For the presentation and its dual: the tower's dims against the
+    # quotient route, on a fresh algebra before any word row is built,
+    # and the assembled rows against both word-row oracles, row for row.
+    for pres in (algebra.presentation, algebra.presentation.dual()):
+        fresh = GradedAlgebra(pres)
+        for n in range(top + 1):
+            assert fresh.intersection_dim(n) == fresh.dual_dim(n), n
+        assert not fresh._dual
+        oracles = (two_shift_dual_spaces(pres.relations, top),
+                   word_row_dual_spaces(pres.relations, top))
+        for n in range(top + 1):
+            space = fresh.dual_space(n)
+            for oracle in oracles:
+                assert (space.pivots, space._ints) == (oracle[n].pivots, oracle[n]._ints), n
+
+
+@given(algebras())
+@example(rational_quadratic_case())
+@example((GradedAlgebra(Presentation(2, 3, Subspace.zero(2, 3))), 6))
+@example((GradedAlgebra(Presentation(3, 4, Subspace.full(3, 4))), 5))
+def test_dual_tower_on_random_presentations(case):
+    _tower_equals_the_word_row_routes(*case)
+
+
+@settings(max_examples=20)
+@given(dense_presentations())
+def test_dual_tower_on_dense_presentations(case):
+    _tower_equals_the_word_row_routes(*case)
+
+
+@given(signed_binomials())
+def test_dual_tower_on_signed_binomials(case):
+    _tower_equals_the_word_row_routes(*case)
+
+
 # ---------------------------------------------------------------------------
 # Integer-scaled matrices against dense Fraction grids.
 
@@ -655,7 +697,7 @@ def test_rank_in_sparsest_column_order_equals_dense_rank(case):
     # The fewer nonzeros a column holds, the higher its label; ties go to
     # the greater index.
     counts = Counter(j for row in rows for j in row)
-    labels = matrix._column_labels()
+    labels = _column_labels(list(matrix.rows.values()))
     assert sorted(labels) == sorted(counts)
     assert sorted(labels, key=labels.get) == sorted(counts, key=lambda j: (-counts[j], j))
 
