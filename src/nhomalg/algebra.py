@@ -19,8 +19,10 @@ Normal forms are tabled only for the border words b.x, b normal
 (:meth:`GradedAlgebra._fill_borders`), and any other word is walked from
 its border prefix one letter at a time (:meth:`GradedAlgebra._form`), so
 the left one-letter matrices follow from the right ones by
-associativity.  Only the S-elements of the G completion are rewritten at
-a lead (:func:`_normal_form`).
+associativity.  The S-elements of the G completion are each reduced as
+one row, greatest word first (:func:`_reduce_overlap`), and the overlaps
+that the chain criterion proves redundant are skipped; every overlap,
+each word reduced on its own, is the oracle in the tests.
 
 The stepwise ideal component I_n = I_{n-1} (x) E + E^(n-N) (x) R is kept
 as the cross-check, built once per degree, only by :mod:`nhomalg.checks`
@@ -332,44 +334,6 @@ def _border_step(form: _Form, x: int, borders: dict[Word, _Form]) -> _Form:
     return _combine_forms([(borders[c + (x,)], a) for c, a in row.items()], den)
 
 
-def _normal_form(word: Word, basis: dict[Word, _IntRow], leads: _LeadAutomaton,
-                 memo: dict[Word, _Form]) -> _Form:
-    """Normal form of ``word`` modulo the ideal that ``basis`` generates, for
-    the S-elements of :func:`_extend_basis`; every other normal form comes
-    from the border tables of :class:`GradedAlgebra`.
-
-    ``leads`` is the automaton of the leads of ``basis``.  A word with no
-    lead in it is its own normal form.  Otherwise the first occurrence
-    u.p.w of a lead p that the automaton finds is rewritten by the rest
-    of p's row, and the memoised forms of the tail words u.k.w, each
-    smaller than the word, are combined.  Normal forms are unique, so the choice
-    of occurrence changes no result.  Tails wait on an explicit stack:
-    rewriting chains can be longer than the recursion limit.
-    """
-    pending = [word]
-    while pending:
-        t = pending[-1]
-        if t in memo:
-            pending.pop()
-            continue
-        hit = leads.occurrence(t)
-        if hit is None:
-            memo[t] = ({t: 1}, 1)
-            pending.pop()
-            continue
-        start, lead = hit
-        row = basis[lead]
-        u, w = t[:start], t[start + len(lead):]
-        tails = [(u + k + w, -c) for k, c in row.items() if k != lead]
-        missing = [tail for tail, _ in tails if tail not in memo]
-        if missing:
-            pending.extend(missing)
-            continue
-        memo[t] = _combine_forms([(memo[tail], c) for tail, c in tails], row[lead])
-        pending.pop()
-    return memo[word]
-
-
 def _walk_step(leads: _LeadAutomaton, walks: dict[int, int]) -> dict[int, int]:
     """The walks one letter longer than ``walks``, a map from each state
     to the number of walks from the root that end there and never enter
@@ -384,37 +348,103 @@ def _walk_step(leads: _LeadAutomaton, walks: dict[int, int]) -> dict[int, int]:
     return step
 
 
+def _reduce_overlap(f: _IntRow, basis: dict[Word, _IntRow], leads: _LeadAutomaton) -> _IntRow:
+    """A positive multiple of the normal form of the integer row ``f``
+    modulo the ideal that ``basis`` generates; ``leads`` is the automaton
+    of its leads.
+
+    The greatest word w of f is taken first.  A normal one is kept; it is
+    greater than every word left, and than every word a later step makes.
+    Otherwise w = u.p.v at the leftmost occurrence of a lead p
+    (:meth:`_LeadAutomaton.occurrence`), and f becomes a f - m u.g_p.v,
+    with c the coefficient of w, L > 0 that of p in its row g_p, and
+    a = L / gcd(L, c), m = c / gcd(L, c): w cancels and every new word is
+    below it, so the loop ends.  The normal form is linear and vanishes on
+    u.g_p.v, so each step multiplies the normal form of f by a > 0; a
+    normal f is its own form.  Cancellation happens at the top, so an
+    S-element that reduces to zero never builds a dense form.
+    """
+    normal: _IntRow = {}
+    while f:
+        w = max(f)
+        c = f.pop(w)
+        hit = leads.occurrence(w)
+        if hit is None:
+            normal[w] = c
+            continue
+        start, lead = hit
+        row = basis[lead]
+        g = gcd(row[lead], c)
+        a, m = row[lead] // g, c // g
+        if a != 1:
+            f = {t: a * e for t, e in f.items()}
+            normal = {t: a * e for t, e in normal.items()}
+        u, v = w[:start], w[start + len(lead):]
+        for k, e in row.items():
+            if k != lead:
+                t = u + k + v
+                ne = f.get(t, 0) - m * e
+                if ne:
+                    f[t] = ne
+                else:
+                    del f[t]
+    return normal
+
+
 def _extend_basis(basis: dict[Word, _IntRow], degree: int, leads: _LeadAutomaton):
     """Add to ``basis``, complete below ``degree``, its elements of that degree;
     ``leads`` is the automaton of its leads.
 
     For leads a = x.y and b = y.z with y nonempty and |x.y.z| = degree,
-    the S-element L_b (g_a . z) - L_a (x . g_b) cancels at x.y.z, so its
-    normal form modulo the lower basis, which is in the ideal, combines
-    those of its other words.  The nonzero ones,
-    echeloned and fully reduced, are the new elements: each lead is longer
-    than the old ones and contains none of them, so the basis stays
-    reduced and has no inclusion ambiguities.
+    the S-element S_ab = L_b (g_a . z) - L_a (x . g_b) cancels at
+    w = x.y.z.  Each is reduced as one integer row (:func:`_reduce_overlap`)
+    to a positive multiple of its normal form modulo the lower basis,
+    which is in the ideal.  The nonzero ones, echeloned and fully reduced,
+    are the new elements: each lead is longer than the old ones and
+    contains none of them, so the basis stays reduced and has no
+    inclusion ambiguities.  :func:`_echelon` makes each row primitive, so
+    the positive factor of a reduction changes no new element.
+
+    Chain criterion (Gebauer-Moeller, J. Symbolic Comput. 6, 1988; Mora,
+    Theoret. Comput. Sci. 134, 1994): an overlap whose w holds a lead c
+    strictly inside, at neither its first nor its last letter, is
+    skipped.  As the basis is reduced, c lies inside neither a nor b, so
+    a and c span a proper prefix a.t = p.c of w = p.c.s, and c and b a
+    proper suffix c.s = q.b.  With S_ac = L_c (g_a . t) - L_a (p . g_c)
+    and S_cb = L_b (g_c . s) - L_c (q . g_b),
+    L_c S_ab = L_b (S_ac . s) + L_a (p . S_cb).  Where a and c overlap,
+    S_ac is an S-element of lower degree; where they are disjoint,
+    t = m.c and S_ac = r_a.m.g_c - g_a.m.r_c, r the non-lead part of a
+    row.  The basis is complete below ``degree``, so either way S_ac is a
+    sum of terms u.g.v with u.lm(g).v below a.t, S_cb likewise, and S_ab
+    one of such terms below w.  By induction on w, the normal form of
+    S_ab lies in the span of those of the overlaps kept (Bergman's
+    diamond lemma, Adv. Math. 29, 1978), and the new elements are the
+    same.
     """
-    by_prefix: dict[Word, list[Word]] = {}
+    by_prefix: dict[tuple[Word, int], list[Word]] = {}  # (prefix, length) -> leads
     for b in basis:
         for k in range(1, len(b)):
-            by_prefix.setdefault(b[:k], []).append(b)
-    memo: dict[Word, _Form] = {}
+            by_prefix.setdefault((b[:k], len(b)), []).append(b)
     rows = []
     for a, ga in basis.items():
         for k in range(1, len(a)):
-            for b in by_prefix.get(a[len(a) - k:], ()):
-                if len(a) + len(b) - k != degree:
+            for b in by_prefix.get((a[len(a) - k:], degree - len(a) + k), ()):
+                x, z = a[:len(a) - k], b[k:]
+                if leads.occurrence((x + b)[1:-1]) is not None:
                     continue
                 gb = basis[b]
-                x, z = a[:len(a) - k], b[k:]
                 la, lb = ga[a], gb[b]
-                terms = [(_normal_form(word + z, basis, leads, memo), lb * c)
-                         for word, c in ga.items() if word != a]
-                terms += [(_normal_form(x + word, basis, leads, memo), -la * c)
-                          for word, c in gb.items() if word != b]
-                row, _ = _combine_forms(terms, 1)
+                f = {word + z: lb * c for word, c in ga.items() if word != a}
+                for word, c in gb.items():
+                    if word != b:
+                        t = x + word
+                        e = f.get(t, 0) - la * c
+                        if e:
+                            f[t] = e
+                        else:
+                            del f[t]
+                row = _reduce_overlap(f, basis, leads)
                 if row:
                     rows.append(row)
     basis.update(_full_reduce(_echelon(rows)))

@@ -29,8 +29,11 @@ row; the
 elimination kernel with undivided multipliers, each new row of a span
 eliminated whole, against the package's kernel, which divides the
 multipliers by their gcd and cuts new rows to their remainders first and
-must give bit-identical rows; and ``Matrix._from_ints`` in two passes,
-every row copied, against the one-pass one.
+must give bit-identical rows; ``Matrix._from_ints`` in two passes,
+every row copied, against the one-pass one; and the Groebner basis from
+every overlap, each word of an S-element reduced to its memoised normal
+form on its own, against the completion that skips the overlaps of the
+chain criterion and reduces each S-element as one row.
 """
 
 from fractions import Fraction
@@ -464,3 +467,79 @@ def two_pass_matrix(nrows, ncols, rows, scale=1):
     matrix = Matrix.__new__(Matrix)
     matrix.nrows, matrix.ncols, matrix.rows, matrix.scale = nrows, ncols, rows, scale // g
     return matrix
+
+
+def _word_normal_form(word, basis, leads, memo):
+    """Normal form ``(row, den)`` of ``word`` modulo the ideal that ``basis``
+    generates: the first lead occurrence that ``leads`` finds is rewritten
+    by the rest of its row, and the memoised forms of the tail words, each
+    smaller than the word, are combined.  Tails wait on an explicit stack."""
+    from nhomalg.algebra import _combine_forms
+
+    pending = [word]
+    while pending:
+        t = pending[-1]
+        if t in memo:
+            pending.pop()
+            continue
+        hit = leads.occurrence(t)
+        if hit is None:
+            memo[t] = ({t: 1}, 1)
+            pending.pop()
+            continue
+        start, lead = hit
+        row = basis[lead]
+        u, w = t[:start], t[start + len(lead):]
+        tails = [(u + k + w, -c) for k, c in row.items() if k != lead]
+        missing = [tail for tail, _ in tails if tail not in memo]
+        if missing:
+            pending.extend(missing)
+            continue
+        memo[t] = _combine_forms([(memo[tail], c) for tail, c in tails], row[lead])
+        pending.pop()
+    return memo[word]
+
+
+def all_overlaps_basis(presentation, top, overlaps=None):
+    """The truncated reduced Groebner basis through degree ``top`` from every
+    overlap ambiguity, each S-element's words reduced one by one to their
+    memoised normal forms and then added up: against ``_extend_basis``,
+    which skips the overlaps of the chain criterion and reduces each
+    S-element as one row.  ``overlaps``, if given, maps each degree above
+    N to the number of overlaps of that degree."""
+    from nhomalg.algebra import _combine_forms, _LeadAutomaton
+    from nhomalg.linalg import _echelon, _full_reduce
+
+    basis = {}
+    leads = _LeadAutomaton((), presentation.D)
+    for degree in range(presentation.N, top + 1):
+        size = len(basis)
+        if degree == presentation.N:
+            basis.update(presentation.relations._ints)
+        else:
+            by_prefix = {}
+            for b in basis:
+                for k in range(1, len(b)):
+                    by_prefix.setdefault(b[:k], []).append(b)
+            memo, rows, count = {}, [], 0
+            for a, ga in basis.items():
+                for k in range(1, len(a)):
+                    for b in by_prefix.get(a[len(a) - k:], ()):
+                        if len(a) + len(b) - k != degree:
+                            continue
+                        count += 1
+                        gb = basis[b]
+                        x, z = a[:len(a) - k], b[k:]
+                        terms = [(_word_normal_form(w + z, basis, leads, memo), gb[b] * c)
+                                 for w, c in ga.items() if w != a]
+                        terms += [(_word_normal_form(x + w, basis, leads, memo), -ga[a] * c)
+                                  for w, c in gb.items() if w != b]
+                        row, _ = _combine_forms(terms, 1)
+                        if row:
+                            rows.append(row)
+            if overlaps is not None:
+                overlaps[degree] = count
+            basis.update(_full_reduce(_echelon(rows)))
+        if len(basis) > size:
+            leads = _LeadAutomaton(basis, presentation.D)
+    return basis

@@ -25,6 +25,7 @@ from nhomalg.linalg import (
 )
 
 from _oracles import (
+    all_overlaps_basis,
     bracket_vectors,
     dense_rank,
     direct_ideal_component,
@@ -329,6 +330,56 @@ DUAL_SPACE_CASES = [
     pytest.param(lambda D: Presentation(D, 3, Subspace.full(D, 3)), 2, 6, id="full"),
     pytest.param(lambda D: Presentation(D, 2, Subspace.full(D, 2)), 3, 5, id="full-quadratic"),
 ]
+
+
+GROEBNER_CASES = [
+    pytest.param(make, D, top, id=f"{make.__name__}{D}")
+    for make, tops in ((parafermion, (10, 8, 7)), (paraboson, (10, 8, 7)))
+    for D, top in zip((2, 3, 4), tops)
+] + [pytest.param(plactic, D, 10, id=f"plactic{D}") for D in (2, 3, 4, 5)] + [
+    pytest.param(_seeded_artin_schelter, seed, 10, id=f"as-seed{seed}") for seed in (1, 2, 3)]
+
+
+@pytest.mark.parametrize("make, arg, top", GROEBNER_CASES)
+def test_groebner_basis_equals_the_all_overlaps_route(make, arg, top):
+    # G row for row, in the same order, against every overlap with each
+    # word of its S-element reduced to its normal form on its own.
+    presentation = make(arg)
+    for pres in (presentation, presentation.dual()):
+        algebra = GradedAlgebra(pres)
+        algebra._complete_basis(top)
+        assert list(algebra._basis.items()) == list(all_overlaps_basis(pres, top).items())
+
+
+def test_chain_criterion_skips_overlaps(monkeypatch):
+    # The S-elements reduced per degree, against the overlaps of each
+    # degree: only those with no lead strictly inside their word.
+    import nhomalg.algebra
+
+    reduced = Counter()
+    degree = [0]
+    extend, reduce = nhomalg.algebra._extend_basis, nhomalg.algebra._reduce_overlap
+
+    def extend_spy(basis, m, leads):
+        degree[0] = m
+        extend(basis, m, leads)
+
+    def reduce_spy(f, basis, leads):
+        reduced[degree[0]] += 1
+        return reduce(f, basis, leads)
+
+    monkeypatch.setattr(nhomalg.algebra, "_extend_basis", extend_spy)
+    monkeypatch.setattr(nhomalg.algebra, "_reduce_overlap", reduce_spy)
+    for presentation, top, expected in (
+            (parafermion(4).dual(), 6, {4: (120, 120), 5: (177, 453), 6: (129, 234)}),
+            (paraboson(4), 7, {4: (24, 24), 5: (36, 54), 6: (3, 7), 7: (0, 0)}),
+            (plactic(5), 10, {4: (65, 65), 5: (180, 234), 6: (403, 426), 7: (387, 574),
+                              8: (514, 666), 9: (457, 622), 10: (389, 557)})):
+        reduced.clear()
+        GradedAlgebra(presentation)._complete_basis(top)
+        overlaps = {}
+        all_overlaps_basis(presentation, top, overlaps)
+        assert {m: (reduced[m], overlaps[m]) for m in overlaps} == expected
 
 
 @pytest.mark.parametrize("make, arg, top", DUAL_SPACE_CASES)

@@ -21,6 +21,8 @@ spaces of the same kind; and, on denser presentations whose Groebner
 basis mostly grows past degree N, the Groebner route against the
 stepwise ideal and the dual spaces of their annihilator presentations
 against the Fraction oracle and the quotient of the double dual; the
+rows of G against the all-overlaps route, bit for bit, on all three
+kinds of presentation and their duals; the
 one-letter word matrices on both sides and the normal forms, all read
 from the border tables, against the stepwise ideal on both kinds of
 presentation and on presentations by signed two-term relations u +- v;
@@ -61,6 +63,7 @@ from nhomalg.relfile import format_presentation, parse_relations
 from nhomalg.series import chi_via_product
 
 from _oracles import (
+    all_overlaps_basis,
     dense_matrix_rank,
     dense_rank,
     direct_ideal_component,
@@ -553,6 +556,34 @@ def test_border_forms_of_signed_binomials_equal_the_stepwise_ideal(case):
     for word in words[::max(1, len(words) // 40)]:
         v = word_vector(word)
         assert fresh.reduce_to_normal(v) == ideal.reduce(v), word
+
+
+def _groebner_basis_equals_all_overlaps(algebra, top):
+    # For the presentation and its dual: G row for row, in the same order,
+    # against every overlap, each word of an S-element reduced on its own.
+    for pres in (algebra.presentation, algebra.presentation.dual()):
+        fresh = GradedAlgebra(pres)
+        fresh._complete_basis(top)
+        assert list(fresh._basis.items()) == list(all_overlaps_basis(pres, top).items())
+
+
+@given(algebras())
+@example(rational_quadratic_case())
+@example((GradedAlgebra(Presentation(2, 3, Subspace.zero(2, 3))), 6))
+@example((GradedAlgebra(Presentation(3, 4, Subspace.full(3, 4))), 5))
+def test_groebner_basis_equals_all_overlaps_on_random_presentations(case):
+    _groebner_basis_equals_all_overlaps(*case)
+
+
+@settings(max_examples=20)
+@given(dense_presentations())
+def test_groebner_basis_equals_all_overlaps_on_dense_presentations(case):
+    _groebner_basis_equals_all_overlaps(*case)
+
+
+@given(signed_binomials())
+def test_groebner_basis_equals_all_overlaps_on_signed_binomials(case):
+    _groebner_basis_equals_all_overlaps(*case)
 
 
 def _tower_equals_the_word_row_routes(algebra, top):
