@@ -73,7 +73,6 @@ from .series import (
     TruncationError,
     chi_direct,
     chi_via_product,
-    closed_form_series,
     dual_q_series,
     koszul_necessary,
     poincare_series,

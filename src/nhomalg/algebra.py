@@ -35,11 +35,12 @@ complexes of :mod:`nhomalg.koszul`.  W_n by intersection is kept as the
 cross-check that ``dual`` and ``checks`` read, built degree by degree,
 W_n = (W_{n-1} (x) E) cap (E^(n-N) (x) R), each meet the kernel K_n of
 the remainder map on the rows of W_{n-1} (x) E, as a tower of kernels
-with no word row (:func:`_next_level`): the remainders are read off a
-table of the degree-N words modulo R, and neither the shifted relations
-nor a D^n-wide annihilator is built.  Word rows are assembled from the
-tower only for their readers (:meth:`GradedAlgebra.dual_space`).  The
-direct routes, the union of all n-N+1 shifts of R and their
+with no word row (:func:`_next_level`): the remainders are read off the
+table of the degree-N words modulo R that also gives the annihilator
+(:func:`nhomalg.linalg._remainder_table`), and neither the shifted
+relations nor a D^n-wide annihilator is built.  Word rows are assembled
+from the tower only for their readers (:meth:`GradedAlgebra.dual_space`).
+The direct routes, the union of all n-N+1 shifts of R and their
 intersection, the meet with the shifted relations built in full, and
 the meet on the word rows, are oracles in the tests only; the
 intersection runs there through Fraction annihilators.
@@ -65,7 +66,7 @@ from .linalg import (
     _kernel,
     _lex_index,
     _over_lcm,
-    all_words,
+    _remainder_table,
     annihilator,
     rref,  # not called here; perfbench/test_perfbench.py checks this traced binding
     shift,
@@ -107,28 +108,6 @@ def guard_words(D: int, degree: int, word_limit: int):
 # pair, so an element of W_l has its coordinates over the rows, each scaled
 # to 1 at its lead pair, at their lead pairs: read off, with no solve.
 
-def _tail_remainders(relations: Subspace) -> tuple[dict[Word, dict[int, int]], int, int]:
-    """``(table, scale, free)``: the remainder modulo ``relations`` of every
-    word of their degree, over one scale, for :func:`_next_level`.
-
-    ``free`` is the number of non-pivot words f and ``scale`` the lcm M of
-    the pivot coefficients; ``table[t]`` is the remainder of M t, keyed by
-    the position of each f among the non-pivot words, ascending lex.  A
-    remainder holds only words below t, so the words are numbered as the
-    ascending scan meets them.
-    """
-    ints = relations._ints
-    scale = lcm(*(row[p] for p, row in ints.items()))
-    position: dict[Word, int] = {}
-    table = {}
-    for t in all_words(relations.alphabet, relations.degree):
-        if t not in ints:
-            position[t] = len(position)
-        rem, m = relations._remainder({t: 1})
-        table[t] = {position[f]: c * (scale // m) for f, c in rem.items()}
-    return table, scale, len(position)
-
-
 class _Level:
     """W_l: ``leads`` maps each row's lead pair to the row.  From l = N on,
     ``tails[k]`` expands a multiple v of row k over W_{l+1-N} (x) E^(N-1),
@@ -164,7 +143,7 @@ def _base_levels(relations: Subspace) -> list[_Level]:
 
 def _next_level(levels: list[_Level], remainders, D: int, N: int) -> _Level:
     """W_{n+1} from the tower W_0..W_n, n >= N; ``remainders`` is
-    :func:`_tail_remainders` of R.
+    :func:`nhomalg.linalg._remainder_table` of R.
 
     W_{n+1} = (W_n (x) E) cap (E^(n+1-N) (x) R).  With a row of W_n
     expanded as v = sum c_{j,t} w_j (x) t, the remainder of M v.x modulo
@@ -758,8 +737,7 @@ class GradedAlgebra:
             letters = word if side == "right" else word[::-1]
             product = None
             for i, x in enumerate(letters):
-                factor = self._cached(self._word_mats, (n + i, (x,), side),
-                                      lambda: self._read_off_forms(n + i, (x,), side))
+                factor = self.word_matrix(n + i, (x,), side)
                 product = factor if product is None else factor.mul(product)
             return product
         return self._cached(self._word_mats, (n, word, side), compute)
@@ -801,7 +779,7 @@ class GradedAlgebra:
             tower.extend(_base_levels(self.presentation.relations))
         while len(tower) <= n:
             if self._tails is None:
-                self._tails = _tail_remainders(self.presentation.relations)
+                self._tails = _remainder_table(self.presentation.relations)
             tower.append(_next_level(tower, self._tails, self.D, self.N))
         return tower[n]
 

@@ -95,6 +95,8 @@ def resolve_algebra(algebra_name, generators, q, r, relation_file, word_limit):
             presentation = relfile.parse_relation_file(relation_file)
         except relfile.RelationParseError as err:
             raise click.ClickException(f"{relation_file}: {err}") from err
+        except OSError as err:
+            raise click.ClickException(f"{relation_file}: {err.strerror or err}") from err
         guard_words(presentation.D, presentation.N, word_limit)
         identity = {"source": "file", "path": str(relation_file),
                     "D": presentation.D, "N": presentation.N}
@@ -115,19 +117,9 @@ def resolve_algebra(algebra_name, generators, q, r, relation_file, word_limit):
     return GradedAlgebra(presentation, word_limit=word_limit), identity, entry
 
 
-def jsonable(value):
-    if isinstance(value, Fraction):
-        return str(value)
-    if isinstance(value, dict):
-        return {str(k): jsonable(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [jsonable(v) for v in value]
-    return value
-
-
 def emit(payload, fmt, lines):
     if fmt == "json":
-        click.echo(json.dumps(jsonable(payload), indent=2))
+        click.echo(json.dumps(payload, indent=2))
     else:
         for line in lines:
             click.echo(line)
@@ -186,7 +178,7 @@ def algebra_command(name, min_degree=0):
 def hilbert(algebra, entry, max_degree, payload):
     """Graded dimensions (the Poincare series coefficients)."""
     coeffs = series.poincare_series(algebra, max_degree).coefficients()
-    payload["coefficients"] = list(coeffs)
+    payload["coefficients"] = coeffs
     lines = ["degree  dimension"]
     lines += [f"{n:>6}  {c}" for n, c in enumerate(coeffs)]
     lines.append("series: " + ", ".join(str(c) for c in coeffs))
@@ -227,8 +219,8 @@ def chi(algebra, entry, max_degree, payload):
     necessary condition."""
     direct = series.chi_direct(algebra, max_degree)
     product = series.chi_via_product(algebra, max_degree)
-    payload["chiDirect"] = list(direct.coefficients())
-    payload["chiViaProduct"] = list(product.coefficients())
+    payload["chiDirect"] = direct.coefficients()
+    payload["chiViaProduct"] = product.coefficients()
     lines = ["chi coefficients: " + ", ".join(str(c) for c in direct.coefficients())]
     if max_degree >= 1:
         verdict = series.koszul_necessary(algebra, max_degree)
@@ -243,11 +235,11 @@ def chi(algebra, entry, max_degree, payload):
 def _homology_rows(report):
     return {
         "degree": report.total_degree,
-        "positions": [list(p) for p in report.positions],
-        "dims": list(report.dims),
-        "kernelDims": list(report.kernel_dims),
-        "imageDims": list(report.image_dims),
-        "homology": list(report.homology_dims),
+        "positions": report.positions,
+        "dims": report.dims,
+        "kernelDims": report.kernel_dims,
+        "imageDims": report.image_dims,
+        "homology": report.homology_dims,
         "euler": report.euler,
     }
 
@@ -291,10 +283,9 @@ def gorenstein(algebra, entry, max_degree, payload):
         raise click.ClickException(str(err)) from err
     payload["resolutionExact"] = report.resolution_exact
     payload["verdict"] = report.verdict
-    payload["interiorCohomology"] = [list(w) for w in report.interior_witnesses]
-    payload["terminalCohomology"] = [list(t) for t in report.terminal_dims]
-    payload["cohomologyByDegree"] = ([list(c) for c in report.cohomology]
-                                     if report.cohomology is not None else None)
+    payload["interiorCohomology"] = report.interior_witnesses
+    payload["terminalCohomology"] = report.terminal_dims
+    payload["cohomologyByDegree"] = report.cohomology
     lines = [f"resolution exact: {report.resolution_exact}",
              f"verdict: {report.verdict}"]
     if report.cohomology is not None:
@@ -319,14 +310,14 @@ def normal_form(word, generators, fmt):
     """Tableau normal form of WORD (a digit string over 1..D)."""
     letters = []
     for column, ch in enumerate(word, start=1):
-        if not ch.isdigit() or not 1 <= int(ch) <= generators:
+        if not (ch.isascii() and ch.isdigit()) or not 1 <= int(ch) <= generators:
             raise click.ClickException(
                 f"column {column}: letter {ch!r} outside 1..{generators}")
         letters.append(int(ch))
     tableau = tableaux.word_to_tableau(letters)
     payload = {"schemaVersion": SCHEMA_VERSION, "command": "plactic normal-form",
                "word": word, "D": generators,
-               "tableau": [list(row) for row in tableau.rows]}
+               "tableau": tableau.rows}
     emit(payload, fmt, tableau.render_lines())
 
 

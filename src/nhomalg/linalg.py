@@ -18,9 +18,11 @@ spans by :meth:`Subspace.join`, :func:`shift`, :func:`annihilator` and
 Computer Algebra*, 1992, ch. 9), and a span stores its rows in that form
 only, so no operation on spans leaves the integers; Fractions, in lowest
 terms, are made only in the vectors handed back to callers (``rows``,
-``reduce``, ``coordinates``).  Only the annihilator lists every word of
-its degree.  A :class:`Matrix` likewise stores integer rows over one
-scale, and its rank runs the same elimination kernel.
+``reduce``, ``coordinates``).  Only the remainder table, whose columns
+give the annihilator and whose rows the tower of W_n in
+:mod:`nhomalg.algebra` reads, lists every word of its degree.  A
+:class:`Matrix` likewise stores integer rows over one scale, and its
+rank runs the same elimination kernel.
 """
 
 from __future__ import annotations
@@ -429,29 +431,51 @@ def rref(vectors: Iterable[TensorVector], alphabet: int,
     return Subspace(alphabet, degree, vectors)
 
 
+def _remainder_table(space: Subspace) -> tuple[dict[Word, dict[int, int]], int, int]:
+    """``(table, scale, free)``: the remainder modulo ``space`` of every word
+    of its degree, over one scale; the rows are read by the tower of
+    W_n in :mod:`nhomalg.algebra` and the columns by :func:`annihilator`.
+
+    ``free`` is the number of non-pivot words f and ``scale`` the lcm M of
+    the pivot coefficients; ``table[t]`` is the remainder of M t, keyed by
+    the position of each f among the non-pivot words, ascending lex.  A
+    free word is its own remainder; a pivot word t, its row L t + sum a_f f
+    meeting no other pivot, leaves -(M / L) sum a_f f.  Those f lie below
+    t, so the words are numbered as the ascending scan meets them.
+    """
+    ints = space._ints
+    scale = lcm(*(row[p] for p, row in ints.items()))
+    position: dict[Word, int] = {}
+    table = {}
+    for t in all_words(space.alphabet, space.degree):
+        row = ints.get(t)
+        if row is None:
+            position[t] = len(position)
+            table[t] = {position[t]: scale}
+        else:
+            a = scale // row[t]
+            table[t] = {position[f]: -a * c for f, c in row.items() if f != t}
+    return table, scale, len(position)
+
+
 def annihilator(space: Subspace) -> Subspace:
     """All dual vectors vanishing on the space, in the word basis.
 
-    dim(space) + dim(annihilator) = alphabet ** degree.  With the
-    self-dual word pairing, a reduced row with integer pivot coefficient
-    L_p and coefficient a_f at free word f forces ``w_p = -a_f / L_p`` on
-    the functional that is 1 at f; scaled by the lcm m of those L_p, that
-    functional is ``m e_f - sum a_f (m // L_p) e_p``, one row per free word.
+    dim(space) + dim(annihilator) = alphabet ** degree.  The coefficient
+    at a free word f of the remainder of M t (:func:`_remainder_table`)
+    is a functional of t that vanishes on the space and is M at f and 0
+    at every other free word, so these columns of the table, one per
+    free word, span the annihilator.  Each lists the pivot words,
+    descending, then f.
     """
     ints = space._ints
-    hits: dict[Word, list[tuple[Word, int, int]]] = {
-        w: [] for w in all_words(space.alphabet, space.degree) if w not in ints}
-    for pivot, row in ints.items():
-        lead = row[pivot]
-        for word, coeff in row.items():
-            if word != pivot:
-                hits[word].append((pivot, coeff, lead))
-    rows = []
-    for free, entries in hits.items():
-        m = lcm(*(lead for _, _, lead in entries))
-        row = {pivot: -coeff * (m // lead) for pivot, coeff, lead in entries}
-        row[free] = m
-        rows.append(row)
+    table, scale, free = _remainder_table(space)
+    columns: list[_IntRow] = [{} for _ in range(free)]
+    for p in ints:
+        for f, c in table[p].items():
+            columns[f][p] = c
+    frees = (t for t in table if t not in ints)
+    rows = [{**column, t: scale} for column, t in zip(columns, frees)]
     return Subspace.zero(space.alphabet, space.degree)._extend(rows)
 
 

@@ -117,7 +117,18 @@ def parse_relations(text: str) -> Presentation:
 
 
 def parse_relation_file(path) -> Presentation:
-    return parse_relations(Path(path).read_text())
+    """Parse a relation file, read as UTF-8 whatever the locale; a byte
+    that does not decode is a :class:`RelationParseError` at its place."""
+    data = Path(path).read_bytes()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as err:
+        # The decoded text before the byte, with a stand-in for the byte,
+        # split as parse_relations splits it.
+        lines = (data[:err.start].decode("utf-8") + "?").splitlines()
+        raise RelationParseError(len(lines), len(lines[-1]),
+                                 f"byte 0x{data[err.start]:02x} is not UTF-8") from err
+    return parse_relations(text)
 
 
 def format_presentation(presentation: Presentation) -> str:

@@ -13,7 +13,6 @@ algebra.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from math import comb
 from typing import Sequence
 
@@ -26,7 +25,7 @@ class TruncationError(IndexError):
 
 
 class NonIntegerCoefficientError(ValueError):
-    """A closed form produced a non-integer coefficient: bad parameters."""
+    """An :class:`IntSeries` was given a coefficient that is not an integer."""
 
 
 class IntSeries:
@@ -220,12 +219,6 @@ def _geometric(step: int, exponent: int, order: int) -> IntSeries:
     return series_quotient(series_one(order), denominator)
 
 
-def _integer(value: Fraction, what: str) -> int:
-    if value.denominator != 1:
-        raise NonIntegerCoefficientError(f"{what} = {value} is not an integer")
-    return int(value)
-
-
 def parafermion_hilbert_closed(D: int, n_max: int) -> IntSeries:
     """Hilbert series of the parafermionic algebra on D generators.
 
@@ -252,33 +245,19 @@ def paraboson_hilbert_closed(D: int, n_max: int) -> IntSeries:
 def parafermion_q_closed(D: int, n_max: int) -> IntSeries:
     """The signed dual-dimension series of the parafermionic algebra.
 
-    1 - D t + D(D^2-1)/3 t^3 - D^2(D^2-1)/12 t^4; both cubic and quartic
-    coefficients are integers for every D.
+    1 - D t + D(D^2-1)/3 t^3 - D^2(D^2-1)/12 t^4.  Both divisions are
+    exact: D(D^2-1) = (D-1)D(D+1) is a product of three consecutive
+    integers, so a multiple of 6; for D^2(D^2-1) = D.(D-1)D(D+1), an even
+    D gives the missing factor 2, and for an odd D the two even factors
+    D-1 and D+1 make (D-1)D(D+1) a multiple of 24.
     """
     if D < 1:
         raise ValueError("D must be positive")
-    c3 = _integer(Fraction(D * (D * D - 1), 3), "cubic coefficient")
-    c4 = _integer(Fraction(D * D * (D * D - 1), 12), "quartic coefficient")
+    c3 = D * (D * D - 1) // 3
+    c4 = D * D * (D * D - 1) // 12
     return IntSeries([1, -D, 0, c3, -c4], n_max)
 
 
 def parafermion_chi_closed(D: int, n_max: int) -> IntSeries:
     """chi of the parafermionic algebra, Q.H from the closed forms of both."""
     return parafermion_q_closed(D, n_max) * parafermion_hilbert_closed(D, n_max)
-
-
-CLOSED_FORMS = {
-    "parafermion-hilbert": parafermion_hilbert_closed,
-    "paraboson-hilbert": paraboson_hilbert_closed,
-    "parafermion-q": parafermion_q_closed,
-    "parafermion-chi": parafermion_chi_closed,
-}
-
-
-def closed_form_series(name: str, D: int, n_max: int) -> IntSeries:
-    try:
-        fn = CLOSED_FORMS[name]
-    except KeyError:
-        raise ValueError(f"unknown closed form {name!r}; "
-                         f"choose from {sorted(CLOSED_FORMS)}") from None
-    return fn(D, n_max)

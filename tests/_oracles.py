@@ -6,10 +6,12 @@ Gaussian elimination over Fractions, plain list-based polynomial
 arithmetic, and direct expansions of the defining relation sets.  Tests
 freeze values computed by these oracles and compare the package against
 them.  The last section keeps the direct, slower routes on top of the
-package's ``rref``: the annihilator and the intersection through
-Fraction spanning vectors (the intersection as the annihilator of both
-stacked annihilators, D^n wide, where the package takes the kernel of a
-remainder map), and the dual spaces by iterated intersection on that
+package's ``rref``: the annihilator from hit lists of the relation
+rows, against the columns of the package's remainder table, and that
+table by reducing each word; the annihilator and the intersection
+through Fraction spanning vectors (the intersection as the annihilator
+of both stacked annihilators, D^n wide, where the package takes the
+kernel of a remainder map), and the dual spaces by iterated intersection on that
 Fraction route, so no dual oracle calls the package's ``intersect``;
 the leftmost lead occurrence by slicing every start and lead length,
 against the automaton scan; the word matrices by normal forms of the
@@ -213,6 +215,62 @@ def fraction_annihilator(space):
     return rref(_fraction_annihilator_vectors(space), space.alphabet, space.degree)
 
 
+def hit_list_annihilator(space):
+    """The annihilator from hit lists of the relation rows: for each free
+    word f, the pivots whose row holds f, scaled by the lcm m of their
+    pivot coefficients L_p into the row ``m e_f - sum a_f (m // L_p) e_p``,
+    against the package's columns of the remainder table."""
+    from math import lcm
+
+    from nhomalg.linalg import Subspace
+
+    ints = space._ints
+    hits = {w: [] for w in all_words(space.alphabet, space.degree) if w not in ints}
+    for pivot, row in ints.items():
+        lead = row[pivot]
+        for word, coeff in row.items():
+            if word != pivot:
+                hits[word].append((pivot, coeff, lead))
+    rows = []
+    for free, entries in hits.items():
+        m = lcm(*(lead for _, _, lead in entries))
+        row = {pivot: -coeff * (m // lead) for pivot, coeff, lead in entries}
+        row[free] = m
+        rows.append(row)
+    return Subspace.zero(space.alphabet, space.degree)._extend(rows)
+
+
+def reduced_remainder_table(space):
+    """``linalg._remainder_table`` by ``Subspace.reduce``: the row of each
+    word t is M times the remainder of t, M the lcm of the pivot
+    coefficients, keyed by the position of each free word, ascending lex."""
+    from math import lcm
+
+    from nhomalg.linalg import word_vector
+
+    ints = space._ints
+    scale = lcm(*(row[p] for p, row in ints.items()))
+    words = all_words(space.alphabet, space.degree)
+    position = {f: i for i, f in enumerate(w for w in words if w not in ints)}
+    table = {t: {position[f]: scale * c for f, c in space.reduce(word_vector(t)).terms.items()}
+             for t in words}
+    return table, scale, len(position)
+
+
+def seeded_artin_schelter(seed):
+    """A_{q,r} with q and r drawn as signed p/q, p and q in 100..999."""
+    import random
+
+    from nhomalg.catalog import artin_schelter
+
+    rng = random.Random(seed)
+
+    def rational():
+        return Fraction(rng.choice((1, -1)) * rng.randint(100, 999), rng.randint(100, 999))
+
+    return artin_schelter(rational(), rational())
+
+
 def fraction_intersect(s1, s2):
     """The intersection, as the annihilator of both stacked annihilators."""
     from nhomalg.linalg import rref
@@ -367,14 +425,13 @@ def word_row_dual_spaces(relations, top):
     The remainder of a word u.t.x, |u| = n - N, is u (x) (the remainder of
     t.x modulo R), a row of the package's table of the degree-N words,
     its keys offset by lex(u) times the number of free words."""
-    from nhomalg.algebra import _tail_remainders
-    from nhomalg.linalg import Subspace, _assemble, _kernel, _lex_index
+    from nhomalg.linalg import Subspace, _assemble, _kernel, _lex_index, _remainder_table
 
     D, N = relations.alphabet, relations.degree
     spaces = [Subspace.full(D, n) for n in range(min(N, top + 1))]
     if top >= N:
         spaces.append(relations)
-    table, scale, free = _tail_remainders(relations)
+    table, scale, free = _remainder_table(relations)
     for n in range(N + 1, top + 1):
         k = n - N
         ys, tagged = [], []

@@ -1,4 +1,3 @@
-import random
 from collections import Counter
 from fractions import Fraction
 
@@ -34,6 +33,7 @@ from _oracles import (
     occurrence,
     parafermion_dims,
     relabelled,
+    seeded_artin_schelter,
     stepwise_normal_words,
     two_shift_dual_spaces,
 )
@@ -311,20 +311,11 @@ def test_dual_dims_stop_completing_at_the_first_vanishing_degree():
     assert [dual.component_dim(n) for n in range(7)] == [1, 2, 4, 2, 1, 0, 0]
 
 
-def _seeded_artin_schelter(seed):
-    rng = random.Random(seed)
-
-    def rational():
-        return Fraction(rng.choice((1, -1)) * rng.randint(100, 999), rng.randint(100, 999))
-
-    return artin_schelter(rational(), rational())
-
-
 DUAL_SPACE_CASES = [
     pytest.param(make, D, top, id=f"{make.__name__}{D}")
     for make, tops in ((parafermion, (10, 7, 6)), (paraboson, (10, 7, 6)), (plactic, (10, 7, 6)))
     for D, top in zip((2, 3, 4), tops)
-] + [pytest.param(_seeded_artin_schelter, seed, 9, id=f"as-seed{seed}")
+] + [pytest.param(seeded_artin_schelter, seed, 9, id=f"as-seed{seed}")
      for seed in (1, 2, 3)] + [
     pytest.param(lambda D: free_presentation(D, 3), 2, 6, id="empty"),
     pytest.param(lambda D: Presentation(D, 3, Subspace.full(D, 3)), 2, 6, id="full"),
@@ -337,7 +328,7 @@ GROEBNER_CASES = [
     for make, tops in ((parafermion, (10, 8, 7)), (paraboson, (10, 8, 7)))
     for D, top in zip((2, 3, 4), tops)
 ] + [pytest.param(plactic, D, 10, id=f"plactic{D}") for D in (2, 3, 4, 5)] + [
-    pytest.param(_seeded_artin_schelter, seed, 10, id=f"as-seed{seed}") for seed in (1, 2, 3)]
+    pytest.param(seeded_artin_schelter, seed, 10, id=f"as-seed{seed}") for seed in (1, 2, 3)]
 
 
 @pytest.mark.parametrize("make, arg, top", GROEBNER_CASES)
@@ -405,7 +396,7 @@ def test_dual_space_builds_no_shift_of_the_relations(monkeypatch):
 
     monkeypatch.setattr(nhomalg.linalg, "shift", spy)
     monkeypatch.setattr(nhomalg.algebra, "shift", spy)
-    for presentation, top in ((parafermion(3).dual(), 7), (_seeded_artin_schelter(4).dual(), 9)):
+    for presentation, top in ((parafermion(3).dual(), 7), (seeded_artin_schelter(4).dual(), 9)):
         algebra = GradedAlgebra(presentation)
         assert algebra.dual_space(top).dim > 0
         assert not any(space == presentation.relations for space in shifted)

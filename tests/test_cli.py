@@ -2,10 +2,12 @@ import json
 import os
 import subprocess
 import sys
+import tempfile
 import time
 from pathlib import Path
 
 from click.testing import CliRunner
+from hypothesis import given, strategies as st
 
 from nhomalg.algebra import GradedAlgebra
 from nhomalg.catalog import parafermion, plactic
@@ -213,6 +215,10 @@ def test_readme_command_lines_run():
     for words in lines:
         result = run_cli(*words[1:])
         assert result.exit_code == 0, (words, result.output)
+        if "--format" not in words:
+            result = run_cli(*words[1:], "--format", "json")
+            assert result.exit_code == 0, (words, result.output)
+            assert json.loads(result.output)["schemaVersion"] == 1
 
 
 def test_koszul_tables_where_rank_pivots_on_sparsest_columns():
@@ -446,6 +452,14 @@ def test_plactic_normal_form():
     assert "column 2" in result.output
 
 
+def test_plactic_normal_form_takes_ascii_digits_only():
+    # Both are digits to str.isdigit; the superscript two is not one to int().
+    for word, letter in (("1\u00b2", "\u00b2"), ("1\u0662", "\u0662")):
+        result = run_cli("plactic", "normal-form", word, "--D", "2")
+        _assert_clean_error(result)
+        assert f"column 2: letter {letter!r} outside 1..2" in result.output
+
+
 def test_plactic_count():
     result = run_cli("plactic", "count", "--D", "2", "--max-degree", "7",
                      "--format", "json")
@@ -582,6 +596,31 @@ def test_relation_file_parse_error_location(tmp_path):
     assert "line 2, column 4" in result.output
 
 
+def test_relation_file_that_is_not_utf8_is_a_clean_error(tmp_path):
+    path = tmp_path / "latin1.txt"
+    path.write_bytes(b"D=2 N=3\n1*121 - 1*2\xff1\n")
+    result = run_cli("hilbert", "--file", str(path))
+    _assert_clean_error(result)
+    assert "line 2, column 12: byte 0xff is not UTF-8" in result.output
+    path.write_bytes(b"\xff")
+    result = run_cli("hilbert", "--file", str(path))
+    _assert_clean_error(result)
+    assert "line 1, column 1: byte 0xff is not UTF-8" in result.output
+
+
+def test_unreadable_relation_file_is_a_clean_error(tmp_path, monkeypatch):
+    path = tmp_path / "rels.txt"
+    path.write_text("D=2 N=3\n")
+
+    def unreadable(path):
+        raise PermissionError(13, "Permission denied", str(path))
+
+    monkeypatch.setattr("nhomalg.cli.relfile.parse_relation_file", unreadable)
+    result = run_cli("hilbert", "--file", str(path))
+    _assert_clean_error(result)
+    assert f"Error: {path}: Permission denied" in result.output
+
+
 def test_exactly_one_source_required(tmp_path):
     result = run_cli("hilbert")
     assert result.exit_code != 0
@@ -648,3 +687,29 @@ def test_module_entry_point():
         capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout)["coefficients"] == [1, 2, 4, 6, 9]
+
+
+def _assert_done_or_clean_error(result):
+    if result.exit_code != 0:
+        _assert_clean_error(result)
+
+
+# Any character, or one that Unicode counts as a digit or a number; a
+# word is taken only if it is ASCII digits 1..D.
+@given(st.text(st.one_of(st.characters(), st.characters(categories=("Nd", "No"))),
+               max_size=12))
+def test_plactic_normal_form_of_any_text_is_a_tableau_or_a_clean_error(text):
+    result = run_cli("plactic", "normal-form", "--D", "3", "--", text)
+    _assert_done_or_clean_error(result)
+    if result.exit_code == 0:
+        assert set(text) <= set("123"), text
+
+
+@given(st.one_of(st.binary(max_size=40),
+                 st.binary(max_size=40).map(lambda tail: b"D=2 N=3\n" + tail)))
+def test_any_bytes_as_a_relation_file_give_a_result_or_a_clean_error(data):
+    with tempfile.TemporaryDirectory() as workdir:
+        path = Path(workdir) / "rels.txt"
+        path.write_bytes(data)
+        _assert_done_or_clean_error(run_cli("hilbert", "--file", str(path),
+                                            "--max-degree", "4"))

@@ -4,11 +4,13 @@ from fractions import Fraction
 import pytest
 
 from nhomalg import linalg
+from nhomalg.catalog import paraboson, parafermion, plactic
 from nhomalg.linalg import (
     DegreeMismatchError,
     Matrix,
     Subspace,
     TensorVector,
+    _remainder_table,
     all_words,
     annihilator,
     format_vector,
@@ -19,7 +21,16 @@ from nhomalg.linalg import (
     word_vector,
 )
 
-from _oracles import bracket_vectors, dense_rank, relabel, relabel_vector, two_pass_matrix
+from _oracles import (
+    bracket_vectors,
+    dense_rank,
+    hit_list_annihilator,
+    reduced_remainder_table,
+    relabel,
+    relabel_vector,
+    seeded_artin_schelter,
+    two_pass_matrix,
+)
 
 
 def tv(degree, terms):
@@ -219,6 +230,31 @@ def test_annihilator_of_bracket_relations():
         for rel in relations.rows:
             pairing = sum(row.coefficient(w) * c for w, c in rel.terms.items())
             assert pairing == 0
+
+
+CATALOGUE_RELATIONS = [
+    pytest.param(make, D, id=f"{make.__name__}{D}")
+    for make in (parafermion, paraboson, plactic) for D in range(1, 6)
+] + [pytest.param(seeded_artin_schelter, seed, id=f"as-seed{seed}") for seed in (1, 2, 3)]
+
+
+@pytest.mark.parametrize("make, arg", CATALOGUE_RELATIONS)
+def test_annihilator_equals_the_hit_list_route_row_for_row(make, arg):
+    # On the relations and on their annihilators, whose rows are dense.
+    relations = make(arg).relations
+    for space in (relations, annihilator(relations)):
+        got, want = annihilator(space), hit_list_annihilator(space)
+        assert got.pivots == want.pivots
+        # Equal integer rows, each with its terms in the same order.
+        assert [list(row.items()) for row in got._ints.values()] == \
+            [list(row.items()) for row in want._ints.values()]
+
+
+@pytest.mark.parametrize("make, arg", CATALOGUE_RELATIONS)
+def test_remainder_table_rows_are_scaled_remainders(make, arg):
+    relations = make(arg).relations
+    for space in (relations, annihilator(relations)):
+        assert _remainder_table(space) == reduced_remainder_table(space)
 
 
 def test_rank_nullity_random_spans():

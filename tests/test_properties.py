@@ -33,7 +33,10 @@ sparsest-column order against the dense oracle, on sparse integer
 matrices with repeated, empty and tied rows and columns; and the rows of
 ``_echelon``, ``_extend`` and ``join`` against the whole-row elimination
 oracle, bit for bit, with the untouched rows of a span reused, on rows
-with large rational coefficients."""
+with large rational coefficients; and the annihilator read off the
+remainder table against the hit-list oracle, row for row, and each row
+of that table against the reduced word, on the relations of both kinds
+of presentation and on their annihilators."""
 
 from collections import Counter
 from fractions import Fraction
@@ -51,6 +54,7 @@ from nhomalg.linalg import (
     _echelon,
     _over_lcm,
     _primitive,
+    _remainder_table,
     all_words,
     annihilator,
     intersect,
@@ -70,8 +74,10 @@ from _oracles import (
     dual_row_tails,
     fraction_annihilator,
     fraction_intersect,
+    hit_list_annihilator,
     ideal_word_matrix,
     iterated_intersection,
+    reduced_remainder_table,
     relabel,
     relabelled,
     stepwise_normal_words,
@@ -782,3 +788,23 @@ def test_kernel_rows_are_bit_identical_to_the_whole_row_oracle(case):
     for pivot, row in space._ints.items():
         if not fresh & row.keys():
             assert extended._ints[pivot] is row
+
+
+def _annihilator_equals_the_hit_list_route(relations):
+    for space in (relations, annihilator(relations)):
+        got, want = annihilator(space), hit_list_annihilator(space)
+        assert got.pivots == want.pivots
+        assert [list(row.items()) for row in got._ints.values()] == \
+            [list(row.items()) for row in want._ints.values()]
+        assert _remainder_table(space) == reduced_remainder_table(space)
+
+
+@given(algebras())
+def test_annihilator_from_the_remainder_table_on_random_presentations(case):
+    _annihilator_equals_the_hit_list_route(case[0].presentation.relations)
+
+
+@settings(max_examples=20)
+@given(dense_presentations())
+def test_annihilator_from_the_remainder_table_on_dense_presentations(case):
+    _annihilator_equals_the_hit_list_route(case[0].presentation.relations)

@@ -82,6 +82,18 @@ def test_roundtrip_through_writer(tmp_path):
         assert parsed.relations == pres.relations
 
 
+def test_file_is_read_as_utf8_and_a_bad_byte_is_located(tmp_path):
+    path = tmp_path / "rels.txt"
+    path.write_bytes("D=2 N=3\n# caf\u00e9\n1*121 - 1*211\n".encode("utf-8"))
+    assert parse_relation_file(path).relations.dim == 1
+    # The column counts characters: the two bytes of the e-acute are one.
+    path.write_bytes(b"D=2 N=3\r\n# caf\xc3\xa9\xff\n")
+    with pytest.raises(RelationParseError) as err:
+        parse_relation_file(path)
+    assert (err.value.line, err.value.column) == (2, 7)
+    assert err.value.message == "byte 0xff is not UTF-8"
+
+
 def test_format_is_canonical():
     text = format_presentation(plactic(2))
     assert text.splitlines()[0] == "D=2 N=3"

@@ -9,9 +9,12 @@ from nhomalg.series import (
     TruncationError,
     chi_direct,
     chi_via_product,
-    closed_form_series,
     dual_q_series,
     koszul_necessary,
+    paraboson_hilbert_closed,
+    parafermion_chi_closed,
+    parafermion_hilbert_closed,
+    parafermion_q_closed,
     poincare_series,
     series_quotient,
 )
@@ -69,19 +72,19 @@ def test_poincare_free_algebra():
 def test_poincare_matches_closed_form(parafermi2):
     assert poincare_series(parafermi2, 7).coefficients() == \
         (1, 2, 4, 6, 9, 12, 16, 20)
-    assert closed_form_series("parafermion-hilbert", 2, 7).coefficients() == \
+    assert parafermion_hilbert_closed(2, 7).coefficients() == \
         (1, 2, 4, 6, 9, 12, 16, 20)
     assert tuple(parafermion_dims(2, 7)) == (1, 2, 4, 6, 9, 12, 16, 20)
 
 
 def test_paraboson_series_equals_parafermion():
     for D in range(1, 7):
-        fermion = closed_form_series("parafermion-hilbert", D, 14)
-        assert closed_form_series("paraboson-hilbert", D, 14) == fermion
+        fermion = parafermion_hilbert_closed(D, 14)
+        assert paraboson_hilbert_closed(D, 14) == fermion
         assert list(fermion.coefficients()) == parafermion_dims(D, 14) == \
             paraboson_dims(D, 14)
     boson = GradedAlgebra(paraboson(2))
-    assert poincare_series(boson, 7) == closed_form_series("paraboson-hilbert", 2, 7)
+    assert poincare_series(boson, 7) == paraboson_hilbert_closed(2, 7)
 
 
 def test_q_series_leading_coefficients(parafermi2, parafermi3):
@@ -94,10 +97,18 @@ def test_q_series_leading_coefficients(parafermi2, parafermi3):
 def test_q_series_values(parafermi2, parafermi3):
     assert dual_q_series(parafermi2, 7).coefficients() == (1, -2, 0, 2, -1, 0, 0, 0)
     assert dual_q_series(parafermi3, 5).coefficients() == (1, -3, 0, 8, -6, 0)
-    assert closed_form_series("parafermion-q", 2, 7).coefficients() == \
+    assert parafermion_q_closed(2, 7).coefficients() == \
         (1, -2, 0, 2, -1, 0, 0, 0)
-    assert closed_form_series("parafermion-q", 3, 4).coefficients() == \
+    assert parafermion_q_closed(3, 4).coefficients() == \
         (1, -3, 0, 8, -6)
+
+
+def test_closed_q_divides_exactly():
+    # The floor divisions of the closed Q are exact for every D.
+    for D in range(1, 301):
+        q = parafermion_q_closed(D, 4)
+        assert 3 * q[3] == D * (D * D - 1)
+        assert 12 * -q[4] == D * D * (D * D - 1)
 
 
 def test_q_series_supported_mod_relation_degree(plactic3):
@@ -124,14 +135,14 @@ def test_chi_via_product_agrees(parafermi3, plactic3):
 
 
 def test_chi_closed_form_matches_direct(parafermi2, parafermi3):
-    assert closed_form_series("parafermion-chi", 2, 7) == chi_direct(parafermi2, 7)
-    assert closed_form_series("parafermion-chi", 3, 5) == chi_direct(parafermi3, 5)
-    assert closed_form_series("parafermion-chi", 3, 5)[5] == 6
+    assert parafermion_chi_closed(2, 7) == chi_direct(parafermi2, 7)
+    assert parafermion_chi_closed(3, 5) == chi_direct(parafermi3, 5)
+    assert parafermion_chi_closed(3, 5)[5] == 6
     # Against Q.H expanded by the oracle, Q the signed dual dimensions.
     signs = [(1, -1, 0)[n % 3] for n in range(15)]
     for D in range(1, 7):
         q = [sign * dim for sign, dim in zip(signs, dual_dims_formula(D, 14))]
-        assert list(closed_form_series("parafermion-chi", D, 14).coefficients()) == \
+        assert list(parafermion_chi_closed(D, 14).coefficients()) == \
             pmul(q, parafermion_dims(D, 14), 14)
 
 
@@ -141,11 +152,6 @@ def test_koszul_necessary_verdicts(parafermi2, parafermi3, plactic3):
     assert refuted.refuted_at == 5
     assert koszul_necessary(plactic3, 5).refuted_at == 5
     assert "refuted at 5" in refuted.describe()
-
-
-def test_unknown_closed_form_rejected():
-    with pytest.raises(ValueError):
-        closed_form_series("nope", 2, 5)
 
 
 def test_non_integer_series_coefficients_rejected():
