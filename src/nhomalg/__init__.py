@@ -3,7 +3,7 @@
 Exact rational linear algebra on word-indexed tensors, graded quotient
 machinery, dual algebras, contraction-complex homology, Euler
 characteristic identities, the catalogued cubic algebras, and the
-plactic combinatorial oracle.
+plactic combinatorial oracle: Schensted insertion and tableau counts.
 """
 
 from .algebra import (
@@ -54,8 +54,6 @@ from .tableaux import (
     Tableau,
     count_tableaux,
     dimension_cross_check,
-    enumerate_tableaux,
-    knuth_equivalent,
     reading_word,
     row_insert,
     word_to_tableau,

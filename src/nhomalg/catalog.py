@@ -2,16 +2,20 @@
 
 Constructors return presentations of the parafermionic, parabosonic and
 plactic algebras on D generators and of the two-parameter family on two
-generators.  The checkers verify the explicit dual relation spans, the
-infinitesimal linear-group invariance of a relation space, and the
-centrality of the quadratic element in the one-parameter family.
+generators.  The closed forms are fed to ``rref`` as they stand: the
+bracket relations from the index triples with i <= j only, the
+parafermionic dual span from abc - cba with a < c and the symmetrisers
+of the multisets, each row once.  The checkers verify the explicit dual
+relation spans, the infinitesimal linear-group invariance of a relation
+space, and the centrality of the quadratic element in the one-parameter
+family.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations_with_replacement
+from itertools import combinations_with_replacement, permutations
 
 from .algebra import GradedAlgebra, Presentation
 from .linalg import (
@@ -24,29 +28,38 @@ from .linalg import (
 CATALOG_NAMES = ("parafermion", "paraboson", "plactic", "artin_schelter")
 
 
-def _span(D: int, rows) -> Subspace:
-    """Span of degree-3 rows of ``(word, integer coeff)`` terms; repeated
-    words are added up and cancelled ones dropped, so no row needs checks."""
+# The coefficients the closed forms produce, as Fractions made once.
+_COEFFS = {c: Fraction(c) for c in (-2, -1, 1, 2)}
+
+
+def _vectors(rows) -> list[TensorVector]:
+    """Degree-3 vectors of rows of ``(word, integer coeff)`` terms, with
+    coefficients in ``_COEFFS`` once added up; repeated words are added up
+    and cancelled ones dropped, so no vector needs checks."""
     vectors = []
     for terms in rows:
         acc: dict = {}
         for word, coeff in terms:
             acc[word] = acc.get(word, 0) + coeff
-        row = {word: Fraction(c) for word, c in acc.items() if c}
+        row = {word: _COEFFS[c] for word, c in acc.items() if c}
         if row:
             vectors.append(TensorVector._trusted(3, row))
-    return rref(vectors, D, 3)
+    return vectors
 
 
 def _bracket(D: int, sign: int) -> Presentation:
     """The span of ijk + sign jik - kij - sign kji: [[x,y],z] at sign -1,
-    [{x,y},z] at sign 1."""
+    [{x,y},z] at sign 1.
+
+    Swapping i and j multiplies the row by sign, as sign^2 = 1, so only
+    the rows with i <= j are generated; every added-up coefficient is
+    -2, -1, 1 or 2."""
     if D < 1:
         raise ValueError("D must be positive")
     letters = range(1, D + 1)
     rows = ((((i, j, k), 1), ((j, i, k), sign), ((k, i, j), -1), ((k, j, i), -sign))
-            for i in letters for j in letters for k in letters)
-    return Presentation(D, 3, _span(D, rows))
+            for i in letters for j in range(i, D + 1) for k in letters)
+    return Presentation(D, 3, rref(_vectors(rows), D, 3))
 
 
 def parafermion(D: int) -> Presentation:
@@ -72,7 +85,7 @@ def plactic(D: int) -> Presentation:
                     rows.append((((l, m, k), 1), ((l, k, m), -1)))
                 if k <= l < m:
                     rows.append((((k, m, l), 1), ((m, k, l), -1)))
-    return Presentation(D, 3, _span(D, rows))
+    return Presentation(D, 3, rref(_vectors(rows), D, 3))
 
 
 def artin_schelter(q, r) -> Presentation:
@@ -124,31 +137,17 @@ def make_entry(name: str, D: int | None = None, q=None, r=None) -> CatalogEntry:
 # Dual relation spans.
 
 def _parafermion_dual_span(D: int) -> list[TensorVector]:
-    """alpha x beta x gamma - gamma x beta x alpha together with all cubes.
+    """abc - cba for a < c together with the symmetric tensors.
 
-    Cubes of the multiset sums of up to three basis functionals (such as
-    2 e1 + e2) span the whole symmetric part by polarization, so the list
-    stays inside the claimed span while exhausting it."""
+    The symmetric part is spanned by the symmetrisers of the multisets
+    a <= b <= c, each the sum of the distinct permutations of abc; with
+    a < c every abc - cba is nonzero and appears once up to sign."""
     letters = range(1, D + 1)
-    vectors = []
-    for a in letters:
-        for b in letters:
-            for c in letters:
-                v = TensorVector(3, [((a, b, c), 1), ((c, b, a), -1)])
-                if not v.is_zero():
-                    vectors.append(v)
-    for size in (1, 2, 3):
-        for multiset in combinations_with_replacement(letters, size):
-            weight = {letter: multiset.count(letter) for letter in set(multiset)}
-            support = sorted(weight)
-            cube = {}
-            for i in support:
-                for j in support:
-                    for k in support:
-                        word = (i, j, k)
-                        cube[word] = cube.get(word, 0) + weight[i] * weight[j] * weight[k]
-            vectors.append(TensorVector(3, cube))
-    return vectors
+    rows = [[((a, b, c), 1), ((c, b, a), -1)]
+            for a in letters for b in letters for c in range(a + 1, D + 1)]
+    rows.extend([(word, 1) for word in dict.fromkeys(permutations(multiset))]
+                for multiset in combinations_with_replacement(letters, 3))
+    return _vectors(rows)
 
 
 def _plactic_dual_span(D: int) -> list[TensorVector]:

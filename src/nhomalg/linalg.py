@@ -182,6 +182,8 @@ def _over_lcm(terms: dict) -> tuple[dict, int]:
     """``(ints, den)`` with ints / den the rationals ``terms``: den is the lcm
     of their denominators, so no factor of den divides every int."""
     den = lcm(*(c.denominator for c in terms.values()))
+    if den == 1:
+        return {k: c.numerator for k, c in terms.items()}, 1
     return {k: c.numerator * (den // c.denominator) for k, c in terms.items()}, den
 
 
@@ -329,9 +331,10 @@ class Subspace:
     def _check(self, v: TensorVector):
         if v.degree != self.degree:
             raise DegreeMismatchError(f"vector degree {v.degree} != {self.degree}")
-        for word in v.terms:
-            if any(letter > self.alphabet for letter in word):
-                raise ValueError(f"word {word} uses letters above {self.alphabet}")
+        # One max over every letter; the loop only names the word at fault.
+        if self.degree and v.terms and max(map(max, v.terms)) > self.alphabet:
+            word = next(w for w in v.terms if max(w) > self.alphabet)
+            raise ValueError(f"word {word} uses letters above {self.alphabet}")
 
     def _check_ambient(self, other: "Subspace"):
         if other.degree != self.degree:

@@ -8,8 +8,9 @@ The header fixes the generator count and the relation degree.  Each
 following nonblank line is one relation: terms ``coeff*word`` joined by
 ``+`` or ``-``, coefficients integers or ``p/q`` rationals, words digit
 strings over ``1..D`` (single-digit letters, so D <= 9); all digits are
-ASCII.  Lines starting with ``#`` are comments.  Every malformed input
-raises :class:`RelationParseError`, with 1-based line and column numbers.
+ASCII.  Lines end at LF or CRLF only, and lines starting with ``#`` are
+comments.  Every malformed input raises :class:`RelationParseError`,
+with 1-based line and column numbers.
 """
 
 from __future__ import annotations
@@ -97,11 +98,18 @@ def _parse_relation(line: str, lineno: int, D: int, N: int) -> TensorVector:
     return TensorVector(N, terms)
 
 
+def _lines(text: str) -> list[str]:
+    """The lines of ``text``, so a line number is the one an editor shows:
+    U+0085, U+2028, form feed and the other separators of
+    ``str.splitlines`` stay in the line as text."""
+    return [line[:-1] if line.endswith("\r") else line for line in text.split("\n")]
+
+
 def parse_relations(text: str) -> Presentation:
     """Parse the relation-file format into a presentation."""
     header = None
     vectors = []
-    for lineno, line in enumerate(text.splitlines(), start=1):
+    for lineno, line in enumerate(_lines(text), start=1):
         if not line.strip() or line.lstrip().startswith("#"):
             continue
         if header is None:
@@ -125,7 +133,7 @@ def parse_relation_file(path) -> Presentation:
     except UnicodeDecodeError as err:
         # The decoded text before the byte, with a stand-in for the byte,
         # split as parse_relations splits it.
-        lines = (data[:err.start].decode("utf-8") + "?").splitlines()
+        lines = _lines(data[:err.start].decode("utf-8") + "?")
         raise RelationParseError(len(lines), len(lines[-1]),
                                  f"byte 0x{data[err.start]:02x} is not UTF-8") from err
     return parse_relations(text)

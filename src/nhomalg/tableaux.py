@@ -1,18 +1,17 @@
-"""Schensted insertion, plactic normal forms, tableau enumeration and counts.
+"""Schensted insertion, plactic normal forms and tableau counts.
 
 Words over 1..D are sent to semistandard Young tableaux by row bumping;
 two words are Knuth equivalent exactly when they share a tableau.  The
-tableaux of every cell count up to a bound are counted in one pass, as
-chains of horizontal strips, with no tableau built: an independent
-combinatorial count of graded dimensions.  Their enumeration stays for
-the listing tests.
+tableaux of every cell count up to a bound are counted shape by shape
+by the Weyl dimension formula, with no tableau built: an independent
+combinatorial count of graded dimensions.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
-from functools import lru_cache
+from math import comb
 
 from .algebra import DEFAULT_WORD_LIMIT, GradedAlgebra, MemoryGuardError, guard_words
 from .linalg import InternalConsistencyError, Word
@@ -101,16 +100,6 @@ def reading_word(tableau: Tableau) -> Word:
     return tuple(out)
 
 
-def knuth_equivalent(w1, w2) -> bool:
-    return word_to_tableau(w1) == word_to_tableau(w2)
-
-
-@lru_cache(maxsize=None)
-def partitions(n: int) -> tuple[tuple[int, ...], ...]:
-    """Partitions of n as weakly decreasing tuples, ascending lex order."""
-    return tuple(_shapes(n, n))
-
-
 def _shapes(n: int, rows: int):
     """The partitions of n with at most ``rows`` parts, ascending lex; a first
     part below ceil(n / rows) would leave too much for the other parts."""
@@ -124,42 +113,6 @@ def _shapes(n: int, rows: int):
     return gen(n, n, rows)
 
 
-def tableaux_of_shape(shape, max_letter: int):
-    """All semistandard fillings of a shape with entries up to max_letter,
-    in lexicographic order of the concatenated rows."""
-    shape = tuple(shape)
-    if not shape:
-        yield EMPTY_TABLEAU
-        return
-    if len(shape) > max_letter:
-        return
-    rows: list[list[int]] = []
-
-    def fill_row(r):
-        if r == len(shape):
-            yield Tableau([list(row) for row in rows])
-            return
-        row = [0] * shape[r]
-
-        def fill_cell(c):
-            if c == shape[r]:
-                rows.append(row)
-                yield from fill_row(r + 1)
-                rows.pop()
-                return
-            lo = row[c - 1] if c else 1
-            if r:
-                lo = max(lo, rows[r - 1][c] + 1)
-            for value in range(lo, max_letter + 1):
-                row[c] = value
-                yield from fill_cell(c + 1)
-            row[c] = 0
-
-        yield from fill_cell(0)
-
-    yield from fill_row(0)
-
-
 def _guard_cells(D: int, n: int, word_limit: int):
     """Refuse n cells as guard_words refuses degree n: D^n bounds the tableaux."""
     if D < 1:
@@ -167,41 +120,8 @@ def _guard_cells(D: int, n: int, word_limit: int):
     guard_words(D, n, word_limit)
 
 
-def _all_tableaux(D: int, n: int, word_limit: int):
-    """Iterate the tableaux with n cells and entries up to D, by shape then
-    filling; only the shapes with at most D rows are walked."""
-    _guard_cells(D, n, word_limit)
-    for shape in _shapes(n, D):
-        yield from tableaux_of_shape(shape, D)
-
-
-def enumerate_tableaux(D: int, n: int,
-                       word_limit: int = DEFAULT_WORD_LIMIT) -> list[Tableau]:
-    """Every tableau with n cells and entries up to D, by shape then filling."""
-    return list(_all_tableaux(D, n, word_limit))
-
-
-def _horizontal_strips(shape: tuple[int, ...], room: int):
-    """The shapes lam with lam / ``shape`` a horizontal strip of at most
-    ``room`` cells: lam_1 >= shape_1 >= lam_2 >= shape_2 >= ... >= lam_(k+1),
-    k the number of rows of ``shape``, with no trailing zero part."""
-    lows = shape + (0,)
-    highs = (lows[0] + room,) + shape
-
-    def grow(i, left):
-        if i == len(lows):
-            yield ()
-            return
-        for part in range(lows[i], min(highs[i], lows[i] + left) + 1):
-            for rest in grow(i + 1, left - (part - lows[i])):
-                yield (part,) + rest
-
-    for lam in grow(0, room):
-        yield lam if lam[-1] else lam[:-1]
-
-
 def _guard_shapes(D: int, n: int, word_limit: int):
-    """Refuse a count whose shapes, the keys :func:`count_tableaux` holds,
+    """Refuse a count whose shapes, which :func:`count_tableaux` walks,
     exceed ``word_limit``.  For D >= 2 ``guard_words`` has bounded them:
     there are at most 2^n <= D^n shapes of at most n cells, since each
     partition of k is one of the 2^(k-1) compositions of k.  For D = 1
@@ -215,29 +135,35 @@ def _guard_shapes(D: int, n: int, word_limit: int):
 
 def count_tableaux(D: int, n: int, word_limit: int = DEFAULT_WORD_LIMIT) -> list[int]:
     """Numbers of tableaux with 0..n cells and entries up to D, none of them
-    built, in one pass.
+    built.
 
-    The cells holding entries up to k form a shape lam^k, and a tableau
-    is a chain () = lam^0 <= lam^1 <= ... <= lam^D in which every lam^k /
-    lam^(k-1) is a horizontal strip (Macdonald, *Symmetric Functions*,
-    I.5).  The chains are counted letter by letter, keyed by their last
-    shape, with at most n cells throughout, and summed by the size of
-    that shape.  Refused, before any chain is counted, by
-    ``guard_words`` at degree n and when the shapes exceed the limit.
+    The tableaux of shape lam with entries up to D number s_lam(1^D) =
+    prod_(i<j<=D) (lam_i - lam_j + j - i) / (j - i), the Weyl dimension
+    formula (Macdonald, *Symmetric Functions*, I.3 Ex. 1), summed over the
+    shapes of each cell count with at most D rows.  Refused, before any
+    shape is walked, by ``guard_words`` at degree n and when the shapes
+    exceed the limit.
     """
     _guard_cells(D, n, word_limit)
     _guard_shapes(D, n, word_limit)
-    chains = {(): 1}
-    for _ in range(D):
-        grown: dict[tuple[int, ...], int] = {}
-        for shape, count in chains.items():
-            for lam in _horizontal_strips(shape, n - sum(shape)):
-                grown[lam] = grown.get(lam, 0) + count
-        chains = grown
-    counts = [0] * (n + 1)
-    for shape, count in chains.items():
-        counts[sum(shape)] += count
-    return counts
+    return [sum(_weyl_dimension(shape, D) for shape in _shapes(k, D))
+            for k in range(n + 1)]
+
+
+def _weyl_dimension(shape: tuple[int, ...], D: int) -> int:
+    """s_shape(1^D), at a cost set by the shape and not by D: the factors
+    with j past the last row l of the shape have lam_j = 0, and for each
+    row i their product over l <= j < D telescopes to
+    C(lam_i + D-1-i, lam_i) / C(lam_i + l-1-i, lam_i) (rows from 0)."""
+    rows = len(shape)
+    num = den = 1
+    for i, part in enumerate(shape):
+        num *= comb(part + D - 1 - i, part)
+        den *= comb(part + rows - 1 - i, part)
+        for j in range(i + 1, rows):
+            num *= part - shape[j] + j - i
+            den *= j - i
+    return num // den
 
 
 @dataclass(frozen=True)

@@ -3,7 +3,10 @@
 Everything here except the last section is deliberately written without
 importing the package's linear algebra or series code: dense textbook
 Gaussian elimination over Fractions, plain list-based polynomial
-arithmetic, and direct expansions of the defining relation sets.  Tests
+arithmetic, direct expansions of the defining relation sets and of the
+parafermionic dual span (its symmetric part from cubes of functionals,
+against the package's symmetrisers), and tableau counts as chains of
+horizontal strips, against the package's Weyl dimension formula.  Tests
 freeze values computed by these oracles and compare the package against
 them.  The last section keeps the direct, slower routes on top of the
 package's ``rref``: the annihilator from hit lists of the relation
@@ -35,7 +38,9 @@ must give bit-identical rows; ``Matrix._from_ints`` in two passes,
 every row copied, against the one-pass one; and the Groebner basis from
 every overlap, each word of an S-element reduced to its memoised normal
 form on its own, against the completion that skips the overlaps of the
-chain criterion and reduces each S-element as one row.
+chain criterion and reduces each S-element as one row; and, on the
+package's tableaux and insertion, the tableau enumeration shape by shape
+and Knuth equivalence as equal insertion tableaux.
 """
 
 from fractions import Fraction
@@ -186,6 +191,76 @@ def knuth_moves(word):
         if x <= z < y or y <= z < x:
             out.append(word[:i] + (y, x, z) + word[i + 3:])
     return out
+
+
+def cube_dual_span(D):
+    """abc - cba for all a, b, c, zeros dropped, and the cubes of the
+    multiset sums of up to three basis functionals (such as 2 e1 + e2),
+    which span the symmetric tensors by polarization."""
+    from itertools import combinations_with_replacement
+
+    letters = range(1, D + 1)
+    out = [{(a, b, c): 1, (c, b, a): -1} for a, b, c in all_words(D, 3) if a != c]
+    for size in (1, 2, 3):
+        for multiset in combinations_with_replacement(letters, size):
+            weight = {letter: multiset.count(letter) for letter in multiset}
+            out.append({(i, j, k): weight[i] * weight[j] * weight[k]
+                        for i, j, k in product(weight, repeat=3)})
+    return out
+
+
+# -- tableau counts without the Weyl formula -------------------------------
+
+def partitions(n, rows=None):
+    """Partitions of n with at most ``rows`` parts (any number if None) as
+    weakly decreasing tuples, ascending lex."""
+    def gen(remaining, cap, parts):
+        if remaining == 0:
+            yield ()
+            return
+        if parts == 0:
+            return
+        for first in range(1, min(cap, remaining) + 1):
+            for rest in gen(remaining - first, first, parts - 1):
+                yield (first,) + rest
+    return tuple(gen(n, n, n if rows is None else rows))
+
+
+def horizontal_strips(shape, room):
+    """The shapes lam with lam / ``shape`` a horizontal strip of at most
+    ``room`` cells: lam_1 >= shape_1 >= lam_2 >= shape_2 >= ... >= lam_(k+1),
+    k the number of rows of ``shape``, with no trailing zero part."""
+    lows = shape + (0,)
+    highs = (lows[0] + room,) + shape
+
+    def grow(i, left):
+        if i == len(lows):
+            yield ()
+            return
+        for part in range(lows[i], min(highs[i], lows[i] + left) + 1):
+            for rest in grow(i + 1, left - (part - lows[i])):
+                yield (part,) + rest
+
+    for lam in grow(0, room):
+        yield lam if lam[-1] else lam[:-1]
+
+
+def strip_counts(D, n):
+    """Numbers of tableaux with 0..n cells and entries up to D, as chains
+    () = lam^0 <= lam^1 <= ... <= lam^D in which every lam^k / lam^(k-1)
+    is a horizontal strip (Macdonald, *Symmetric Functions*, I.5), counted
+    letter by letter and keyed by their last shape."""
+    chains = {(): 1}
+    for _ in range(D):
+        grown = {}
+        for shape, count in chains.items():
+            for lam in horizontal_strips(shape, n - sum(shape)):
+                grown[lam] = grown.get(lam, 0) + count
+        chains = grown
+    counts = [0] * (n + 1)
+    for shape, count in chains.items():
+        counts[sum(shape)] += count
+    return counts
 
 
 # -- direct routes on the package's exact kernels ---------------------------
@@ -600,3 +675,53 @@ def all_overlaps_basis(presentation, top, overlaps=None):
         if len(basis) > size:
             leads = _LeadAutomaton(basis, presentation.D)
     return basis
+
+
+def knuth_equivalent(w1, w2):
+    from nhomalg.tableaux import word_to_tableau
+
+    return word_to_tableau(w1) == word_to_tableau(w2)
+
+
+def tableaux_of_shape(shape, max_letter):
+    """All semistandard fillings of a shape with entries up to max_letter,
+    in lexicographic order of the concatenated rows."""
+    from nhomalg.tableaux import EMPTY_TABLEAU, Tableau
+
+    shape = tuple(shape)
+    if not shape:
+        yield EMPTY_TABLEAU
+        return
+    if len(shape) > max_letter:
+        return
+    rows = []
+
+    def fill_row(r):
+        if r == len(shape):
+            yield Tableau([list(row) for row in rows])
+            return
+        row = [0] * shape[r]
+
+        def fill_cell(c):
+            if c == shape[r]:
+                rows.append(row)
+                yield from fill_row(r + 1)
+                rows.pop()
+                return
+            lo = row[c - 1] if c else 1
+            if r:
+                lo = max(lo, rows[r - 1][c] + 1)
+            for value in range(lo, max_letter + 1):
+                row[c] = value
+                yield from fill_cell(c + 1)
+            row[c] = 0
+
+        yield from fill_cell(0)
+
+    yield from fill_row(0)
+
+
+def enumerate_tableaux(D, n):
+    """Every tableau with n cells and entries up to D, by shape then
+    filling; only the shapes with at most D rows are filled."""
+    return [t for shape in partitions(n, D) for t in tableaux_of_shape(shape, D)]

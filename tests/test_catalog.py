@@ -21,6 +21,7 @@ from nhomalg.linalg import TensorVector, rref, word_vector
 from _oracles import (
     anti_bracket_vectors,
     bracket_vectors,
+    cube_dual_span,
     dense_rank,
     knuth_vectors,
     relabel,
@@ -63,9 +64,10 @@ def test_relation_dimensions_agree_across_families():
 
 
 @pytest.mark.parametrize("relabel_letters", [False, True], ids=["lex", "revlex"])
-@pytest.mark.parametrize("D", [1, 2, 3, 4])
+@pytest.mark.parametrize("D", [1, 2, 3, 4, 5, 6])
 def test_relations_equal_the_direct_expansions(D, relabel_letters):
-    # The relabelled spans stand for the reversed letter order.
+    # The relabelled spans stand for the reversed letter order.  The
+    # expansions take every index triple, the bracket builders half.
     for build, expand in ((parafermion, bracket_vectors),
                           (paraboson, anti_bracket_vectors),
                           (plactic, knuth_vectors)):
@@ -118,6 +120,13 @@ def test_dual_relations_check_parafermion():
         report = dual_relations_check(entry, entry.presentation.dual().relations)
         assert report.passed
         assert report.dim_relations + report.dim_annihilator == D ** 3
+
+
+def test_parafermion_dual_span_equals_the_cube_span():
+    for D in range(1, 7):
+        span = catalog._parafermion_dual_span(D)
+        assert len(span) == D * D * (D - 1) // 2 + D * (D + 1) * (D + 2) // 6
+        assert rref(span, D, 3) == rref([TensorVector(3, v) for v in cube_dual_span(D)], D, 3)
 
 
 def test_dual_relations_check_plactic():

@@ -497,25 +497,26 @@ def test_plactic_count_counts_every_degree_in_one_pass(monkeypatch):
     # scratch made --max-degree 4000 take seconds.
     import nhomalg.tableaux as module
 
-    calls, strips = [], []
-    count, grow = module.count_tableaux, module._horizontal_strips
+    calls, walks = [], []
+    count, shapes = module.count_tableaux, module._shapes
 
     def counting(*args, **kwargs):
         calls.append(args)
         return count(*args, **kwargs)
 
-    def growing(shape, room):
-        strips.append(shape)
-        return grow(shape, room)
+    def walking(n, rows):
+        walks.append((n, rows))
+        return shapes(n, rows)
 
     monkeypatch.setattr(module, "count_tableaux", counting)
-    monkeypatch.setattr(module, "_horizontal_strips", growing)
+    monkeypatch.setattr(module, "_shapes", walking)
     result = run_cli("plactic", "count", "--D", "1", "--max-degree", "4000",
                      "--format", "json")
     assert result.exit_code == 0
     assert json.loads(result.output)["counts"] == [1] * 4001
     assert calls == [(1, 4000)]
-    assert strips == [()]
+    # The shapes of each cell count are walked once.
+    assert walks == [(n, 1) for n in range(4001)]
 
 
 def test_plactic_count_refuses_too_many_shapes_at_once():

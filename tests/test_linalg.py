@@ -87,6 +87,22 @@ def test_rref_knuth_difference_vectors():
         assert row.coefficient(pivot) == 1
 
 
+def test_rref_checks_every_vector_and_scales_each_to_integers():
+    with pytest.raises(DegreeMismatchError, match="^vector degree 3 != 2$"):
+        rref([tv(2, {(1, 2): 1}), tv(3, {(1, 2, 1): 1})], alphabet=2, degree=2)
+    # The greatest word, 21, is in range; the letter 3 of 13 is not.
+    with pytest.raises(ValueError, match=r"^word \(1, 3\) uses letters above 2$"):
+        rref([tv(2, {(2, 1): 1, (1, 3): 1})], alphabet=2)
+    # Integer, rational and mixed coefficients, and the empty word.
+    assert rref([tv(2, {(1, 2): 4, (2, 1): -6})], 2)._ints == {(2, 1): {(2, 1): 3, (1, 2): -2}}
+    assert rref([tv(2, {(1, 2): Fraction(1, 2), (2, 1): Fraction(-1, 3)})], 2)._ints == \
+        {(2, 1): {(2, 1): 2, (1, 2): -3}}
+    assert rref([tv(2, {(1, 2): Fraction(4, 3), (2, 1): 2})], 2)._ints == \
+        {(2, 1): {(2, 1): 3, (1, 2): 2}}
+    assert rref([tv(0, {(): Fraction(3, 2)})], 2)._ints == {(): {(): 1}}
+    assert rref([tv(2, {}), tv(2, {(1, 1): 5})], 2)._ints == {(1, 1): {(1, 1): 1}}
+
+
 def test_rref_pivot_unique_across_rows():
     vectors = [tv(2, {(1, 1): 1, (1, 2): 2, (2, 1): 3}),
                tv(2, {(1, 2): 1, (2, 1): 1}),

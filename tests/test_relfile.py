@@ -48,6 +48,35 @@ def test_parse_letter_range_error_cites_position():
     assert "outside 1..2" in str(info.value)
 
 
+@pytest.mark.parametrize("separator", ["\x85", "\u2028", "\x0c"])
+def test_lines_end_at_newline_only(separator, tmp_path):
+    with pytest.raises(RelationParseError) as info:
+        parse_relations(f"D=2 N=3\n1*121 - 1*211{separator}1*131\n")
+    assert info.value.line == 2
+    # The bad byte is located on the same lines.
+    path = tmp_path / "rels.txt"
+    path.write_bytes(f"D=2 N=3\n# a{separator}b".encode("utf-8") + b"\xff\n")
+    with pytest.raises(RelationParseError) as info:
+        parse_relation_file(path)
+    assert (info.value.line, info.value.column) == (2, 6)
+
+
+def test_crlf_file_parses_as_its_lf_copy(tmp_path):
+    text = "# notes\nD=3 N=3\n\n1*121 - 1*211\n1/2*331 + 2/3*123 - 1*312\n"
+    crlf = text.replace("\n", "\r\n")
+    assert parse_relations(crlf).relations == parse_relations(text).relations
+    path = tmp_path / "crlf.rel"
+    path.write_bytes(crlf.encode("utf-8"))
+    assert parse_relation_file(path).relations == parse_relations(text).relations
+    with pytest.raises(RelationParseError) as info:
+        parse_relations("D=2 N=3\r\n1*121\r\n1*131\r\n")
+    assert (info.value.line, info.value.column) == (3, 4)
+    # A lone CR ends no line, so a CR-only file is one line and no header.
+    with pytest.raises(RelationParseError) as info:
+        parse_relations("D=2 N=3\r1*121 - 1*211\r")
+    assert info.value.line == 1
+
+
 def test_parse_degree_mismatch_error():
     with pytest.raises(RelationParseError) as info:
         parse_relations("D=2 N=3\n1*12 + 1*21\n")

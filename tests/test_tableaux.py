@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 
@@ -8,17 +9,23 @@ from nhomalg.linalg import InternalConsistencyError, all_words, word_vector
 from nhomalg.tableaux import (
     EMPTY_TABLEAU,
     Tableau,
+    _shapes,
     count_tableaux,
     dimension_cross_check,
-    enumerate_tableaux,
-    knuth_equivalent,
-    partitions,
     reading_word,
     row_insert,
     word_to_tableau,
 )
 
-from _oracles import knuth_moves, parafermion_dims
+import _oracles
+from _oracles import (
+    enumerate_tableaux,
+    knuth_equivalent,
+    knuth_moves,
+    parafermion_dims,
+    partitions,
+    strip_counts,
+)
 
 
 def test_tableau_validation():
@@ -97,6 +104,10 @@ def test_partitions_ascending():
     assert partitions(0) == ((),)
     assert partitions(3) == ((1, 1, 1), (2, 1), (3,))
     assert partitions(4) == ((1, 1, 1, 1), (2, 1, 1), (2, 2), (3, 1), (4,))
+    # The count walks the partitions with at most D parts, in the same order.
+    for n in range(9):
+        for rows in range(1, 10):
+            assert tuple(_shapes(n, rows)) == partitions(n, rows), (n, rows)
 
 
 def test_enumerate_tableaux_golden_order():
@@ -112,16 +123,14 @@ def test_enumerate_tableaux_golden_order():
 
 
 def test_enumeration_fills_only_shapes_within_D_rows(monkeypatch):
-    import nhomalg.tableaux as module
-
     filled = []
-    fill = module.tableaux_of_shape
+    fill = _oracles.tableaux_of_shape
 
     def counted(shape, max_letter):
         filled.append(tuple(shape))
         return fill(shape, max_letter)
 
-    monkeypatch.setattr(module, "tableaux_of_shape", counted)
+    monkeypatch.setattr(_oracles, "tableaux_of_shape", counted)
     assert enumerate_tableaux(1, 60) == [Tableau([[1] * 60])]
     assert filled == [(60,)]
     filled.clear()
@@ -149,15 +158,30 @@ def test_count_tableaux_builds_no_list(monkeypatch):
         raise AssertionError("count_tableaux must not build a tableau")
 
     monkeypatch.setattr(module.Tableau, "__init__", refuse)
-    monkeypatch.setattr(module, "tableaux_of_shape", refuse)
     assert module.count_tableaux(4, 8) == parafermion_dims(4, 8)
 
 
 def test_counts_equal_the_enumerated_tableaux():
-    for D in range(1, 5):
-        counts = count_tableaux(D, 6)
-        for n in range(7):
+    # Weyl formula, chains of horizontal strips and the listing agree,
+    # D = 1 and D > n included.
+    for D in range(1, 7):
+        counts = count_tableaux(D, 10, word_limit=6 ** 10)
+        assert counts == strip_counts(D, 10), D
+        for n in range(11):
             assert counts[n] == len(enumerate_tableaux(D, n)), (D, n)
+
+
+def test_counts_at_large_D_cost_what_their_shapes_cost():
+    # Each shape's Weyl product runs over its own rows only, not over the
+    # D(D-1)/2 pairs of all D rows: these take milliseconds.
+    start = time.perf_counter()
+    large = count_tableaux(3000, 2)
+    single = count_tableaux(10 ** 7, 1)
+    middle = count_tableaux(40, 5, word_limit=40 ** 5)
+    assert time.perf_counter() - start < 1
+    assert large == strip_counts(3000, 2) == [1, 3000, 3000 ** 2]
+    assert single == [1, 10 ** 7]
+    assert middle == strip_counts(40, 5)
 
 
 def test_counts_equal_parafermion_dims_up_to_the_word_limit():
