@@ -3,32 +3,33 @@
 Runs the structural identities that must hold for every algebra at the
 selected degree, plus the catalogue-specific expectations (explicit dual
 spans, invariance or its known failure, centrality, tableau counts).
-Each fact is checked once.  The annihilator is the relation space of the
-dual algebra's presentation, which the dual dimensions are counted on,
-so its involution also covers the double dual.  The series Q of signed
-dual dimensions is reported in the detail of chi = H.Q: it is written
-in degrees 0 and 1 mod N only, so its support needs no check.
+Each fact is checked once, and nothing that holds by construction is
+checked at all.  The annihilator is the relation space of the dual
+algebra's presentation, which the dual dimensions are counted on, so its
+involution also covers the double dual.  The series Q of signed dual
+dimensions is reported in the detail of chi = H.Q: it is written in
+degrees 0 and 1 mod N only, so its support needs no check.  W_n is
+built from W_{n-1} (x) E, so only its inclusion in E (x) W_{n-1} is
+checked.  Reduction modulo the relations is linear and canonical by
+construction; the tests cover it.
 
 The normal words are checked to be the complement of the pivots of the
 stepwise ideal component I_n = I_{n-1} (x) E + E^(n-N) (x) R, built once
-per degree, without listing the D^n words: words of degree n, none a
-pivot, as many as D^n - dim I_n.  The rows of I_n themselves are
-compared with the union of all shifts of R in the tests only.  A check
-over a degree range that the maximum degree leaves empty says so in its
-detail.
+per degree, without listing the D^n words: none a pivot, as many as
+D^n - dim I_n.  They are words of degree n over 1..D by construction.
+The rows of I_n themselves are compared with the union of all shifts of
+R in the tests only.  A check over a degree range that the maximum
+degree leaves empty says so in its detail.
 """
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 
 from . import catalog, koszul, series, tableaux
 from .algebra import GradedAlgebra
 from .linalg import (
     InternalConsistencyError,
-    TensorVector,
-    all_words,
     annihilator,
     rref,  # not called here; perfbench/test_perfbench.py checks this traced binding
     shift,
@@ -79,16 +80,13 @@ def run_checks(algebra: GradedAlgebra, n_max: int,
     nests = True
     for n in range(N, n_max + 1):
         wn = algebra.dual_space(n)
-        if wn.dim == 0:
-            continue
-        prev = algebra.dual_space(n - 1)
-        if not (shift(prev, 1, 0).contains_subspace(wn)
-                and shift(prev, 0, 1).contains_subspace(wn)):
+        if wn.dim and not shift(algebra.dual_space(n - 1), 1, 0).contains_subspace(wn):
             nests = False
             break
     checks.append(_result(
-        "dual spaces nest on both sides",
-        nests, _degrees("checked degrees", N, n_max)))
+        "dual spaces nest on both sides", nests,
+        f"W_n in E (x) W_{{n-1}}: {_degrees('degrees', N, n_max)}; "
+        "W_n in W_{n-1} (x) E by construction"))
 
     # The normal words are listed from the Groebner basis and counted by
     # the automaton of its leads, two routes: the list is checked to be
@@ -98,10 +96,9 @@ def run_checks(algebra: GradedAlgebra, n_max: int,
     for n in range(n_max + 1):
         basis = algebra.normal_basis(n)
         ideal = algebra.ideal_component(n)
-        if not (all(len(w) == n and all(0 < x <= D for x in w) for w in basis)
-                and not any(p in basis for p in ideal.pivots)
-                and len(basis) + ideal.dim == D ** n
-                and algebra.component_dim(n) == len(basis)):
+        if (any(p in basis for p in ideal.pivots)
+                or len(basis) + ideal.dim != D ** n
+                or algebra.component_dim(n) != len(basis)):
             dims_match = False
             break
     checks.append(_result(
@@ -122,21 +119,6 @@ def run_checks(algebra: GradedAlgebra, n_max: int,
         "slice Euler characteristics match chi",
         koszul.euler_agrees_with_chi(algebra, n_max),
         _degrees("degrees", 1, n_max)))
-
-    rng = random.Random(0)
-    canonical = True
-    if relations.dim:
-        ambient = list(all_words(D, N))
-        rows = relations.rows
-        for _ in range(10):
-            v = TensorVector(N, {w: rng.randint(-3, 3) for w in rng.sample(ambient, min(4, len(ambient)))})
-            s = rows[rng.randrange(len(rows))] * rng.randint(1, 5)
-            if relations.reduce(v) != relations.reduce(v + s):
-                canonical = False
-                break
-    checks.append(_result(
-        "reduction is canonical modulo the relation span", canonical,
-        "remainders agree after adding relation elements"))
 
     if entry is not None:
         name = entry.name

@@ -9,8 +9,10 @@ following nonblank line is one relation: terms ``coeff*word`` joined by
 ``+`` or ``-``, coefficients integers or ``p/q`` rationals, words digit
 strings over ``1..D`` (single-digit letters, so D <= 9); all digits are
 ASCII.  Lines end at LF or CRLF only, and lines starting with ``#`` are
-comments.  Every malformed input raises :class:`RelationParseError`,
-with 1-based line and column numbers.
+comments.  Whitespace is ASCII too (space, tab, CR, vertical tab, form
+feed): a line of other Unicode spaces is not blank.  Every malformed
+input raises :class:`RelationParseError`, with 1-based line and column
+numbers.
 """
 
 from __future__ import annotations
@@ -31,6 +33,8 @@ class RelationParseError(ValueError):
         super().__init__(f"line {line}, column {column}: {message}")
 
 
+# Whitespace between terms, the same ``\s`` as in the patterns: ASCII only.
+_SPACE_RE = re.compile(r"\s*", re.ASCII)
 _HEADER_RE = re.compile(r"\s*D\s*=\s*(\d+)\s+N\s*=\s*(\d+)\s*$", re.ASCII)
 _TERM_RE = re.compile(
     r"\s*(?P<sign>[+-])?\s*(?P<num>\d+)(?:\s*/\s*(?P<den>\d+))?\s*\*\s*(?P<word>\d+)",
@@ -64,11 +68,10 @@ def _parse_relation(line: str, lineno: int, D: int, N: int) -> TensorVector:
     terms = []
     pos = 0
     first = True
-    while pos < len(line) and line[pos:].strip():
+    while (pos := _SPACE_RE.match(line, pos).end()) < len(line):
         match = _TERM_RE.match(line, pos)
         if not match:
-            column = pos + len(line[pos:]) - len(line[pos:].lstrip()) + 1
-            raise RelationParseError(lineno, column, "expected a 'coeff*word' term")
+            raise RelationParseError(lineno, pos + 1, "expected a 'coeff*word' term")
         if not first and match.group("sign") is None:
             raise RelationParseError(lineno, match.start("num") + 1,
                                      "missing '+' or '-' between terms")
@@ -110,7 +113,8 @@ def parse_relations(text: str) -> Presentation:
     header = None
     vectors = []
     for lineno, line in enumerate(_lines(text), start=1):
-        if not line.strip() or line.lstrip().startswith("#"):
+        start = _SPACE_RE.match(line).end()
+        if start == len(line) or line.startswith("#", start):
             continue
         if header is None:
             header = _parse_header(line, lineno)

@@ -2,18 +2,15 @@
 
 Covers the Poincare (Hilbert) series, the signed series Q built from the
 dual components in degrees 0 and 1 mod N, the Euler-characteristic
-series chi computed by two independent routes, the resulting necessary
-condition for Koszulity, and exact closed-form expanders for the series
-of the catalogued cubic algebras.  The closed forms are products of
-:class:`IntSeries`; chi of the parafermionic algebra is Q.H from the
-closed Q and H, the identity that :func:`chi_via_product` checks on an
-algebra.
+series chi computed by two independent routes, and the resulting
+necessary condition for Koszulity.  Every series here is read off an
+algebra; the closed forms of the catalogued families live with the
+tests, as the references these series are compared with.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import comb
 from typing import Sequence
 
 from .algebra import GradedAlgebra
@@ -32,7 +29,7 @@ class IntSeries:
     """Integer power series known up to a truncation order (inclusive).
 
     Reading past the truncation order is a hard error, never a silent
-    zero; arithmetic propagates the minimum order of the operands.
+    zero; a product is known up to the lower order of its factors.
     """
 
     __slots__ = ("coeffs", "order")
@@ -62,16 +59,6 @@ class IntSeries:
     def coefficients(self) -> tuple[int, ...]:
         return self.coeffs
 
-    def __add__(self, other: "IntSeries") -> "IntSeries":
-        order = min(self.order, other.order)
-        return IntSeries([self.coeffs[n] + other.coeffs[n] for n in range(order + 1)],
-                         order)
-
-    def __sub__(self, other: "IntSeries") -> "IntSeries":
-        order = min(self.order, other.order)
-        return IntSeries([self.coeffs[n] - other.coeffs[n] for n in range(order + 1)],
-                         order)
-
     def __mul__(self, other: "IntSeries") -> "IntSeries":
         order = min(self.order, other.order)
         out = [0] * (order + 1)
@@ -93,27 +80,6 @@ class IntSeries:
 
     def __repr__(self):
         return f"IntSeries({list(self.coeffs)!r})"
-
-
-def series_one(order: int) -> IntSeries:
-    return IntSeries([1], order)
-
-
-def series_quotient(numerator: IntSeries, denominator: IntSeries) -> IntSeries:
-    """Truncated division; the denominator's constant term must be a unit."""
-    d0 = denominator.coeffs[0]
-    if d0 not in (1, -1):
-        raise ValueError("division needs a unit constant term")
-    order = min(numerator.order, denominator.order)
-    out = [0] * (order + 1)
-    for n in range(order + 1):
-        acc = numerator.coeffs[n]
-        for k in range(1, n + 1):
-            dk = denominator.coeffs[k]
-            if dk:
-                acc -= dk * out[n - k]
-        out[n] = acc * d0  # d0 is +-1
-    return IntSeries(out, order)
 
 
 # ---------------------------------------------------------------------------
@@ -205,59 +171,3 @@ def koszul_necessary(algebra: GradedAlgebra, n_max: int) -> KoszulNecessaryVerdi
         if chi[n] != 0:
             return KoszulNecessaryVerdict(n_max, n)
     return KoszulNecessaryVerdict(n_max, None)
-
-
-# ---------------------------------------------------------------------------
-# Closed forms for the catalogued cubic algebras.
-
-def _geometric(step: int, exponent: int, order: int) -> IntSeries:
-    """(1 - t^step) ** -exponent, truncated."""
-    factor = IntSeries([1] + [0] * (step - 1) + [-1], order)
-    denominator = series_one(order)
-    for _ in range(exponent):
-        denominator = denominator * factor
-    return series_quotient(series_one(order), denominator)
-
-
-def parafermion_hilbert_closed(D: int, n_max: int) -> IntSeries:
-    """Hilbert series of the parafermionic algebra on D generators.
-
-    Product of a free polynomial part on D degree-1 variables with
-    D(D-1)/2 degree-2 variables.
-    """
-    if D < 1:
-        raise ValueError("D must be positive")
-    return _geometric(1, D, n_max) * _geometric(2, D * (D - 1) // 2, n_max)
-
-
-def paraboson_hilbert_closed(D: int, n_max: int) -> IntSeries:
-    """Hilbert series of the parabosonic algebra on D generators.
-
-    Exterior part on D degree-1 variables times D(D+1)/2 symmetric
-    degree-2 variables; equal to the parafermionic series.
-    """
-    if D < 1:
-        raise ValueError("D must be positive")
-    binomial = IntSeries([comb(D, k) for k in range(D + 1)], n_max)
-    return binomial * _geometric(2, D * (D + 1) // 2, n_max)
-
-
-def parafermion_q_closed(D: int, n_max: int) -> IntSeries:
-    """The signed dual-dimension series of the parafermionic algebra.
-
-    1 - D t + D(D^2-1)/3 t^3 - D^2(D^2-1)/12 t^4.  Both divisions are
-    exact: D(D^2-1) = (D-1)D(D+1) is a product of three consecutive
-    integers, so a multiple of 6; for D^2(D^2-1) = D.(D-1)D(D+1), an even
-    D gives the missing factor 2, and for an odd D the two even factors
-    D-1 and D+1 make (D-1)D(D+1) a multiple of 24.
-    """
-    if D < 1:
-        raise ValueError("D must be positive")
-    c3 = D * (D * D - 1) // 3
-    c4 = D * D * (D * D - 1) // 12
-    return IntSeries([1, -D, 0, c3, -c4], n_max)
-
-
-def parafermion_chi_closed(D: int, n_max: int) -> IntSeries:
-    """chi of the parafermionic algebra, Q.H from the closed forms of both."""
-    return parafermion_q_closed(D, n_max) * parafermion_hilbert_closed(D, n_max)

@@ -64,10 +64,10 @@ class Tableau:
 EMPTY_TABLEAU = Tableau(())
 
 
-def row_insert(tableau: Tableau, x: int, max_letter: int | None = None) -> Tableau:
+def row_insert(tableau: Tableau, x: int) -> Tableau:
     """Schensted row bumping: replace the leftmost entry strictly greater
     than x, push the displaced entry into the next row, append at the end."""
-    if x < 1 or (max_letter is not None and x > max_letter):
+    if x < 1:
         raise ValueError(f"letter {x} out of range")
     rows = [list(row) for row in tableau.rows]
     current = x

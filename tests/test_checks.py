@@ -4,7 +4,7 @@ from nhomalg import checks
 from nhomalg.algebra import GradedAlgebra
 from nhomalg.catalog import make_entry
 from nhomalg.checks import run_checks
-from nhomalg.linalg import Subspace
+from nhomalg.linalg import Subspace, shift
 from nhomalg.relfile import parse_relations
 from nhomalg.series import IntSeries
 
@@ -50,6 +50,33 @@ def test_run_checks_on_file_algebra_without_entry():
     pres = parse_relations("D=2 N=3\n1*221 - 1*212\n1*211 - 1*121\n")
     results = run_checks(GradedAlgebra(pres), 4, None)
     assert results and all(r.passed for r in results)
+
+
+class SwapsDualSpaceFour(GradedAlgebra):
+    """A broken algebra: W_4 is replaced by E^a (x) W_3 (x) E^b for the
+    side (a, b) given, so it lies in that shift of W_3 only."""
+
+    def __init__(self, presentation, side):
+        super().__init__(presentation)
+        self.side = side
+
+    def dual_space(self, n):
+        if n == 4:
+            return shift(super().dual_space(3), *self.side)
+        return super().dual_space(n)
+
+
+def test_nest_check_catches_a_dual_space_outside_the_left_shift():
+    # W_3 (x) E is not inside E (x) W_3 for the parafermionic algebra
+    # (dimension 4 against the meet's 1), so the checked half fails; the
+    # mirror swap E (x) W_3 passes, since the other half is not checked.
+    entry = make_entry("parafermion", D=2)
+    name = "dual spaces nest on both sides"
+    w3 = GradedAlgebra(entry.presentation).dual_space(3)
+    assert not shift(w3, 1, 0).contains_subspace(shift(w3, 0, 1))
+    for side, failed in (((0, 1), [name]), ((1, 0), [])):
+        results = run_checks(SwapsDualSpaceFour(entry.presentation, side), 5, entry)
+        assert [r.name for r in results if not r.passed] == failed, side
 
 
 class DropsOneNormalWord(GradedAlgebra):

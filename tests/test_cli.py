@@ -160,12 +160,11 @@ def test_checks_jobs_pin_every_result():
             ("annihilator is involutive", True, "double annihilator returns the relation rows"),
             ("dual dimensions by quotient and by intersection", True,
              f"quotient {dual}, intersection {dual}"),
-            ("dual spaces nest on both sides", True, f"checked degrees 3..{top}"),
+            ("dual spaces nest on both sides", True,
+             f"W_n in E (x) W_{{n-1}}: degrees 3..{top}; W_n in W_{{n-1}} (x) E by construction"),
             ("component dimension equals the normal basis size", True, f"degrees 0..{top}"),
             ("chi by product equals chi by dimensions", True, f"chi = {chi}, q = {q}"),
             ("slice Euler characteristics match chi", True, f"degrees 1..{top}"),
-            ("reduction is canonical modulo the relation span", True,
-             "remainders agree after adding relation elements"),
         ]
 
     plactic = shared((8, 19, 27), "[1, 3, 9, 8, 6, 0, 0]", 6,
@@ -191,10 +190,12 @@ def test_checks_jobs_pin_every_result():
 def test_checks_say_when_a_degree_range_is_empty():
     # Below the relation degree (3) nothing nests, and at max degree 0 no
     # slice has positive degree: the details say that no degree was checked.
+    nest = ("W_n in E (x) W_{n-1}: none (max degree below 3); "
+            "W_n in W_{n-1} (x) E by construction")
     expected = {
-        0: ("none (max degree below 3)", "none (max degree below 1)"),
-        1: ("none (max degree below 3)", "degrees 1..1"),
-        2: ("none (max degree below 3)", "degrees 1..2"),
+        0: (nest, "none (max degree below 1)"),
+        1: (nest, "degrees 1..1"),
+        2: (nest, "degrees 1..2"),
     }
     for n, details in expected.items():
         result = run_cli("checks", "--algebra", "plactic", "--D", "2",

@@ -61,6 +61,22 @@ def test_lines_end_at_newline_only(separator, tmp_path):
     assert (info.value.line, info.value.column) == (2, 6)
 
 
+@pytest.mark.parametrize("text, line, column", [
+    ("D=2 N=3\n1*121 - 1*211\u2028\n", 2, 14),  # at the end of a line
+    ("D=2 N=3\n1*121 - 1*211\x85+ 1*121\n", 2, 14),  # between terms
+    ("D=2 N=3\n\u2028\n1*121 - 1*211\n", 2, 1),  # alone on a line
+    ("\u2028\nD=2 N=3\n", 1, 1),  # alone, before the header
+    ("D=2 N=3\n\u3000# note\n", 2, 1),  # before a comment sign
+], ids=["line-end", "between-terms", "alone", "before-header", "before-comment"])
+def test_only_ascii_whitespace_is_whitespace(text, line, column):
+    # A Unicode space is text wherever it stands, and the error is at it;
+    # an ASCII space in its place parses.
+    with pytest.raises(RelationParseError) as info:
+        parse_relations(text)
+    assert (info.value.line, info.value.column) == (line, column)
+    parse_relations(text.translate({0x85: " ", 0x2028: " ", 0x3000: " "}))
+
+
 def test_crlf_file_parses_as_its_lf_copy(tmp_path):
     text = "# notes\nD=3 N=3\n\n1*121 - 1*211\n1/2*331 + 2/3*123 - 1*312\n"
     crlf = text.replace("\n", "\r\n")

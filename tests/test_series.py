@@ -11,12 +11,7 @@ from nhomalg.series import (
     chi_via_product,
     dual_q_series,
     koszul_necessary,
-    paraboson_hilbert_closed,
-    parafermion_chi_closed,
-    parafermion_hilbert_closed,
-    parafermion_q_closed,
     poincare_series,
-    series_quotient,
 )
 
 from _oracles import dual_dims_formula, paraboson_dims, parafermion_dims, pmul
@@ -56,14 +51,6 @@ def test_series_product_truncates_to_minimum():
         product[2]
 
 
-def test_series_quotient_inverts_multiplication():
-    a = IntSeries([1, 3, -2, 5, 7, 0, 1], order=6)
-    b = IntSeries([1, -1, 4, 0, 2, 1, 3], order=6)
-    assert series_quotient(a * b, b) == a
-    with pytest.raises(ValueError):
-        series_quotient(a, IntSeries([2, 1], order=6))
-
-
 def test_poincare_free_algebra():
     free = GradedAlgebra(free_presentation(2, 3))
     assert poincare_series(free, 4).coefficients() == (1, 2, 4, 8, 16)
@@ -72,19 +59,14 @@ def test_poincare_free_algebra():
 def test_poincare_matches_closed_form(parafermi2):
     assert poincare_series(parafermi2, 7).coefficients() == \
         (1, 2, 4, 6, 9, 12, 16, 20)
-    assert parafermion_hilbert_closed(2, 7).coefficients() == \
-        (1, 2, 4, 6, 9, 12, 16, 20)
     assert tuple(parafermion_dims(2, 7)) == (1, 2, 4, 6, 9, 12, 16, 20)
 
 
 def test_paraboson_series_equals_parafermion():
     for D in range(1, 7):
-        fermion = parafermion_hilbert_closed(D, 14)
-        assert paraboson_hilbert_closed(D, 14) == fermion
-        assert list(fermion.coefficients()) == parafermion_dims(D, 14) == \
-            paraboson_dims(D, 14)
+        assert parafermion_dims(D, 14) == paraboson_dims(D, 14)
     boson = GradedAlgebra(paraboson(2))
-    assert poincare_series(boson, 7) == paraboson_hilbert_closed(2, 7)
+    assert list(poincare_series(boson, 7).coefficients()) == paraboson_dims(2, 7)
 
 
 def test_q_series_leading_coefficients(parafermi2, parafermi3):
@@ -94,21 +76,18 @@ def test_q_series_leading_coefficients(parafermi2, parafermi3):
         assert q[1] == -algebra.D
 
 
+def signed_dual_dims(D, order):
+    """Q of the parafermionic algebra: the oracle's dual dimensions, with
+    sign + in degrees 0 mod 3, - in degrees 1 mod 3 and 0 elsewhere."""
+    return [(1, -1, 0)[n % 3] * dim
+            for n, dim in enumerate(dual_dims_formula(D, order))]
+
+
 def test_q_series_values(parafermi2, parafermi3):
     assert dual_q_series(parafermi2, 7).coefficients() == (1, -2, 0, 2, -1, 0, 0, 0)
     assert dual_q_series(parafermi3, 5).coefficients() == (1, -3, 0, 8, -6, 0)
-    assert parafermion_q_closed(2, 7).coefficients() == \
-        (1, -2, 0, 2, -1, 0, 0, 0)
-    assert parafermion_q_closed(3, 4).coefficients() == \
-        (1, -3, 0, 8, -6)
-
-
-def test_closed_q_divides_exactly():
-    # The floor divisions of the closed Q are exact for every D.
-    for D in range(1, 301):
-        q = parafermion_q_closed(D, 4)
-        assert 3 * q[3] == D * (D * D - 1)
-        assert 12 * -q[4] == D * D * (D * D - 1)
+    assert list(dual_q_series(parafermi2, 7).coefficients()) == signed_dual_dims(2, 7)
+    assert list(dual_q_series(parafermi3, 5).coefficients()) == signed_dual_dims(3, 5)
 
 
 def test_q_series_supported_mod_relation_degree(plactic3):
@@ -135,15 +114,10 @@ def test_chi_via_product_agrees(parafermi3, plactic3):
 
 
 def test_chi_closed_form_matches_direct(parafermi2, parafermi3):
-    assert parafermion_chi_closed(2, 7) == chi_direct(parafermi2, 7)
-    assert parafermion_chi_closed(3, 5) == chi_direct(parafermi3, 5)
-    assert parafermion_chi_closed(3, 5)[5] == 6
     # Against Q.H expanded by the oracle, Q the signed dual dimensions.
-    signs = [(1, -1, 0)[n % 3] for n in range(15)]
-    for D in range(1, 7):
-        q = [sign * dim for sign, dim in zip(signs, dual_dims_formula(D, 14))]
-        assert list(parafermion_chi_closed(D, 14).coefficients()) == \
-            pmul(q, parafermion_dims(D, 14), 14)
+    for algebra, D, top in ((parafermi2, 2, 7), (parafermi3, 3, 5)):
+        closed = pmul(signed_dual_dims(D, top), parafermion_dims(D, top), top)
+        assert list(chi_direct(algebra, top).coefficients()) == closed
 
 
 def test_koszul_necessary_verdicts(parafermi2, parafermi3, plactic3):

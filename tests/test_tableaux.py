@@ -45,8 +45,6 @@ def test_row_insert_into_empty():
     assert t.rows == ((1,),)
     with pytest.raises(ValueError):
         row_insert(EMPTY_TABLEAU, 0)
-    with pytest.raises(ValueError):
-        row_insert(EMPTY_TABLEAU, 3, max_letter=2)
 
 
 def test_row_insert_bumps():
