@@ -1,6 +1,7 @@
 """Schensted insertion, plactic normal forms and tableau counts.
 
-Words over 1..D are sent to semistandard Young tableaux by row bumping;
+Words over 1..D are sent to semistandard Young tableaux by row bumping,
+one pass over the word on plain lists with one tableau built at the end;
 two words are Knuth equivalent exactly when they share a tableau.  The
 tableaux of every cell count up to a bound are counted shape by shape
 by the Weyl dimension formula, with no tableau built: an independent
@@ -64,29 +65,25 @@ class Tableau:
 EMPTY_TABLEAU = Tableau(())
 
 
-def row_insert(tableau: Tableau, x: int) -> Tableau:
-    """Schensted row bumping: replace the leftmost entry strictly greater
-    than x, push the displaced entry into the next row, append at the end."""
-    if x < 1:
-        raise ValueError(f"letter {x} out of range")
-    rows = [list(row) for row in tableau.rows]
-    current = x
-    for row in rows:
-        pos = bisect_right(row, current)
-        if pos == len(row):
-            row.append(current)
-            return Tableau(rows)
-        current, row[pos] = row[pos], current
-    rows.append([current])
-    return Tableau(rows)
-
-
 def word_to_tableau(word) -> Tableau:
-    """Plactic normal form: insert the letters left to right."""
-    tableau = EMPTY_TABLEAU
-    for letter in word:
-        tableau = row_insert(tableau, letter)
-    return tableau
+    """Plactic normal form by Schensted row bumping, letter by letter: a
+    letter replaces the leftmost entry of a row strictly greater than it,
+    the displaced entry goes on into the next row, and a letter that no
+    entry exceeds ends its row.  The rows are bumped in place as lists,
+    and one tableau is built and checked at the end."""
+    rows: list[list[int]] = []
+    for x in word:
+        if x < 1:
+            raise ValueError(f"letter {x} out of range")
+        for row in rows:
+            pos = bisect_right(row, x)
+            if pos == len(row):
+                row.append(x)
+                break
+            x, row[pos] = row[pos], x
+        else:
+            rows.append([x])
+    return Tableau(rows)
 
 
 def reading_word(tableau: Tableau) -> Word:
@@ -100,6 +97,12 @@ def reading_word(tableau: Tableau) -> Word:
     return tuple(out)
 
 
+def row_insert(tableau: Tableau, x: int) -> Tableau:
+    """Schensted row bumping of one letter into a tableau: the insertion
+    of its reading word, which reproduces it, followed by x."""
+    return word_to_tableau(reading_word(tableau) + (x,))
+
+
 def _shapes(n: int, rows: int):
     """The partitions of n with at most ``rows`` parts, ascending lex; a first
     part below ceil(n / rows) would leave too much for the other parts."""
@@ -111,13 +114,6 @@ def _shapes(n: int, rows: int):
             for rest in gen(remaining - first, first, parts - 1):
                 yield (first,) + rest
     return gen(n, n, rows)
-
-
-def _guard_cells(D: int, n: int, word_limit: int):
-    """Refuse n cells as guard_words refuses degree n: D^n bounds the tableaux."""
-    if D < 1:
-        raise ValueError("need D >= 1")
-    guard_words(D, n, word_limit)
 
 
 def _guard_shapes(D: int, n: int, word_limit: int):
@@ -141,10 +137,12 @@ def count_tableaux(D: int, n: int, word_limit: int = DEFAULT_WORD_LIMIT) -> list
     prod_(i<j<=D) (lam_i - lam_j + j - i) / (j - i), the Weyl dimension
     formula (Macdonald, *Symmetric Functions*, I.3 Ex. 1), summed over the
     shapes of each cell count with at most D rows.  Refused, before any
-    shape is walked, by ``guard_words`` at degree n and when the shapes
-    exceed the limit.
+    shape is walked, by ``guard_words`` at degree n (D^n bounds the
+    tableaux) and when the shapes exceed the limit.
     """
-    _guard_cells(D, n, word_limit)
+    if D < 1:
+        raise ValueError("need D >= 1")
+    guard_words(D, n, word_limit)
     _guard_shapes(D, n, word_limit)
     return [sum(_weyl_dimension(shape, D) for shape in _shapes(k, D))
             for k in range(n + 1)]

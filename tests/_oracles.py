@@ -39,10 +39,13 @@ every row copied, against the one-pass one; and the Groebner basis from
 every overlap, each word of an S-element reduced to its memoised normal
 form on its own, against the completion that skips the overlaps of the
 chain criterion and reduces each S-element as one row; and, on the
-package's tableaux and insertion, the tableau enumeration shape by shape
-and Knuth equivalence as equal insertion tableaux.
+package's tableaux and insertion, the tableau enumeration shape by shape,
+Knuth equivalence as equal insertion tableaux, and Schensted insertion
+one letter at a time, each step copying the rows and building a checked
+tableau, against the package's single pass on plain lists.
 """
 
+from bisect import bisect_right
 from fractions import Fraction
 from itertools import product
 
@@ -675,6 +678,35 @@ def all_overlaps_basis(presentation, top, overlaps=None):
         if len(basis) > size:
             leads = _LeadAutomaton(basis, presentation.D)
     return basis
+
+
+def per_letter_step(tableau, x):
+    """Schensted row bumping: replace the leftmost entry strictly greater
+    than x, push the displaced entry into the next row, append at the end."""
+    from nhomalg.tableaux import Tableau
+
+    if x < 1:
+        raise ValueError(f"letter {x} out of range")
+    rows = [list(row) for row in tableau.rows]
+    current = x
+    for row in rows:
+        pos = bisect_right(row, current)
+        if pos == len(row):
+            row.append(current)
+            return Tableau(rows)
+        current, row[pos] = row[pos], current
+    rows.append([current])
+    return Tableau(rows)
+
+
+def per_letter_insertion(word):
+    """Plactic normal form: insert the letters left to right."""
+    from nhomalg.tableaux import EMPTY_TABLEAU
+
+    tableau = EMPTY_TABLEAU
+    for letter in word:
+        tableau = per_letter_step(tableau, letter)
+    return tableau
 
 
 def knuth_equivalent(w1, w2):

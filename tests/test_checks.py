@@ -14,7 +14,7 @@ def test_run_checks_parafermion_all_pass():
     results = run_checks(GradedAlgebra(entry.presentation), 5, entry)
     assert results and all(r.passed for r in results)
     names = [r.name for r in results]
-    assert any("rank-nullity" in n for n in names)
+    assert "annihilator is involutive" in names
     assert any("invariant under all elementary derivations" in n for n in names)
 
 
@@ -163,3 +163,42 @@ def test_ideal_check_makes_two_joins_per_degree(monkeypatch):
         assert all(r.passed for r in results)
         counts.append(len(calls))
     assert counts == [5, 8, 11]
+
+
+def test_involution_check_catches_a_dropped_annihilator_row(monkeypatch):
+    # The double annihilator is one row short, so it no longer returns R;
+    # nothing else reads this binding.
+    real = checks.annihilator
+
+    def dropped(space):
+        ann = real(space)
+        return Subspace._from_ints(ann.alphabet, ann.degree,
+                                   dict(list(ann._ints.items())[:-1]))
+
+    entry = make_entry("plactic", D=2)
+    for patched, failed in ((False, []), (True, ["annihilator is involutive"])):
+        if patched:
+            monkeypatch.setattr(checks, "annihilator", dropped)
+        results = run_checks(GradedAlgebra(entry.presentation), 5, entry)
+        assert [r.name for r in results if not r.passed] == failed
+        assert any(r.name == "annihilator is involutive"
+                   and r.detail.endswith("dim R = 2, dim ann = 6, ambient = 8")
+                   for r in results)
+
+
+class MiscountsIntersectionFour(GradedAlgebra):
+    """A broken algebra: the intersection route counts one row too many
+    in degree 4, while the quotient route and W_4 itself are right."""
+
+    def intersection_dim(self, n):
+        return super().intersection_dim(n) + (n == 4)
+
+
+def test_dual_routes_check_catches_an_intersection_off_by_one():
+    entry = make_entry("parafermion", D=2)
+    name = "dual dimensions by quotient and by intersection"
+    for cap, failed in ((3, []), (5, [name])):
+        results = run_checks(MiscountsIntersectionFour(entry.presentation), cap, entry)
+        assert [r.name for r in results if not r.passed] == failed, cap
+    detail = next(r.detail for r in results if r.name == name)
+    assert detail == "quotient [1, 2, 4, 2, 1, 0], intersection [1, 2, 4, 2, 2, 0]"

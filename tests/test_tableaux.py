@@ -2,6 +2,7 @@ import random
 import time
 
 import pytest
+from hypothesis import given, strategies as st
 
 from nhomalg.algebra import GradedAlgebra, MemoryGuardError
 from nhomalg.catalog import plactic
@@ -24,6 +25,8 @@ from _oracles import (
     knuth_moves,
     parafermion_dims,
     partitions,
+    per_letter_insertion,
+    per_letter_step,
     strip_counts,
 )
 
@@ -63,6 +66,36 @@ def test_word_to_tableau_examples():
     assert word_to_tableau((1, 2, 1)).rows == ((1, 1), (2,))
     assert word_to_tableau(()) == EMPTY_TABLEAU
     assert word_to_tableau((1, 1, 2)).rows == ((1, 1, 2),)
+
+
+@given(st.integers(1, 6).flatmap(
+           lambda D: st.lists(st.integers(1, D), max_size=60)),
+       st.integers(1, 7))
+def test_one_pass_equals_per_letter_insertion(word, x):
+    # The rows bumped in place as lists give the tableau that inserting
+    # one letter at a time into checked tableaux gives, and inserting one
+    # more letter through the reading word gives the per-letter step.
+    tableau = word_to_tableau(word)
+    assert tableau == per_letter_insertion(word)
+    assert row_insert(tableau, x) == per_letter_step(tableau, x)
+
+
+def test_insertion_builds_one_tableau(monkeypatch):
+    import nhomalg.tableaux as module
+
+    built = []
+    init = module.Tableau.__init__
+
+    def counted(self, rows):
+        built.append(len(built))
+        init(self, rows)
+
+    monkeypatch.setattr(module.Tableau, "__init__", counted)
+    rng = random.Random(3)
+    word = tuple(rng.randint(1, 4) for _ in range(5000))
+    tableau = module.word_to_tableau(word)
+    assert built == [0]
+    assert tableau.size == 5000 and len(tableau.shape) == 4
 
 
 def test_knuth_equivalent():
