@@ -63,6 +63,7 @@ from .linalg import (
     _full_reduce,
     _IntRow,
     _assemble,
+    _check_letters,
     _kernel,
     _lex_index,
     _over_lcm,
@@ -487,7 +488,8 @@ class GradedAlgebra:
         self._basis: dict[Word, _IntRow] = {}
         self._basis_degree = 0  # G is complete through this degree
         self._leads = _LeadAutomaton((), self.D)  # of G's leads, rebuilt as G grows
-        self._frontier: tuple[int, list[int]] | None = None  # states of the top listed degree
+        # The automaton and states of the top listed degree.
+        self._frontier: tuple[_LeadAutomaton, int, list[int]] | None = None
         self._dims: list[int] = []  # dim A_m for m = 0..len - 1
         self._walks: tuple[_LeadAutomaton, dict[int, int]] | None = None  # at the top dim
         self._normal: dict[int, dict[Word, int]] = {}
@@ -511,8 +513,7 @@ class GradedAlgebra:
     def _complete_basis(self, n: int):
         """Extend G through degree n: the relation rows at degree N, then the
         reduced overlap S-elements of each higher degree.  The automaton of
-        the leads is rebuilt after each degree that adds one; the states
-        of listed words go stale with it."""
+        the leads is rebuilt after each degree that adds one."""
         for m in range(self._basis_degree + 1, n + 1):
             size = len(self._basis)
             if m == self.N:
@@ -522,7 +523,6 @@ class GradedAlgebra:
             self._basis_degree = m
             if len(self._basis) > size:
                 self._leads = _LeadAutomaton(self._basis, self.D)
-                self._frontier = None
 
     def _fill_borders(self, n: int):
         """Extend the border tables through degree n, each degree after the
@@ -675,8 +675,9 @@ class GradedAlgebra:
             self._complete_basis(n)
             previous = self.normal_basis(n - 1)
             leads = self._leads
-            if self._frontier is not None and self._frontier[0] == n - 1:
-                states = self._frontier[1]
+            if (self._frontier is not None and self._frontier[0] is leads
+                    and self._frontier[1] == n - 1):
+                states = self._frontier[2]
             else:
                 states = [leads.state(w) for w in previous]
             words, next_states = [], []
@@ -685,7 +686,7 @@ class GradedAlgebra:
                     if not leads.ends[target]:
                         words.append(w + (x,))
                         next_states.append(target)
-            self._frontier = (n, next_states)
+            self._frontier = (leads, n, next_states)
             return {w: i for i, w in enumerate(words)}
         return self._cached(self._normal, n, compute)
 
@@ -699,9 +700,7 @@ class GradedAlgebra:
         """
         n = v.degree
         guard_words(self.D, n, self.word_limit)
-        for word in v.terms:
-            if any(letter > self.D for letter in word):
-                raise ValueError(f"word {word} uses letters above {self.D}")
+        _check_letters(v, self.D)
         num, den = _over_lcm(v.terms)
         row, den = _combine_forms([(self._form(w), c) for w, c in num.items()], den)
         return TensorVector._trusted(n, {w: Fraction(c, den) for w, c in row.items()})

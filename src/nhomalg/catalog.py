@@ -7,8 +7,8 @@ bracket relations from the index triples with i <= j only, the
 parafermionic dual span from abc - cba with a < c and the symmetrisers
 of the multisets, each row once.  The checkers verify the explicit dual
 relation spans, the infinitesimal linear-group invariance of a relation
-space, and the centrality of the quadratic element in the one-parameter
-family.
+space on the 2D - 1 derivations that generate gl(D), and the centrality
+of the quadratic element in the one-parameter family.
 """
 
 from __future__ import annotations
@@ -153,19 +153,19 @@ def _parafermion_dual_span(D: int) -> list[TensorVector]:
 def _plactic_dual_span(D: int) -> list[TensorVector]:
     """The four explicit families spanning the annihilator of the Knuth span."""
     letters = range(1, D + 1)
-    vectors = []
+    rows = []
     for i in letters:
         for j in letters:
             for k in letters:
                 if i < j <= k:
-                    vectors.append(TensorVector(3, [((j, k, i), 1), ((j, i, k), 1)]))
+                    rows.append((((j, k, i), 1), ((j, i, k), 1)))
                 if i <= j < k:
-                    vectors.append(TensorVector(3, [((i, k, j), 1), ((k, i, j), 1)]))
+                    rows.append((((i, k, j), 1), ((k, i, j), 1)))
                 if i <= j <= k:
-                    vectors.append(word_vector((i, j, k)))
+                    rows.append((((i, j, k), 1),))
                 if i < j < k:
-                    vectors.append(word_vector((k, j, i)))
-    return vectors
+                    rows.append((((k, j, i), 1),))
+    return _vectors(rows)
 
 
 @dataclass(frozen=True)
@@ -244,29 +244,37 @@ class GlInvarianceReport:
 
 
 def gl_invariance(relations: Subspace) -> GlInvarianceReport:
-    """Check each elementary derivation maps the relation span into itself.
+    """Check that gl(D) maps the relation span into itself, on the 2D - 1
+    elementary derivations E_11, E_{k,k+1} and E_{k+1,k} (k < D), in that
+    order.
 
-    For a failing derivation the first escaping image is reported, with
-    its canonical remainder normalised to leading coefficient 1 as the
-    witness vector.
+    The derivations that map a subspace into itself are closed under
+    linear combinations and commutators, and these generate gl(D) as a
+    Lie algebra: the E_{k,k+1} and E_{k+1,k} are the Chevalley generators
+    of sl(D), and E_11 adds the trace.  So the span is invariant under
+    every E_ij exactly when it is invariant under these; the tests
+    compare the verdict with all D^2 of them.  For a failing derivation
+    the first escaping image is reported, with its canonical remainder
+    normalised to leading coefficient 1 as the witness vector.
     """
     D = relations.alphabet
     rows = relations.rows
     results = []
     failures = []
-    for i in range(1, D + 1):
-        for j in range(1, D + 1):
-            ok = True
-            for index, row in enumerate(rows):
-                image = apply_derivation(row, i, j)
-                remainder = relations.reduce(image)
-                if not remainder.is_zero():
-                    lead = max(remainder.terms)
-                    witness = remainder * (1 / remainder.terms[lead])
-                    failures.append(DerivationFailure(i, j, index, image, witness))
-                    ok = False
-                    break
-            results.append((i, j, ok))
+    generators = [(1, 1)] + [pair for k in range(1, D)
+                             for pair in ((k, k + 1), (k + 1, k))]
+    for i, j in generators:
+        ok = True
+        for index, row in enumerate(rows):
+            image = apply_derivation(row, i, j)
+            remainder = relations.reduce(image)
+            if not remainder.is_zero():
+                lead = max(remainder.terms)
+                witness = remainder * (1 / remainder.terms[lead])
+                failures.append(DerivationFailure(i, j, index, image, witness))
+                ok = False
+                break
+        results.append((i, j, ok))
     return GlInvarianceReport(D, tuple(results), tuple(failures))
 
 

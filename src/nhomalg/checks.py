@@ -12,8 +12,10 @@ both dimensions are reported in the detail of the involution.  The
 series Q of signed dual dimensions is reported in the detail of
 chi = H.Q: it is written in degrees 0 and 1 mod N only, so its support
 needs no check.  W_n is built from W_{n-1} (x) E, so only its
-inclusion in E (x) W_{n-1} is checked.  Reduction modulo the relations
-is linear and canonical by construction; the tests cover it.
+inclusion in E (x) W_{n-1} is checked, from degree N + 1 on: at degree
+N it reads R in E (x) E^(N-1), which holds for every presentation.
+Reduction modulo the relations is linear and canonical by construction;
+the tests cover it.
 
 The normal words are checked to be the complement of the pivots of the
 stepwise ideal component I_n = I_{n-1} (x) E + E^(n-N) (x) R, built once
@@ -78,14 +80,14 @@ def run_checks(algebra: GradedAlgebra, n_max: int,
         f"quotient {quotient}, intersection {intersection}"))
 
     nests = True
-    for n in range(N, n_max + 1):
+    for n in range(N + 1, n_max + 1):
         wn = algebra.dual_space(n)
         if wn.dim and not shift(algebra.dual_space(n - 1), 1, 0).contains_subspace(wn):
             nests = False
             break
     checks.append(_result(
         "dual spaces nest on both sides", nests,
-        f"W_n in E (x) W_{{n-1}}: {_degrees('degrees', N, n_max)}; "
+        f"W_n in E (x) W_{{n-1}}: {_degrees('degrees', N + 1, n_max)}; "
         "W_n in W_{n-1} (x) E by construction"))
 
     # The normal words are listed from the Groebner basis and counted by

@@ -57,6 +57,14 @@ def format_word(word: Word) -> str:
     return "(" + ".".join(str(letter) for letter in word) + ")"
 
 
+def _check_letters(v: "TensorVector", alphabet: int):
+    """Refuse a vector with a word that uses a letter above ``alphabet``."""
+    # One max over every letter; the loop only names the word at fault.
+    if v.degree and v.terms and max(map(max, v.terms)) > alphabet:
+        word = next(w for w in v.terms if max(w) > alphabet)
+        raise ValueError(f"word {word} uses letters above {alphabet}")
+
+
 class TensorVector:
     """Sparse exact vector in a fixed tensor-power degree.
 
@@ -331,10 +339,7 @@ class Subspace:
     def _check(self, v: TensorVector):
         if v.degree != self.degree:
             raise DegreeMismatchError(f"vector degree {v.degree} != {self.degree}")
-        # One max over every letter; the loop only names the word at fault.
-        if self.degree and v.terms and max(map(max, v.terms)) > self.alphabet:
-            word = next(w for w in v.terms if max(w) > self.alphabet)
-            raise ValueError(f"word {word} uses letters above {self.alphabet}")
+        _check_letters(v, self.alphabet)
 
     def _check_ambient(self, other: "Subspace"):
         if other.degree != self.degree:

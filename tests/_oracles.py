@@ -42,7 +42,10 @@ chain criterion and reduces each S-element as one row; and, on the
 package's tableaux and insertion, the tableau enumeration shape by shape,
 Knuth equivalence as equal insertion tableaux, and Schensted insertion
 one letter at a time, each step copying the rows and building a checked
-tableau, against the package's single pass on plain lists.
+tableau, against the package's single pass on plain lists; and the
+invariance of a relation span under all D^2 elementary derivations,
+against the 2D - 1 generators of gl(D) that ``catalog.gl_invariance``
+checks.
 """
 
 from bisect import bisect_right
@@ -757,3 +760,33 @@ def enumerate_tableaux(D, n):
     """Every tableau with n cells and entries up to D, by shape then
     filling; only the shapes with at most D rows are filled."""
     return [t for shape in partitions(n, D) for t in tableaux_of_shape(shape, D)]
+
+
+def all_derivations_invariance(relations):
+    """Invariance of a relation span under every one of the D^2 elementary
+    derivations E_ij, i and j ascending, each reported as
+    ``catalog.gl_invariance`` reports the generators of gl(D) it checks."""
+    from nhomalg.catalog import (
+        DerivationFailure,
+        GlInvarianceReport,
+        apply_derivation,
+    )
+
+    D = relations.alphabet
+    rows = relations.rows
+    results = []
+    failures = []
+    for i in range(1, D + 1):
+        for j in range(1, D + 1):
+            ok = True
+            for index, row in enumerate(rows):
+                image = apply_derivation(row, i, j)
+                remainder = relations.reduce(image)
+                if not remainder.is_zero():
+                    lead = max(remainder.terms)
+                    witness = remainder * (1 / remainder.terms[lead])
+                    failures.append(DerivationFailure(i, j, index, image, witness))
+                    ok = False
+                    break
+            results.append((i, j, ok))
+    return GlInvarianceReport(D, tuple(results), tuple(failures))

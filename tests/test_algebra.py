@@ -149,6 +149,20 @@ def test_reduce_to_normal(plactic2):
     assert coords.count(0) == len(coords) - 1 and 1 in coords
 
 
+def test_reduce_to_normal_refuses_letters_above_d_as_a_subspace_does(plactic2):
+    v = TensorVector(3, {(1, 2, 1): 1, (1, 3, 2): 2})
+    message = r"word \(1, 3, 2\) uses letters above 2"
+    with pytest.raises(ValueError, match=message):
+        plactic2.reduce_to_normal(v)
+    with pytest.raises(ValueError, match=message):
+        plactic2.presentation.relations.reduce(v)
+
+
+def test_word_matrix_refuses_an_unknown_side(plactic2):
+    with pytest.raises(ValueError, match="side must be 'left' or 'right'"):
+        plactic2.word_matrix(1, (1,), "middle")
+
+
 def test_knuth_equivalent_words_reduce_equally(plactic2):
     # Words 121 and 211 agree in the quotient.
     c1 = plactic2.normal_coordinates(word_vector((1, 2, 1)))

@@ -186,6 +186,25 @@ def test_involution_check_catches_a_dropped_annihilator_row(monkeypatch):
                    for r in results)
 
 
+def test_checks_report_a_raised_mismatch_as_a_failed_row(monkeypatch):
+    # A mismatch between the chi routes, or between the tableau counts and
+    # the graded dimensions, raises; ``checks`` reports it as a failed row
+    # with the error as its detail.
+    entry = make_entry("plactic", D=2)
+    monkeypatch.setattr(checks.series, "chi_direct",
+                        lambda algebra, n_max: IntSeries([1] + [7] * n_max, n_max))
+    monkeypatch.setattr(checks.tableaux, "count_tableaux",
+                        lambda D, n_max, word_limit: [1] + [9] * n_max)
+    results = run_checks(GradedAlgebra(entry.presentation), 4, entry)
+    failed = {r.name: r.detail for r in results if not r.passed}
+    assert failed == {
+        "chi by product equals chi by dimensions":
+            "chi routes disagree: product (1, 0, 0, 0, 0) vs direct (1, 7, 7, 7, 7)",
+        "tableau counts match graded dimensions":
+            "dimension mismatch at degree 1: 9 tableaux, plactic 2, parafermionic 2",
+    }
+
+
 class MiscountsIntersectionFour(GradedAlgebra):
     """A broken algebra: the intersection route counts one row too many
     in degree 4, while the quotient route and W_4 itself are right."""

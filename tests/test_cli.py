@@ -49,6 +49,15 @@ def test_json_output_is_stable():
     assert first.output == second.output
 
 
+def test_chi_at_degree_zero_has_no_necessary_condition():
+    result = run_cli("chi", "--algebra", "plactic", "--D", "2", "--max-degree", "0",
+                     "--format", "json")
+    assert result.exit_code == 0
+    payload = json.loads(result.output)
+    assert '"koszulNecessary": null' in result.output
+    assert payload["chiDirect"] == payload["chiViaProduct"] == [1]
+
+
 def test_chi_refuted_verdict():
     result = run_cli("chi", "--algebra", "parafermion", "--D", "3",
                      "--max-degree", "5", "--format", "json")
@@ -161,7 +170,7 @@ def test_checks_jobs_pin_every_result():
             ("dual dimensions by quotient and by intersection", True,
              f"quotient {dual}, intersection {dual}"),
             ("dual spaces nest on both sides", True,
-             f"W_n in E (x) W_{{n-1}}: degrees 3..{top}; W_n in W_{{n-1}} (x) E by construction"),
+             f"W_n in E (x) W_{{n-1}}: degrees 4..{top}; W_n in W_{{n-1}} (x) E by construction"),
             ("component dimension equals the normal basis size", True, f"degrees 0..{top}"),
             ("chi by product equals chi by dimensions", True, f"chi = {chi}, q = {q}"),
             ("slice Euler characteristics match chi", True, f"degrees 1..{top}"),
@@ -188,14 +197,16 @@ def test_checks_jobs_pin_every_result():
 
 
 def test_checks_say_when_a_degree_range_is_empty():
-    # Below the relation degree (3) nothing nests, and at max degree 0 no
-    # slice has positive degree: the details say that no degree was checked.
-    nest = ("W_n in E (x) W_{n-1}: none (max degree below 3); "
+    # Up to the relation degree (3) nothing nests that could fail to, and
+    # at max degree 0 no slice has positive degree: the details say that
+    # no degree was checked.
+    nest = ("W_n in E (x) W_{n-1}: none (max degree below 4); "
             "W_n in W_{n-1} (x) E by construction")
     expected = {
         0: (nest, "none (max degree below 1)"),
         1: (nest, "degrees 1..1"),
         2: (nest, "degrees 1..2"),
+        3: (nest, "degrees 1..3"),
     }
     for n, details in expected.items():
         result = run_cli("checks", "--algebra", "plactic", "--D", "2",

@@ -288,11 +288,18 @@ def test_slice_refuses_a_nonzero_composition_and_accepts_cancelling_terms():
     assert cancelling.mul(ones).is_zero() and not last_row.mul(ones).is_zero()
 
 
+def test_homology_refuses_a_negative_dimension():
+    # The map into position 0 has rank 1, but position 0 has no cells.
+    slice_ = ComplexSlice(1, ((1, 0), (0, 1)), (0, 1), (Matrix(1, 1, {0: {0: 1}}),))
+    with pytest.raises(InternalConsistencyError, match="negative homology dimension"):
+        homology(slice_)
+
+
 def test_koszul_probe_checks_each_slice_euler_against_chi(parafermi3, monkeypatch):
     monkeypatch.setattr(koszul, "chi_direct",
                         lambda algebra, n_max: IntSeries([0] * (n_max + 1), n_max))
     with pytest.raises(InternalConsistencyError,
-                       match="degree-5 slice has Euler characteristic 6, but chi is 0"):
+                       match=r"slice Euler characteristics differ from chi in degrees 1\.\.6"):
         koszul_probe(parafermi3, 6)
 
 

@@ -56,6 +56,12 @@ def test_tensor_vector_merges_duplicate_terms():
     assert v.coefficient((1, 2)) == 1
 
 
+def test_format_word_separates_letters_above_nine():
+    assert linalg.format_word((1, 2, 1)) == "121"
+    assert linalg.format_word((1, 10, 2)) == "(1.10.2)"
+    assert linalg.format_word(()) == "()"
+
+
 def test_tensor_vector_rejects_bad_words():
     with pytest.raises(DegreeMismatchError):
         TensorVector(2, {(1, 2, 1): 1})

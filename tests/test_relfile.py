@@ -107,6 +107,14 @@ def test_parse_header_errors():
         parse_relations("")
     with pytest.raises(RelationParseError):
         parse_relations("D=12 N=3\n")
+    with pytest.raises(RelationParseError, match="N must be at least 2") as info:
+        parse_relations("D=2 N=1\n")
+    assert (info.value.line, info.value.column) == (1, 7)
+
+
+def test_format_presentation_refuses_letters_above_nine():
+    with pytest.raises(ValueError, match="single-digit letters only"):
+        format_presentation(parafermion(10))
 
 
 def test_parse_malformed_term_errors():

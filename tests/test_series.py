@@ -14,6 +14,8 @@ from nhomalg.series import (
     poincare_series,
 )
 
+from nhomalg import series
+
 from _oracles import dual_dims_formula, paraboson_dims, parafermion_dims, pmul
 
 
@@ -111,6 +113,14 @@ def test_chi_via_product_agrees(parafermi3, plactic3):
     assert chi_via_product(plactic2, 7).coefficients() == (1,) + (0,) * 7
     boson3 = GradedAlgebra(paraboson(3))
     assert chi_via_product(boson3, 5) == chi_direct(parafermi3, 5)
+
+
+def test_chi_via_product_raises_when_the_routes_differ(parafermi2, monkeypatch):
+    monkeypatch.setattr(series, "chi_direct",
+                        lambda algebra, n_max: IntSeries([1] + [7] * n_max, n_max))
+    with pytest.raises(InternalConsistencyError,
+                       match=r"chi routes disagree: product \(1, 0, 0, 0\) vs direct \(1, 7, 7, 7\)"):
+        chi_via_product(parafermi2, 3)
 
 
 def test_chi_closed_form_matches_direct(parafermi2, parafermi3):
