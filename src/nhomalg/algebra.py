@@ -50,6 +50,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from math import gcd, lcm
 
@@ -66,6 +67,7 @@ from .linalg import (
     _check_letters,
     _kernel,
     _lex_index,
+    _map_words,
     _over_lcm,
     _remainder_table,
     annihilator,
@@ -449,6 +451,27 @@ class Presentation:
         if self.relations.alphabet != self.D:
             raise ValueError(
                 f"relations are over {self.relations.alphabet} letters, expected {self.D}")
+
+    @cached_property
+    def letter_symmetric(self) -> bool:
+        """Whether R is graded by letter content and fixed by every
+        permutation of the letters, tested once per presentation.
+
+        R is graded when each of its canonical rows has one content: the
+        canonical rows of a graded space are homogeneous.  A graded R is
+        then fixed by S_D when it holds its images under the transposition
+        (1 2) and the cycle (1 2 ... D), which generate S_D.  Both
+        properties carry over to R^perp, so to the dual algebra.
+        """
+        relations = self.relations
+        rows = relations._ints.values()
+        if any(len({tuple(sorted(w)) for w in row}) > 1 for row in rows):
+            return False
+        D = self.D
+        generators = ((0, 2, 1, *range(3, D + 1)), (0, *range(2, D + 1), 1)) if D > 1 else ()
+        return not any(
+            relations._remainder(_map_words(row, lambda w: (tuple(perm[x] for x in w),)))[0]
+            for perm in generators for row in rows)
 
     def dual(self) -> "Presentation":
         """Same generators and degree, relations replaced by their annihilator.

@@ -15,12 +15,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations_with_replacement, permutations
+from itertools import chain, combinations_with_replacement, permutations
 
 from .algebra import GradedAlgebra, Presentation
 from .linalg import (
     Subspace,
     TensorVector,
+    _map_words,
     rref,
     word_vector,
 )
@@ -253,28 +254,39 @@ def gl_invariance(relations: Subspace) -> GlInvarianceReport:
     Lie algebra: the E_{k,k+1} and E_{k+1,k} are the Chevalley generators
     of sl(D), and E_11 adds the trace.  So the span is invariant under
     every E_ij exactly when it is invariant under these; the tests
-    compare the verdict with all D^2 of them.  For a failing derivation
-    the first escaping image is reported, with its canonical remainder
-    normalised to leading coefficient 1 as the witness vector.
+    compare the verdict with all D^2 of them.  Each image is formed on
+    the canonical integer rows that use the letter j and tested by its
+    remainder.  For a failing derivation the first escaping image is
+    reported as a vector, with its canonical remainder normalised to
+    leading coefficient 1 as the witness vector.
     """
     D = relations.alphabet
-    rows = relations.rows
+    rows = list(relations._ints.items())
+    # A derivation sending j elsewhere kills the rows without the letter j.
+    holding: dict[int, list[int]] = {}
+    for index, (_, row) in enumerate(rows):
+        for letter in set(chain.from_iterable(row)):
+            holding.setdefault(letter, []).append(index)
     results = []
     failures = []
     generators = [(1, 1)] + [pair for k in range(1, D)
                              for pair in ((k, k + 1), (k + 1, k))]
     for i, j in generators:
-        ok = True
-        for index, row in enumerate(rows):
-            image = apply_derivation(row, i, j)
+        def images(word):
+            return [word[:pos] + (i,) + word[pos + 1:]
+                    for pos, letter in enumerate(word) if letter == j]
+        index = next((index for index in holding.get(j, ())
+                      if relations._remainder(_map_words(rows[index][1], images))[0]), None)
+        if index is not None:
+            pivot, row = rows[index]
+            vector = TensorVector._trusted(
+                relations.degree, {w: Fraction(c, row[pivot]) for w, c in row.items()})
+            image = apply_derivation(vector, i, j)
             remainder = relations.reduce(image)
-            if not remainder.is_zero():
-                lead = max(remainder.terms)
-                witness = remainder * (1 / remainder.terms[lead])
-                failures.append(DerivationFailure(i, j, index, image, witness))
-                ok = False
-                break
-        results.append((i, j, ok))
+            lead = max(remainder.terms)
+            witness = remainder * (1 / remainder.terms[lead])
+            failures.append(DerivationFailure(i, j, index, image, witness))
+        results.append((i, j, index is None))
     return GlInvarianceReport(D, tuple(results), tuple(failures))
 
 

@@ -15,11 +15,28 @@ sigma_u = (L^!_u)^T, the transposed left multiplication by u in A^!,
 accumulated into one sparse matrix in a single pass.  A slice's Euler
 characteristic depends only on its cell sizes (:func:`_cell_dim`), so
 its identity with chi is checked with no slice built.
+
+When every relation keeps the letter content of its words and the
+relations are fixed by every permutation of the letters
+(:attr:`Presentation.letter_symmetric`, true of the parafermionic and
+parabosonic algebras and of A_{1,1} and A_{-1,1}), each letter
+permutation is an automorphism of A, of A^! and of every complex.  The
+maps of a slice keep a grading by content in Z^D, content(a) +
+content(c) on a cell a (x) w_c of a contraction and content(a) -
+content(c) on the dualised resolution, so each slice splits into
+content blocks, and the blocks of one S_D-orbit have equal ranks.  Only
+the rows of one block per orbit are built, those whose content is
+non-increasing (:func:`_blocks`), each weighted by the size of its
+orbit; a rank is the weighted sum of the ranks of the built rows
+(:func:`homology`).  Any other algebra builds every row with weight 1.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
+from functools import cache
+from math import factorial
 
 from .algebra import GradedAlgebra
 from .linalg import InternalConsistencyError, Matrix, all_words
@@ -31,14 +48,25 @@ class ComplexSlice:
     """Total-degree slice of a contraction, as composable matrices.
 
     ``positions[i]`` is (algebra degree, dual degree); ``matrices[i]``
-    maps position i+1 into position i; consecutive compositions vanish,
-    exactly, on the integer rows, or the slice is not made.
+    maps position i+1 into position i.  ``blocks[i]``, the row classes
+    of ``matrices[i]`` and their weights (:func:`_blocks`), gives each
+    stored row the size of the S_D-orbit of its letter content: a slice
+    of a letter-symmetric algebra stores only the rows of one content per
+    orbit, each matrix at its full shape.  Where ``blocks`` or its entry
+    is missing, every row is stored and weighs 1.
+
+    Consecutive compositions vanish, exactly, on the integer rows, or the
+    slice is not made.  The maps keep the content, so the product of the
+    stored rows of ``matrices[i]`` with ``matrices[i + 1]`` is the product
+    of the whole maps on those rows: the check is exact on every row whose
+    rank :func:`homology` reads.
     """
 
     total_degree: int
     positions: tuple[tuple[int, int], ...]
     dims: tuple[int, ...]
     matrices: tuple[Matrix, ...]
+    blocks: tuple = ()
 
     def __post_init__(self):
         for i in range(len(self.matrices) - 1):
@@ -88,9 +116,45 @@ def _cell_dim(algebra: GradedAlgebra, a: int, m: int) -> int:
     return algebra.component_dim(a) * algebra.dual_dim(m) if a >= 0 else 0
 
 
-def _differential(algebra: GradedAlgebra, n: int, m: int, j: int) -> Matrix:
+@cache
+def _weight(left: tuple[int, ...], right: tuple[int, ...], sign: int, D: int) -> int:
+    """The size of the S_D-orbit of the content sign content(left) +
+    content(right) when it is non-increasing, the representative of its
+    orbit; else 0."""
+    content = [sign * left.count(x) + right.count(x) for x in range(1, D + 1)]
+    if content != sorted(content, reverse=True):
+        return 0
+    size = factorial(D)
+    for count in Counter(content).values():
+        size //= factorial(count)
+    return size
+
+
+def _blocks(algebra: GradedAlgebra, left, right, sign: int):
+    """``keep`` for :meth:`Matrix.kron_sum` on the rows (l, r), l and r
+    running over the normal words ``left`` and ``right``: the content of
+    row (l, r) is sign content(l) + content(r), the grading that the maps
+    of a slice keep, and the table holds the orbit size of each
+    representative content (:func:`_weight`) and 0 for the others.
+
+    Every letter permutation is an automorphism of a letter-symmetric
+    algebra, of its dual and of their complexes, so the content blocks of
+    one orbit have equal ranks, and one block per orbit is built.  Any
+    other algebra gets None: every row is built, with weight 1.
+    """
+    if not algebra.presentation.letter_symmetric:
+        return None
+    keys: tuple[dict, dict] = ({}, {})
+    classes = [[ids.setdefault(tuple(sorted(w)), len(ids)) for w in words]
+               for ids, words in zip(keys, (left, right))]
+    table = [[_weight(lk, rk, sign, algebra.D) for rk in keys[1]] for lk in keys[0]]
+    return classes[0], classes[1], table
+
+
+def _differential(algebra: GradedAlgebra, n: int, m: int, j: int, keep=None) -> Matrix:
     """Matrix of the j-fold boundary from A_{n-m} (x) W_m into
-    A_{n-m+j} (x) W_{m-j}, built in one sparse pass.
+    A_{n-m+j} (x) W_{m-j}, built in one sparse pass; with ``keep``
+    (:func:`_blocks`) only its rows of one content per orbit.
 
     W_m = (A^!_m)^* has the basis dual to the normal words of A^!_m:
     the functional w_b reads the coefficient at b of a word's normal
@@ -106,21 +170,23 @@ def _differential(algebra: GradedAlgebra, n: int, m: int, j: int) -> Matrix:
     return _word_sum(
         algebra, _cell_dim(algebra, n - m + j, m - j), _cell_dim(algebra, n - m, m), j,
         lambda u: (algebra.word_matrix(n - m, u, "right"),
-                   dual.word_matrix(m - j, u, "left").transpose()))
+                   dual.word_matrix(m - j, u, "left").transpose()), keep)
 
 
-def _word_sum(algebra: GradedAlgebra, nrows: int, ncols: int, j: int, factors) -> Matrix:
+def _word_sum(algebra: GradedAlgebra, nrows: int, ncols: int, j: int, factors,
+              keep=None) -> Matrix:
     """The nrows x ncols sum over the words u of length j of the Kronecker
     products of the pairs ``factors(u)``, built in one sparse pass; the
     zero matrix, with no factor built, when either side is empty."""
     if nrows == 0 or ncols == 0:
         return Matrix(nrows, ncols)
-    return Matrix.kron_sum(nrows, ncols, (factors(u) for u in all_words(algebra.D, j)))
+    return Matrix.kron_sum(nrows, ncols, (factors(u) for u in all_words(algebra.D, j)), keep)
 
 
 def build_contraction_slice(algebra: GradedAlgebra, p: int, r: int,
                             n: int) -> ComplexSlice:
-    """Total-degree-n slice of the contraction with parameters (p, r)."""
+    """Total-degree-n slice of the contraction with parameters (p, r),
+    graded by content(a) + content(c) on the cells a (x) w_c."""
     N = algebra.N
     if not 0 <= r < p <= N - 1:
         raise ValueError(f"need 0 <= r < p <= N-1, got p={p}, r={r}, N={N}")
@@ -129,10 +195,14 @@ def build_contraction_slice(algebra: GradedAlgebra, p: int, r: int,
     degrees = contraction_dual_degrees(N, p, r, n)
     positions = tuple((n - m, m) for m in degrees)
     dims = tuple(_cell_dim(algebra, a, m) for a, m in positions)
+    dual = algebra.dual()
+    blocks = tuple(_blocks(algebra, algebra.normal_basis(a), dual.normal_basis(m), 1)
+                   if dims[i] and dims[i + 1] else None
+                   for i, (a, m) in enumerate(positions[:-1]))
     matrices = tuple(
-        _differential(algebra, n, degrees[i + 1], degrees[i + 1] - degrees[i])
+        _differential(algebra, n, degrees[i + 1], degrees[i + 1] - degrees[i], blocks[i])
         for i in range(len(degrees) - 1))
-    return ComplexSlice(n, positions, dims, matrices)
+    return ComplexSlice(n, positions, dims, matrices, blocks)
 
 
 def build_koszul_slice(algebra: GradedAlgebra, n: int) -> ComplexSlice:
@@ -141,9 +211,28 @@ def build_koszul_slice(algebra: GradedAlgebra, n: int) -> ComplexSlice:
     return build_contraction_slice(algebra, algebra.N - 1, 0, n)
 
 
+def _rank(matrix: Matrix, keep) -> int:
+    """The rank of a matrix built with ``keep`` (:func:`_blocks`): the sum
+    over the weights w of w times the rank of the stored rows of weight
+    w; without ``keep``, the rank."""
+    if keep is None:
+        return matrix.rank()
+    left, right, table = keep
+    width = len(right)
+    groups: dict[int, list] = {}
+    for i, row in matrix.rows.items():
+        groups.setdefault(table[left[i // width]][right[i % width]], []).append(row)
+    return sum(w * Matrix._from_ints(len(rows), matrix.ncols, dict(enumerate(rows))).rank()
+               for w, rows in groups.items())
+
+
 def homology(slice_: ComplexSlice) -> HomologyReport:
+    """Homology of a slice from its orbit-weighted ranks: the rank of a map
+    is the sum, over the orbits of contents, of the orbit size times the
+    rank of the one block built (:func:`_rank`)."""
     count = len(slice_.dims)
-    ranks = [matrix.rank() for matrix in slice_.matrices]
+    blocks = slice_.blocks or (None,) * len(slice_.matrices)
+    ranks = [_rank(matrix, keep) for matrix, keep in zip(slice_.matrices, blocks)]
     kernel = [slice_.dims[i] - (ranks[i - 1] if i else 0) for i in range(count)]
     image = [ranks[i] if i < len(ranks) else 0 for i in range(count)]
     hom = [kernel[i] - image[i] for i in range(count)]
@@ -210,10 +299,12 @@ class GorensteinReport:
     """Outcome of dualising the finite free resolution of a cubic algebra.
 
     ``cohomology[nu]`` lists the cohomology dimensions of the total-degree
-    slice nu at the four positions, ordered from the algebra end (0) to
-    the terminal position (3); positions 1 and 2 are interior.  The total
-    degree of an element b in the position of dual degree m is
-    deg(b) + 4 - m, which the dual boundary maps preserve.
+    slice nu at the four positions, dual degrees 0, 1, 3 and 4, from the
+    algebra end (0) on.  The terminal position is the last one whose W_m
+    is nonzero, 3 unless W_4 = 0, and the positions strictly between it
+    and 0 are interior.  The total degree of an element b in the position
+    of dual degree m is deg(b) + 4 - m, which the dual boundary maps
+    preserve.
     """
 
     n_max: int
@@ -238,23 +329,29 @@ def _dual_slice(algebra: GradedAlgebra, nu: int) -> ComplexSlice:
     and the word factors act by left multiplication in A.  The positions
     are those of the distinguished contraction, dual degrees 0, 1, N and
     N + 1, and each coboundary, the sum over u of L^!_u (x) L_u, is
-    assembled as the boundaries are (:func:`_word_sum`).  Listing the
-    cochain from the terminal position down lets the chain homology
-    mechanics apply unchanged.
+    assembled as the boundaries are (:func:`_word_sum`).  Both factors of
+    a term gain the content of u, so the coboundaries keep content(a) -
+    content(c) on a cell c (x) a, and only its representative rows are
+    built (:func:`_blocks`).  Listing the cochain from the terminal
+    position down lets the chain homology mechanics apply unchanged.
     """
     N = algebra.N
     degrees = contraction_dual_degrees(N, N - 1, 0, N + 1)
     positions = [(nu - N - 1 + m, m) for m in degrees]
     dims = [_cell_dim(algebra, a, m) for a, m in positions]
     dual = algebra.dual()
-    deltas = []
+    deltas, blocks = [], []
     for i in range(1, len(degrees)):
         a, m = positions[i - 1]
+        blocks.append(_blocks(algebra, dual.normal_basis(degrees[i]),
+                              algebra.normal_basis(positions[i][0]), -1)
+                      if dims[i] and dims[i - 1] else None)
         deltas.append(_word_sum(
             algebra, dims[i], dims[i - 1], degrees[i] - m,
-            lambda u: (dual.word_matrix(m, u, "left"), algebra.word_matrix(a, u, "left"))))
+            lambda u: (dual.word_matrix(m, u, "left"), algebra.word_matrix(a, u, "left")),
+            blocks[-1]))
     return ComplexSlice(nu, tuple(reversed(positions)), tuple(reversed(dims)),
-                        tuple(reversed(deltas)))
+                        tuple(reversed(deltas)), tuple(reversed(blocks)))
 
 
 def gorenstein_probe(algebra: GradedAlgebra, n_max: int) -> GorensteinReport:
@@ -287,10 +384,12 @@ def gorenstein_probe(algebra: GradedAlgebra, n_max: int) -> GorensteinReport:
         )
     cohomology = tuple(tuple(reversed(homology(_dual_slice(algebra, nu)).homology_dims))
                        for nu in range(n_max + 1))
+    end = max(pos for pos, m in enumerate(contraction_dual_degrees(3, 2, 0, 4))
+              if algebra.dual_dim(m))
     interior = tuple((nu, pos, dims[pos])
                      for nu, dims in enumerate(cohomology)
-                     for pos in (1, 2) if dims[pos])
-    terminal = tuple((nu, dims[3]) for nu, dims in enumerate(cohomology) if dims[3])
+                     for pos in range(1, end) if dims[pos])
+    terminal = tuple((nu, dims[end]) for nu, dims in enumerate(cohomology) if dims[end])
     consistent = (not interior
                   and len(terminal) == 1 and terminal[0][1] == 1
                   and not any(dims[0] for dims in cohomology))

@@ -195,6 +195,18 @@ def _over_lcm(terms: dict) -> tuple[dict, int]:
     return {k: c.numerator * (den // c.denominator) for k, c in terms.items()}, den
 
 
+def _map_words(row: _IntRow, images) -> _IntRow:
+    """The integer row with each word w of ``row`` replaced by the sum of
+    the words ``images(w)``, coefficients added up and cancelled ones
+    dropped: the image of ``row`` under a letter map (a permutation of
+    the letters, a derivation) given on words."""
+    acc: _IntRow = {}
+    for w, c in row.items():
+        for v in images(w):
+            acc[v] = acc.get(v, 0) + c
+    return {v: c for v, c in acc.items() if c}
+
+
 def _combine(row: _IntRow, other: _IntRow, word: Word) -> _IntRow:
     """Primitive ``a*row - b*other`` killing ``word``, a/b the ratio of its
     coefficients in lowest terms: dividing by their gcd first changes no
@@ -667,19 +679,34 @@ class Matrix:
         return matrix
 
     @classmethod
-    def kron_sum(cls, nrows: int, ncols: int, pairs) -> "Matrix":
+    def kron_sum(cls, nrows: int, ncols: int, pairs, keep=None) -> "Matrix":
         """Sum of the Kronecker products ``a (x) b`` over ``pairs``, in one
-        pass, each brought from scale ``a.scale * b.scale`` to their lcm."""
+        pass, each brought from scale ``a.scale * b.scale`` to their lcm.
+
+        ``keep = (left, right, table)`` builds only some rows: row i of a
+        has class ``left[i]``, row k of b class ``right[k]``, and row
+        (i, k) of the sum is built when ``table[left[i]][right[k]]`` is
+        nonzero.  The rows of b are picked once per pair and class of a.
+        Without ``keep`` every row is built."""
         pairs = list(pairs)
         if any((a.nrows * b.nrows, a.ncols * b.ncols) != (nrows, ncols) for a, b in pairs):
             raise ValueError("shape mismatch")
         scale = lcm(*(a.scale * b.scale for a, b in pairs))
+        left, right, table = keep or (None, None, None)
         acc: dict[int, dict[int, int]] = {}
         for a, b in pairs:
             factor = scale // (a.scale * b.scale)
+            picked: dict[int, list] = {}  # the rows of b built, by class of a's row
             for i, arow in a.rows.items():
+                c = left[i] if keep else 0
+                brows = picked.get(c)
+                if brows is None:
+                    brows = picked[c] = [(k, brow) for k, brow in b.rows.items()
+                                         if not keep or table[c][right[k]]]
+                if not brows:
+                    continue
                 arow = {j: factor * x for j, x in arow.items()} if factor > 1 else arow
-                for k, brow in b.rows.items():
+                for k, brow in brows:
                     target = acc.setdefault(i * b.nrows + k, {})
                     for j, x in arow.items():
                         base = j * b.ncols

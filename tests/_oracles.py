@@ -45,7 +45,10 @@ one letter at a time, each step copying the rows and building a checked
 tableau, against the package's single pass on plain lists; and the
 invariance of a relation span under all D^2 elementary derivations,
 against the 2D - 1 generators of gl(D) that ``catalog.gl_invariance``
-checks.
+checks; and the contraction slices and the dualised resolution built
+whole, every row of every content block, against the slices of
+:mod:`nhomalg.koszul`, which build one block per S_D-orbit of letter
+contents.
 """
 
 from bisect import bisect_right
@@ -790,3 +793,56 @@ def all_derivations_invariance(relations):
                     break
             results.append((i, j, ok))
     return GlInvarianceReport(D, tuple(results), tuple(failures))
+
+
+def full_contraction_slice(algebra, p, r, n):
+    """Total-degree-n slice of the contraction with parameters (p, r)."""
+    from nhomalg.koszul import (
+        ComplexSlice,
+        _cell_dim,
+        _differential,
+        contraction_dual_degrees,
+    )
+
+    N = algebra.N
+    if not 0 <= r < p <= N - 1:
+        raise ValueError(f"need 0 <= r < p <= N-1, got p={p}, r={r}, N={N}")
+    if n < 0:
+        raise ValueError("total degree must be nonnegative")
+    degrees = contraction_dual_degrees(N, p, r, n)
+    positions = tuple((n - m, m) for m in degrees)
+    dims = tuple(_cell_dim(algebra, a, m) for a, m in positions)
+    matrices = tuple(
+        _differential(algebra, n, degrees[i + 1], degrees[i + 1] - degrees[i])
+        for i in range(len(degrees) - 1))
+    return ComplexSlice(n, positions, dims, matrices)
+
+
+def full_dual_slice(algebra, nu):
+    """The dualised resolution in total degree nu, read backwards.
+
+    Dualising turns each free left module on a dual space W_m into a free
+    right module on its linear dual A^!_m; the tail splits
+    sigma_u = (L^!_u)^T of :func:`_differential` transpose back to L^!_u,
+    and the word factors act by left multiplication in A.  The positions
+    are those of the distinguished contraction, dual degrees 0, 1, N and
+    N + 1, and each coboundary, the sum over u of L^!_u (x) L_u, is
+    assembled as the boundaries are (:func:`_word_sum`).  Listing the
+    cochain from the terminal position down lets the chain homology
+    mechanics apply unchanged.
+    """
+    from nhomalg.koszul import ComplexSlice, _cell_dim, _word_sum, contraction_dual_degrees
+
+    N = algebra.N
+    degrees = contraction_dual_degrees(N, N - 1, 0, N + 1)
+    positions = [(nu - N - 1 + m, m) for m in degrees]
+    dims = [_cell_dim(algebra, a, m) for a, m in positions]
+    dual = algebra.dual()
+    deltas = []
+    for i in range(1, len(degrees)):
+        a, m = positions[i - 1]
+        deltas.append(_word_sum(
+            algebra, dims[i], dims[i - 1], degrees[i] - m,
+            lambda u: (dual.word_matrix(m, u, "left"), algebra.word_matrix(a, u, "left"))))
+    return ComplexSlice(nu, tuple(reversed(positions)), tuple(reversed(dims)),
+                        tuple(reversed(deltas)))

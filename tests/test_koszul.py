@@ -3,8 +3,15 @@ from itertools import combinations, permutations, product
 from math import comb
 
 import pytest
+from hypothesis import given, strategies as st
 
-from _oracles import dense_matrix_rank, relabel, relabelled
+from _oracles import (
+    dense_matrix_rank,
+    full_contraction_slice,
+    full_dual_slice,
+    relabel,
+    relabelled,
+)
 from nhomalg.algebra import GradedAlgebra, Presentation, free_presentation
 from nhomalg.catalog import artin_schelter, paraboson, parafermion, plactic
 from nhomalg import koszul
@@ -29,6 +36,7 @@ from nhomalg.linalg import (
     _echelon,
     rref,
 )
+from nhomalg.relfile import parse_relations
 from nhomalg.series import IntSeries, chi_direct, chi_via_product, dual_q_series
 
 
@@ -390,6 +398,23 @@ def test_gorenstein_inapplicable_when_not_resolution(parafermi3):
     assert report.cohomology is None
 
 
+def test_gorenstein_terminal_position_is_the_last_nonzero_dual_space():
+    # At D = 1 every family has R = 0 and dual dims 1, 1, 1, 0, 0: A = k[x]
+    # is resolved by A (x) W_1 -> A, and its dual has one class at the
+    # terminal position 1 with nothing interior.
+    for builder in (parafermion, paraboson, plactic):
+        report = gorenstein_probe(GradedAlgebra(builder(1)), 7)
+        assert report.verdict == "consistent", builder
+        assert report.interior_witnesses == ()
+        assert report.terminal_dims == ((3, 1),)
+    # The free algebra on two letters also has W_3 = 0, but two classes
+    # at its terminal position in total degree 3, and more above.
+    report = gorenstein_probe(GradedAlgebra(parse_relations("D=2 N=3\n")), 6)
+    assert report.verdict == "violated"
+    assert report.interior_witnesses == ()
+    assert report.terminal_dims[0] == (3, 2)
+
+
 @pytest.mark.parametrize("D", [1, 2, 3])
 def test_symmetric_and_exterior_algebras(D):
     """Beyond the catalogue: the quadratic algebras with known answers.
@@ -461,3 +486,70 @@ def test_n_symmetric_algebras(D, N, relabel_letters):
     assert [dual_quotient.component_dim(n) for n in range(n_max + 1)] == dual_dims
     # The intersection route is D^n wide: two degrees above N suffice.
     assert [algebra.dual_space(n).dim for n in range(N + 2)] == dual_dims[:N + 2]
+
+
+def assert_blocks_match_the_whole_slices(algebra, n_max):
+    """Homology of every contraction slice of degree up to n_max, and of
+    each dual slice of a cubic algebra, built one content block per
+    S_D-orbit, against the same slices built whole."""
+    N = algebra.N
+    for p in range(1, N):
+        for r in range(p):
+            for n in range(n_max + 1):
+                assert homology(build_contraction_slice(algebra, p, r, n)) == \
+                    homology(full_contraction_slice(algebra, p, r, n)), (p, r, n)
+    if N == 3:
+        for nu in range(n_max + 1):
+            assert homology(_dual_slice(algebra, nu)) == \
+                homology(full_dual_slice(algebra, nu)), nu
+
+
+@st.composite
+def content_presentations(draw):
+    """Relations on D = 2..4 letters in degree N = 2, 3, each row among the
+    words of one letter content, with every letter permutation of each
+    row added (closed under S_D) or as drawn.  Lists are ordered most
+    telling first."""
+    closed = draw(st.sampled_from((True, False)))
+    D = draw(st.sampled_from([4, 3, 2]))
+    N = draw(st.sampled_from([3, 2]))
+    rows = []
+    for _ in range(draw(st.integers(1, 3))):
+        content = sorted(draw(st.lists(st.integers(1, D), min_size=N, max_size=N)))
+        words = sorted(set(permutations(content)))
+        rows.append(draw(st.dictionaries(st.sampled_from(words),
+                                         st.integers(-2, 2).filter(bool),
+                                         min_size=1, max_size=3)))
+    letters = tuple(range(1, D + 1))
+    perms = list(permutations(letters)) if closed else [letters]
+    vectors = [TensorVector(N, {tuple(sigma[x - 1] for x in w): c for w, c in row.items()})
+               for row in rows for sigma in perms]
+    presentation = Presentation(D, N, rref(vectors, D, N))
+    assert presentation.letter_symmetric or not closed
+    return GradedAlgebra(presentation)
+
+
+@given(content_presentations())
+def test_blocks_per_orbit_match_the_whole_slices(algebra):
+    # At most 256 words in the top degree of A.
+    assert_blocks_match_the_whole_slices(algebra, {2: 6, 3: 5, 4: 4}[algebra.D])
+
+
+def test_blocks_per_orbit_on_the_edge_cases():
+    cases = (
+        # Fixed by (1 2), but its rows mix two contents: one block.
+        (parse_relations("D=2 N=2\n1*11 - 1*22\n"), False),
+        # Graded and fixed by (1 2), not by (1 2 3): every content is its own block.
+        (parse_relations("D=3 N=3\n1*123 - 1*213\n1*333\n"), False),
+        (free_presentation(1, 2), True),
+        (free_presentation(1, 3), True),
+        (Presentation(1, 2, Subspace.full(1, 2)), True),
+        (Presentation(1, 3, Subspace.full(1, 3)), True),
+        (parafermion(3), True),
+        (plactic(3), False),
+        (artin_schelter(-1, 1), True),
+        (artin_schelter(2, 1), False),
+    )
+    for presentation, symmetric in cases:
+        assert presentation.letter_symmetric == symmetric, presentation
+        assert_blocks_match_the_whole_slices(GradedAlgebra(presentation), 5)
