@@ -38,7 +38,12 @@ the remainder map on the rows of W_{n-1} (x) E, as a tower of kernels
 with no word row (:func:`_next_level`): the remainders are read off the
 table of the degree-N words modulo R that also gives the annihilator
 (:func:`nhomalg.linalg._remainder_table`), and neither the shifted
-relations nor a D^n-wide annihilator is built.  Word rows are assembled
+relations nor a D^n-wide annihilator is built.  Those readers take only
+the dimensions, so the top degree asked for is counted, not built:
+dim W_n = D dim W_{n-1} less the rank of that remainder map, and when R
+is fixed by every letter permutation, only the rows of one letter
+content per S_D-orbit are ranked, each rank weighted by the orbit size
+(:meth:`GradedAlgebra.intersection_dims`).  Word rows are assembled
 from the tower only for their readers (:meth:`GradedAlgebra.dual_space`).
 The direct routes, the union of all n-N+1 shifts of R and their
 intersection, the meet with the shifted relations built in full, and
@@ -48,11 +53,11 @@ intersection runs there through Fraction annihilators.
 
 from __future__ import annotations
 
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from fractions import Fraction
-from math import gcd, lcm
+from math import factorial, gcd, lcm
 
 from .linalg import (
     DegreeMismatchError,
@@ -68,6 +73,7 @@ from .linalg import (
     _kernel,
     _lex_index,
     _map_words,
+    _markowitz,
     _over_lcm,
     _remainder_table,
     annihilator,
@@ -144,40 +150,55 @@ def _base_levels(relations: Subspace) -> list[_Level]:
     return levels
 
 
+def _remainder_rows(top: _Level, remainders, D: int, pairs=None) -> list[dict[int, int]]:
+    """The remainder rows of the pairs (row k of W_n, letter x), numbered
+    i = k D + D - x: all of them, ascending, or those numbered in
+    ``pairs``; ``remainders`` is :func:`nhomalg.linalg._remainder_table`
+    of R, n >= N.
+
+    With a row of W_n expanded as v = sum c_{j,t} w_j (x) t, the remainder
+    of M v.x modulo E^(n+1-N) (x) R is sum c_{j,t} w_j (x) (table row of
+    t.x), keyed by (j, free word): dim W_{n+1-N} times the free words wide.
+    """
+    table, _, free = remainders
+    rows = []
+    for i in range(len(top.tails) * D) if pairs is None else pairs:
+        k, r = divmod(i, D)
+        x = D - r
+        rem: dict[int, int] = {}
+        for t, part in top.tails[k].items():
+            for f, a in table[t + (x,)].items():
+                for j, c in part.items():
+                    key = j * free + f
+                    nc = rem.get(key, 0) + a * c
+                    if nc:
+                        rem[key] = nc
+                    else:
+                        del rem[key]
+        rows.append(rem)
+    return rows
+
+
 def _next_level(levels: list[_Level], remainders, D: int, N: int) -> _Level:
     """W_{n+1} from the tower W_0..W_n, n >= N; ``remainders`` is
     :func:`nhomalg.linalg._remainder_table` of R.
 
-    W_{n+1} = (W_n (x) E) cap (E^(n+1-N) (x) R).  With a row of W_n
-    expanded as v = sum c_{j,t} w_j (x) t, the remainder of M v.x modulo
-    E^(n+1-N) (x) R is sum c_{j,t} w_j (x) (table row of t.x), keyed by
-    (j, free word): dim W_{n+1-N} times the free words wide.  K_{n+1} is
-    the kernel of that map, each pair tagged with M times the pivot
-    coefficient L of v, as :func:`nhomalg.linalg.intersect` tags it.  The
+    W_{n+1} = (W_n (x) E) cap (E^(n+1-N) (x) R).  K_{n+1} is the kernel of
+    the remainder map on the rows of W_n (x) E (:func:`_remainder_rows`),
+    each pair (v, x) tagged with M times the pivot coefficient L of v, as
+    :func:`nhomalg.linalg.intersect` tags it.  The
     row of K_{n+1} with coordinates t_i is sum (t_i / L_{a_i}) v_{a_i} (x) x_i;
     its part at a new tail t'.x, the sum of c_{j,t} w_j (x) y over the tails
     t = y.t' with x_i = x, lies in W_{n+2-N}, where its coordinates are
     read at the lead pairs (j, y).  The row is scaled to an integral
     expansion, and its pivot coefficient t_lead with it.
     """
-    table, scale, free = remainders
     n = len(levels) - 1
     top, target = levels[n], levels[n + 2 - N]
-    tagged = []
-    for split, pivot in zip(top.tails, top.pivots):
-        for x in range(D, 0, -1):
-            rem: dict[int, int] = {}
-            for t, part in split.items():
-                for f, a in table[t + (x,)].items():
-                    for j, c in part.items():
-                        key = j * free + f
-                        nc = rem.get(key, 0) + a * c
-                        if nc:
-                            rem[key] = nc
-                        else:
-                            del rem[key]
-            rem[-1 - len(tagged)] = scale * pivot
-            tagged.append(rem)
+    scale = remainders[1]
+    tagged = _remainder_rows(top, remainders, D)
+    for i, rem in enumerate(tagged):
+        rem[-1 - i] = scale * top.pivots[i // D]
     kernel = _kernel(tagged)
     # Per row of W_n, (t', k, c_{j,t}) for each t = y.t' with (j, y) the
     # lead pair of row k of W_{n+2-N}.
@@ -432,6 +453,19 @@ def _extend_basis(basis: dict[Word, _IntRow], degree: int, leads: _LeadAutomaton
     basis.update(_full_reduce(_echelon(rows)))
 
 
+@cache
+def _orbit_size(content: tuple[int, ...]) -> int:
+    """The size of the S_D-orbit of a letter content, the count of each
+    letter 1..D, when it is non-increasing, the representative of its
+    orbit; else 0."""
+    if list(content) != sorted(content, reverse=True):
+        return 0
+    size = factorial(len(content))
+    for count in Counter(content).values():
+        size //= factorial(count)
+    return size
+
+
 @dataclass(frozen=True)
 class Presentation:
     """D generators with a relation subspace in degree N."""
@@ -520,7 +554,6 @@ class GradedAlgebra:
         self._forms: dict[Word, _Form] = {}  # words past their border prefix
         self._tower: list[_Level] = []  # W_n by intersection, without word rows
         self._dual: dict[int, Subspace] = {}  # word rows of W_n, built for their readers
-        self._tails = None  # remainders of the degree-N words modulo R
         self._dual_algebra: GradedAlgebra | None = None
         self._word_mats: dict[tuple, Matrix] = {}
 
@@ -800,21 +833,83 @@ class GradedAlgebra:
         if not tower:
             tower.extend(_base_levels(self.presentation.relations))
         while len(tower) <= n:
-            if self._tails is None:
-                self._tails = _remainder_table(self.presentation.relations)
-            tower.append(_next_level(tower, self._tails, self.D, self.N))
+            tower.append(_next_level(tower, self._remainders, self.D, self.N))
         return tower[n]
 
-    def intersection_dim(self, n: int) -> int:
-        """dim W_n, the cross-check of :meth:`dual_dim` that ``dual`` and
-        ``checks`` read: D^n below the relation degree, and from there the
-        number of rows of W_n in the tower (:func:`_next_level`), where no
-        word row is built.  Once one W_n vanishes, the levels above have no
-        rows either."""
-        guard_words(self.D, n, self.word_limit)
-        if n < self.N:
-            return self.D ** n
-        return len(self._dual_level(n).pivots)
+    @cached_property
+    def _remainders(self):
+        """:func:`nhomalg.linalg._remainder_table` of R, read by the tower."""
+        return _remainder_table(self.presentation.relations)
+
+    def intersection_dims(self, n_max: int) -> list[int]:
+        """dim W_0..W_{n_max}, the cross-check of :meth:`dual_dim` that
+        ``dual`` and ``checks`` read: D^n below the relation degree, from
+        there the rows of each W_n in the tower (:func:`_next_level`),
+        where no word row is built, and dim W_{n_max} counted without its
+        level (:meth:`_count_level`).  Once one W_n vanishes, the levels
+        above have no rows either."""
+        guard_words(self.D, n_max, self.word_limit)
+        dims = [self.D ** n for n in range(min(n_max + 1, self.N))]
+        dims += [len(self._dual_level(n).pivots) for n in range(self.N, n_max)]
+        if n_max >= self.N:
+            dims.append(self._count_level(n_max))
+        return dims
+
+    def _count_level(self, n: int) -> int:
+        """dim W_n, n >= N.  At N, or when the tower holds W_n, its rows;
+        0 when W_{n-1} has none.  Otherwise D dim W_{n-1} less the rank of
+        the remainder map on the rows of W_{n-1} (x) E
+        (:func:`_remainder_rows`), with no tag, kernel or tail built.
+
+        A letter-symmetric R (:attr:`Presentation.letter_symmetric`) is
+        graded by content and fixed by S_D, so every W_n is too, and the
+        remainder map keeps the content: its rank is the sum of the ranks
+        of its content blocks, and the blocks of one S_D-orbit have equal
+        ranks.  Only the rows of one content per orbit are built
+        (:meth:`_representative_pairs`), and the rank is the sum over the
+        orbit sizes w of w times the rank of the rows of weight w.
+        """
+        if n == self.N or len(self._tower) > n:
+            return len(self._dual_level(n).pivots)
+        below = self._dual_level(n - 1)
+        if not below.pivots:
+            return 0
+        groups = (self._representative_pairs(n - 1) if self.presentation.letter_symmetric
+                  else {1: None})
+        rank = sum(w * len(_echelon(_markowitz(
+            _remainder_rows(below, self._remainders, self.D, pairs))))
+            for w, pairs in groups.items())
+        return self.D * len(below.pivots) - rank
+
+    def _representative_pairs(self, n: int) -> dict[int, list[int]]:
+        """The pairs (row k of W_n, letter x), numbered k D + D - x, whose
+        content content(k) + e_x is non-increasing, grouped by the size of
+        its orbit (:func:`_orbit_size`); n >= N, W_n in the tower.
+
+        A row's content is that of its pivot word: at level N the letter
+        count of its pivot in R, above it content(a) + e_x for its lead
+        pair a D + D - x.
+        """
+        D = self.D
+
+        def plus(content, x):
+            return content[:x - 1] + (content[x - 1] + 1,) + content[x:]
+
+        contents = [tuple(p.count(x) for x in range(1, D + 1))
+                    for p in self.presentation.relations._ints]
+        for level in self._tower[self.N + 1:n + 1]:
+            above = [()] * len(level.pivots)
+            for lead, k in level.leads.items():
+                a, r = divmod(lead, D)
+                above[k] = plus(contents[a], D - r)
+            contents = above
+        groups: dict[int, list[int]] = {}
+        for k, content in enumerate(contents):
+            for r in range(D):
+                weight = _orbit_size(plus(content, D - r))
+                if weight:
+                    groups.setdefault(weight, []).append(k * D + r)
+        return groups
 
     def dual_space(self, n: int) -> Subspace:
         """W_n, the intersection of E^r (x) R (x) E^(n-N-r) over all r, as

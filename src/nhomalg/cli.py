@@ -189,7 +189,7 @@ def hilbert(algebra, entry, max_degree, payload):
 def dual(algebra, entry, max_degree, payload):
     """Dual algebra dimensions by both routes, plus the explicit-span check."""
     quotient = [algebra.dual_dim(n) for n in range(max_degree + 1)]
-    intersection = [algebra.intersection_dim(n) for n in range(max_degree + 1)]
+    intersection = algebra.intersection_dims(max_degree)
     agree = quotient == intersection
     payload["dualDimsViaQuotient"] = quotient
     payload["dualDimsViaIntersection"] = intersection
@@ -289,7 +289,9 @@ def gorenstein(algebra, entry, max_degree, payload):
     lines = [f"resolution exact: {report.resolution_exact}",
              f"verdict: {report.verdict}"]
     if report.cohomology is not None:
-        lines.append("degree  cohomology (end, interior, interior, terminal)")
+        end = report.terminal_position
+        names = ["end"] + ["interior"] * (end - 1) + ["terminal"] + ["zero"] * (3 - end)
+        lines.append(f"degree  cohomology ({', '.join(names)})")
         for nu, dims in enumerate(report.cohomology):
             lines.append(f"{nu:>6}  {list(dims)}")
     return lines, None

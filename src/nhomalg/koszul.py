@@ -33,12 +33,10 @@ orbit; a rank is the weighted sum of the ranks of the built rows
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from functools import cache
-from math import factorial
 
-from .algebra import GradedAlgebra
+from .algebra import GradedAlgebra, _orbit_size
 from .linalg import InternalConsistencyError, Matrix, all_words
 from .series import chi_direct
 
@@ -118,16 +116,9 @@ def _cell_dim(algebra: GradedAlgebra, a: int, m: int) -> int:
 
 @cache
 def _weight(left: tuple[int, ...], right: tuple[int, ...], sign: int, D: int) -> int:
-    """The size of the S_D-orbit of the content sign content(left) +
-    content(right) when it is non-increasing, the representative of its
-    orbit; else 0."""
-    content = [sign * left.count(x) + right.count(x) for x in range(1, D + 1)]
-    if content != sorted(content, reverse=True):
-        return 0
-    size = factorial(D)
-    for count in Counter(content).values():
-        size //= factorial(count)
-    return size
+    """The orbit size (:func:`nhomalg.algebra._orbit_size`) of the content
+    sign content(left) + content(right)."""
+    return _orbit_size(tuple(sign * left.count(x) + right.count(x) for x in range(1, D + 1)))
 
 
 def _blocks(algebra: GradedAlgebra, left, right, sign: int):
@@ -300,11 +291,11 @@ class GorensteinReport:
 
     ``cohomology[nu]`` lists the cohomology dimensions of the total-degree
     slice nu at the four positions, dual degrees 0, 1, 3 and 4, from the
-    algebra end (0) on.  The terminal position is the last one whose W_m
-    is nonzero, 3 unless W_4 = 0, and the positions strictly between it
-    and 0 are interior.  The total degree of an element b in the position
-    of dual degree m is deg(b) + 4 - m, which the dual boundary maps
-    preserve.
+    algebra end (0) on.  The terminal position, ``terminal_position``, is
+    the last one whose W_m is nonzero, 3 unless W_4 = 0, and the positions
+    strictly between it and 0 are interior.  The total degree of an
+    element b in the position of dual degree m is deg(b) + 4 - m, which
+    the dual boundary maps preserve.
     """
 
     n_max: int
@@ -313,6 +304,7 @@ class GorensteinReport:
     cohomology: tuple[tuple[int, int, int, int], ...] | None
     interior_witnesses: tuple[tuple[int, int, int], ...]
     terminal_dims: tuple[tuple[int, int], ...]
+    terminal_position: int
     verdict: str
 
     @property
@@ -371,6 +363,8 @@ def gorenstein_probe(algebra: GradedAlgebra, n_max: int) -> GorensteinReport:
         raise ValueError(
             "the Gorenstein probe needs the dual components to vanish from "
             f"degree 5 on; got dimension {algebra.dual_dim(5)}")
+    end = max(pos for pos, m in enumerate(contraction_dual_degrees(3, 2, 0, 4))
+              if algebra.dual_dim(m))
     probe = koszul_probe(algebra, n_max)
     if not probe.consistent:
         return GorensteinReport(
@@ -380,12 +374,11 @@ def gorenstein_probe(algebra: GradedAlgebra, n_max: int) -> GorensteinReport:
             cohomology=None,
             interior_witnesses=(),
             terminal_dims=(),
+            terminal_position=end,
             verdict="inapplicable",
         )
     cohomology = tuple(tuple(reversed(homology(_dual_slice(algebra, nu)).homology_dims))
                        for nu in range(n_max + 1))
-    end = max(pos for pos, m in enumerate(contraction_dual_degrees(3, 2, 0, 4))
-              if algebra.dual_dim(m))
     interior = tuple((nu, pos, dims[pos])
                      for nu, dims in enumerate(cohomology)
                      for pos in range(1, end) if dims[pos])
@@ -400,5 +393,6 @@ def gorenstein_probe(algebra: GradedAlgebra, n_max: int) -> GorensteinReport:
         cohomology=cohomology,
         interior_witnesses=interior,
         terminal_dims=terminal,
+        terminal_position=end,
         verdict="consistent" if consistent else "violated",
     )

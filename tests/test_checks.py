@@ -209,8 +209,8 @@ class MiscountsIntersectionFour(GradedAlgebra):
     """A broken algebra: the intersection route counts one row too many
     in degree 4, while the quotient route and W_4 itself are right."""
 
-    def intersection_dim(self, n):
-        return super().intersection_dim(n) + (n == 4)
+    def intersection_dims(self, n_max):
+        return [d + (n == 4) for n, d in enumerate(super().intersection_dims(n_max))]
 
 
 def test_dual_routes_check_catches_an_intersection_off_by_one():

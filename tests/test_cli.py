@@ -110,6 +110,19 @@ def test_gorenstein_command():
     assert json.loads(result.output)["verdict"] == "consistent"
 
 
+def test_gorenstein_table_header_names_the_terminal_position():
+    # At D = 1, W_3 = 0: the one class sits at the terminal position 1.
+    for D, header, row in ((1, "end, terminal, zero, zero", "     3  [0, 1, 0, 0]"),
+                           (2, "end, interior, interior, terminal", "     0  [0, 0, 0, 1]")):
+        result = run_cli("gorenstein", "--algebra", "parafermion", "--D", str(D),
+                         "--max-degree", "3")
+        assert result.exit_code == 0
+        lines = result.output.splitlines()
+        assert lines[:3] == ["resolution exact: True", "verdict: consistent",
+                             f"degree  cohomology ({header})"], D
+        assert row in lines, D
+
+
 def test_benchmark_inputs_pin_their_full_tables():
     # The benchmark checks only the Euler characteristics and verdicts of
     # these jobs; every kernel, image, homology and cohomology dimension
@@ -315,8 +328,8 @@ def test_checks_exit_nonzero_on_violation(tmp_path, monkeypatch):
 
 
 def test_dual_prints_its_report_before_failing_on_disagreeing_routes(monkeypatch):
-    monkeypatch.setattr("nhomalg.algebra.GradedAlgebra.intersection_dim",
-                        lambda self, n: -1)
+    monkeypatch.setattr("nhomalg.algebra.GradedAlgebra.intersection_dims",
+                        lambda self, n_max: [-1] * (n_max + 1))
     result = run_cli("dual", "--algebra", "paraboson", "--D", "2",
                      "--max-degree", "3", "--format", "json")
     assert result.exit_code == 1

@@ -1,3 +1,4 @@
+import dataclasses
 from fractions import Fraction
 from itertools import combinations, permutations, product
 from math import comb
@@ -553,3 +554,44 @@ def test_blocks_per_orbit_on_the_edge_cases():
     for presentation, symmetric in cases:
         assert presentation.letter_symmetric == symmetric, presentation
         assert_blocks_match_the_whole_slices(GradedAlgebra(presentation), 5)
+
+
+def assert_counts_per_orbit_equal_the_unweighted(algebra, n_max):
+    """For the presentation and its dual, n = 0..n_max: dim W_n counted on
+    top of a tower that holds W_{n-1}, one content block per S_D-orbit,
+    against the same count with every row built, the level built and
+    read, and the quotient route."""
+    for presentation in (algebra.presentation, algebra.presentation.dual()):
+        weighted = GradedAlgebra(presentation)
+        # A copy whose letter symmetry is cached as False: every row, weight 1.
+        unweighted = GradedAlgebra(dataclasses.replace(presentation))
+        unweighted.presentation.__dict__["letter_symmetric"] = False
+        for n in range(n_max + 1):
+            counts = weighted.intersection_dims(n)[n], unweighted.intersection_dims(n)[n]
+            assert counts == (len(weighted._dual_level(n).leads),) * 2, n
+            assert counts[0] == weighted.intersection_dims(n)[n] == weighted.dual_dim(n), n
+
+
+@given(content_presentations())
+def test_intersection_counts_per_orbit_equal_the_unweighted(algebra):
+    assert_counts_per_orbit_equal_the_unweighted(algebra, {2: 6, 3: 5, 4: 4}[algebra.D])
+
+
+def test_intersection_counts_per_orbit_on_the_edge_cases():
+    cases = (
+        free_presentation(1, 2),
+        Presentation(1, 3, Subspace.full(1, 3)),
+        free_presentation(3, 2),
+        Presentation(2, 3, Subspace.full(2, 3)),
+        # Fixed by (1 2), but its rows mix two contents: every row built.
+        parse_relations("D=2 N=2\n1*11 - 1*22\n"),
+        # Graded and fixed by (1 2), not by (1 2 3): every row built.
+        parse_relations("D=3 N=3\n1*123 - 1*213\n1*333\n"),
+        parafermion(3),
+        paraboson(2),
+    )
+    for presentation in cases:
+        assert_counts_per_orbit_equal_the_unweighted(GradedAlgebra(presentation), 6)
+    # The dual of parafermion(4) meets orbits of sizes 1, 4, 6, 12 and 24.
+    algebra = GradedAlgebra(parafermion(4).dual())
+    assert algebra.intersection_dims(6) == [1, 4, 16, 44, 116, 260, 560]

@@ -593,13 +593,15 @@ def test_groebner_basis_equals_all_overlaps_on_signed_binomials(case):
 
 
 def _tower_equals_the_word_row_routes(algebra, top):
-    # For the presentation and its dual: the tower's dims against the
-    # quotient route, on a fresh algebra before any word row is built,
-    # and the assembled rows against both word-row oracles, row for row.
+    # For the presentation and its dual: each dim counted on top of the
+    # tower against the level then built and the quotient route, on a
+    # fresh algebra before any word row is built, and the assembled rows
+    # against both word-row oracles, row for row.
     for pres in (algebra.presentation, algebra.presentation.dual()):
         fresh = GradedAlgebra(pres)
         for n in range(top + 1):
-            assert fresh.intersection_dim(n) == fresh.dual_dim(n), n
+            counted = fresh.intersection_dims(n)[n]
+            assert counted == len(fresh._dual_level(n).leads) == fresh.dual_dim(n), n
         assert not fresh._dual
         oracles = (two_shift_dual_spaces(pres.relations, top),
                    word_row_dual_spaces(pres.relations, top))
