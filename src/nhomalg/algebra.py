@@ -40,9 +40,11 @@ table of the degree-N words modulo R that also gives the annihilator
 (:func:`nhomalg.linalg._remainder_table`), and neither the shifted
 relations nor a D^n-wide annihilator is built.  Those readers take only
 the dimensions, so the top degree asked for is counted, not built:
-dim W_n = D dim W_{n-1} less the rank of that remainder map, and when R
-is fixed by every letter permutation, only the rows of one letter
-content per S_D-orbit are ranked, each rank weighted by the orbit size
+dim W_n = D dim W_{n-1} less the rank of that remainder map.  When R is
+fixed by every letter permutation, only the rows of one letter content
+per S_D-orbit are ranked, each rank weighted by the orbit size, and the
+levels below are built only on the contents that can still become such
+a representative, a content block reading only kept blocks below it
 (:meth:`GradedAlgebra.intersection_dims`).  Word rows are assembled
 from the tower only for their readers (:meth:`GradedAlgebra.dual_space`).
 The direct routes, the union of all n-N+1 shifts of R and their
@@ -150,11 +152,10 @@ def _base_levels(relations: Subspace) -> list[_Level]:
     return levels
 
 
-def _remainder_rows(top: _Level, remainders, D: int, pairs=None) -> list[dict[int, int]]:
-    """The remainder rows of the pairs (row k of W_n, letter x), numbered
-    i = k D + D - x: all of them, ascending, or those numbered in
-    ``pairs``; ``remainders`` is :func:`nhomalg.linalg._remainder_table`
-    of R, n >= N.
+def _remainder_rows(top: _Level, remainders, D: int, pairs) -> list[dict[int, int]]:
+    """The remainder rows of the pairs (row k of W_n, letter x) numbered
+    in ``pairs``, pair i = k D + D - x; ``remainders`` is
+    :func:`nhomalg.linalg._remainder_table` of R, n >= N.
 
     With a row of W_n expanded as v = sum c_{j,t} w_j (x) t, the remainder
     of M v.x modulo E^(n+1-N) (x) R is sum c_{j,t} w_j (x) (table row of
@@ -162,7 +163,7 @@ def _remainder_rows(top: _Level, remainders, D: int, pairs=None) -> list[dict[in
     """
     table, _, free = remainders
     rows = []
-    for i in range(len(top.tails) * D) if pairs is None else pairs:
+    for i in pairs:
         k, r = divmod(i, D)
         x = D - r
         rem: dict[int, int] = {}
@@ -179,7 +180,7 @@ def _remainder_rows(top: _Level, remainders, D: int, pairs=None) -> list[dict[in
     return rows
 
 
-def _next_level(levels: list[_Level], remainders, D: int, N: int) -> _Level:
+def _next_level(levels: list[_Level], remainders, D: int, N: int, pairs=None) -> _Level:
     """W_{n+1} from the tower W_0..W_n, n >= N; ``remainders`` is
     :func:`nhomalg.linalg._remainder_table` of R.
 
@@ -191,13 +192,17 @@ def _next_level(levels: list[_Level], remainders, D: int, N: int) -> _Level:
     its part at a new tail t'.x, the sum of c_{j,t} w_j (x) y over the tails
     t = y.t' with x_i = x, lies in W_{n+2-N}, where its coordinates are
     read at the lead pairs (j, y).  The row is scaled to an integral
-    expansion, and its pivot coefficient t_lead with it.
+    expansion, and its pivot coefficient t_lead with it.  Given ``pairs``,
+    whole content blocks of the pairs, only those are taken; pair i is
+    tagged -1 - i, whatever its place in the list.
     """
     n = len(levels) - 1
     top, target = levels[n], levels[n + 2 - N]
     scale = remainders[1]
-    tagged = _remainder_rows(top, remainders, D)
-    for i, rem in enumerate(tagged):
+    if pairs is None:
+        pairs = range(len(top.tails) * D)
+    tagged = _remainder_rows(top, remainders, D, pairs)
+    for i, rem in zip(pairs, tagged):
         rem[-1 - i] = scale * top.pivots[i // D]
     kernel = _kernel(tagged)
     # Per row of W_n, (t', k, c_{j,t}) for each t = y.t' with (j, y) the
@@ -451,6 +456,17 @@ def _extend_basis(basis: dict[Word, _IntRow], degree: int, leads: _LeadAutomaton
                 if row:
                     rows.append(row)
     basis.update(_full_reduce(_echelon(rows)))
+
+
+@cache
+def _deficiency(content: tuple[int, ...]) -> int:
+    """The fewest letters whose addition makes a letter content
+    non-increasing: the sum over i of max_{j >= i} c_j - c_i."""
+    total = top = 0
+    for c in reversed(content):
+        top = max(top, c)
+        total += top - c
+    return total
 
 
 @cache
@@ -844,72 +860,75 @@ class GradedAlgebra:
     def intersection_dims(self, n_max: int) -> list[int]:
         """dim W_0..W_{n_max}, the cross-check of :meth:`dual_dim` that
         ``dual`` and ``checks`` read: D^n below the relation degree, from
-        there the rows of each W_n in the tower (:func:`_next_level`),
-        where no word row is built, and dim W_{n_max} counted without its
-        level (:meth:`_count_level`).  Once one W_n vanishes, the levels
-        above have no rows either."""
-        guard_words(self.D, n_max, self.word_limit)
-        dims = [self.D ** n for n in range(min(n_max + 1, self.N))]
-        dims += [len(self._dual_level(n).pivots) for n in range(self.N, n_max)]
-        if n_max >= self.N:
-            dims.append(self._count_level(n_max))
-        return dims
-
-    def _count_level(self, n: int) -> int:
-        """dim W_n, n >= N.  At N, or when the tower holds W_n, its rows;
-        0 when W_{n-1} has none.  Otherwise D dim W_{n-1} less the rank of
-        the remainder map on the rows of W_{n-1} (x) E
+        there the levels of the tower (:func:`_next_level`), where no word
+        row is built, and dim W_{n_max} counted without its level: the
+        pairs of W_{n_max-1} (x) E less the rank of their remainder rows
         (:func:`_remainder_rows`), with no tag, kernel or tail built.
+        Levels the tower holds are read; once one W_n vanishes, the levels
+        above have no rows either.
 
         A letter-symmetric R (:attr:`Presentation.letter_symmetric`) is
         graded by content and fixed by S_D, so every W_n is too, and the
-        remainder map keeps the content: its rank is the sum of the ranks
-        of its content blocks, and the blocks of one S_D-orbit have equal
-        ranks.  Only the rows of one content per orbit are built
-        (:meth:`_representative_pairs`), and the rank is the sum over the
-        orbit sizes w of w times the rank of the rows of weight w.
+        remainder map keeps the content: each level splits into content
+        blocks, and the blocks of one S_D-orbit have equal dimensions.
+        dim W_l is then the sum of the orbit sizes (:func:`_orbit_size`) of
+        its rows of non-increasing content, and a level l above the held
+        ones is built only on the pairs (row k of W_{l-1}, letter x) whose
+        content c = content(k) + e_x can still be made non-increasing by
+        the n_max - l letters to come, :func:`_deficiency` (c) <= n_max - l.
+        The kept blocks are whole: removing a letter raises the deficiency
+        by at most one, so the content of every row of W_{l-1}, and of
+        W_{l+1-N}, that a kept row reads is kept too.  Such a level lives
+        only in this call; :meth:`dual_space` reads the tower's kernels.
+        A row's content is that of its pivot word: the letter count of its
+        pivot in R at level N, content(a) + e_x for its lead pair
+        a D + D - x above.  Any other R keeps every pair with weight 1: the
+        full levels, which the tower keeps.
         """
-        if n == self.N or len(self._tower) > n:
-            return len(self._dual_level(n).pivots)
-        below = self._dual_level(n - 1)
-        if not below.pivots:
-            return 0
-        groups = (self._representative_pairs(n - 1) if self.presentation.letter_symmetric
-                  else {1: None})
-        rank = sum(w * len(_echelon(_markowitz(
-            _remainder_rows(below, self._remainders, self.D, pairs))))
-            for w, pairs in groups.items())
-        return self.D * len(below.pivots) - rank
-
-    def _representative_pairs(self, n: int) -> dict[int, list[int]]:
-        """The pairs (row k of W_n, letter x), numbered k D + D - x, whose
-        content content(k) + e_x is non-increasing, grouped by the size of
-        its orbit (:func:`_orbit_size`); n >= N, W_n in the tower.
-
-        A row's content is that of its pivot word: at level N the letter
-        count of its pivot in R, above it content(a) + e_x for its lead
-        pair a D + D - x.
-        """
-        D = self.D
+        guard_words(self.D, n_max, self.word_limit)
+        D, N = self.D, self.N
+        dims = [D ** n for n in range(min(n_max + 1, N))]
+        if n_max < N:
+            return dims
+        self._dual_level(N)
+        levels = self._tower[:n_max + 1]
+        dims.append(len(levels[N].pivots))
+        symmetric = n_max > N and self.presentation.letter_symmetric
 
         def plus(content, x):
             return content[:x - 1] + (content[x - 1] + 1,) + content[x:]
 
         contents = [tuple(p.count(x) for x in range(1, D + 1))
-                    for p in self.presentation.relations._ints]
-        for level in self._tower[self.N + 1:n + 1]:
-            above = [()] * len(level.pivots)
-            for lead, k in level.leads.items():
-                a, r = divmod(lead, D)
-                above[k] = plus(contents[a], D - r)
-            contents = above
-        groups: dict[int, list[int]] = {}
-        for k, content in enumerate(contents):
-            for r in range(D):
-                weight = _orbit_size(plus(content, D - r))
-                if weight:
-                    groups.setdefault(weight, []).append(k * D + r)
-        return groups
+                    for p in self.presentation.relations._ints] if symmetric else []
+        for l in range(N + 1, n_max + 1):
+            below = levels[l - 1]
+            if not below.pivots:
+                return dims + [0] * (n_max + 1 - l)
+            if l == len(levels):
+                # Orbit size -> pairs kept.
+                groups = {} if symmetric else {1: range(len(below.pivots) * D)}
+                for k, content in enumerate(contents):
+                    for r in range(D):
+                        c = plus(content, D - r)
+                        if _deficiency(c) <= n_max - l:
+                            groups.setdefault(_orbit_size(c), []).append(k * D + r)
+                if l == n_max:
+                    return dims + [sum(w * (len(pairs) - len(_echelon(_markowitz(
+                        _remainder_rows(below, self._remainders, D, pairs)))))
+                        for w, pairs in groups.items())]
+                levels.append(_next_level(levels, self._remainders, D, N, sorted(
+                    i for pairs in groups.values() for i in pairs) if symmetric else None))
+                if not symmetric:
+                    self._tower.append(levels[l])
+            if symmetric:
+                above = [()] * len(levels[l].pivots)
+                for lead, k in levels[l].leads.items():
+                    a, r = divmod(lead, D)
+                    above[k] = plus(contents[a], D - r)
+                contents = above
+            dims.append(len(levels[l].pivots) if l < len(self._tower)
+                        else sum(map(_orbit_size, contents)))
+        return dims
 
     def dual_space(self, n: int) -> Subspace:
         """W_n, the intersection of E^r (x) R (x) E^(n-N-r) over all r, as

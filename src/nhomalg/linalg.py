@@ -530,8 +530,8 @@ def _kernel(tagged: list[dict[int, int]]) -> dict[int, _IntRow]:
     """Canonical rows of the kernel of a linear map, in pivot coordinates:
     the elimination half of the meet.
 
-    Row i of ``tagged`` is the image of a basis vector y_i, scaled by any
-    positive factor, on nonnegative integer keys, plus its coordinate
+    Each row of ``tagged`` is the image of a basis vector y_i, scaled by
+    any positive factor, on nonnegative integer keys, plus its coordinate
     under the tag -1 - i: the coefficient of the scaled y_i at its pivot,
     which no other y_j meets.  Every tag ranks below every key, so an
     echelon row led by a tag has no key left and these rows span the

@@ -13,7 +13,7 @@ from _oracles import (
     relabel,
     relabelled,
 )
-from nhomalg.algebra import GradedAlgebra, Presentation, free_presentation
+from nhomalg.algebra import GradedAlgebra, Presentation, _deficiency, free_presentation
 from nhomalg.catalog import artin_schelter, paraboson, parafermion, plactic
 from nhomalg import koszul
 from nhomalg.koszul import (
@@ -595,3 +595,67 @@ def test_intersection_counts_per_orbit_on_the_edge_cases():
     # The dual of parafermion(4) meets orbits of sizes 1, 4, 6, 12 and 24.
     algebra = GradedAlgebra(parafermion(4).dual())
     assert algebra.intersection_dims(6) == [1, 4, 16, 44, 116, 260, 560]
+
+
+def assert_restricted_tower_equals_the_full_one(presentation, top):
+    """For the presentation and its dual, n_max = 0..top: the dims on a
+    fresh algebra, whose tower levels below n_max are built only on the
+    contents that can still reach an orbit representative, against the
+    levels of the full tower and the quotient route; then the dims on an
+    algebra that already holds W_0..W_{N+2}.  After either call every
+    level in the tower is the full one, and the word rows of W_n read
+    off it equal a fresh algebra's."""
+    for pres in (presentation, presentation.dual()):
+        D, N = pres.D, pres.N
+        full = GradedAlgebra(pres)
+        dims = [D ** n for n in range(N)] + [
+            len(full._dual_level(n).pivots) for n in range(N, top + 1)]
+        assert dims == [full.dual_dim(n) for n in range(top + 1)]
+        for n_max in range(top + 1):
+            fresh = GradedAlgebra(pres)
+            assert fresh.intersection_dims(n_max) == dims[:n_max + 1], n_max
+        warm = GradedAlgebra(pres)
+        warm.dual_space(N + 2)
+        assert warm.intersection_dims(top) == dims
+        for algebra in (fresh, warm):
+            for n in range(N + 1, len(algebra._tower)):
+                level, whole = algebra._tower[n], full._dual_level(n)
+                assert (level.leads, level.pivots, level.tails, level.kernel) == \
+                    (whole.leads, whole.pivots, whole.tails, whole.kernel), n
+        for n in range(N + 3):
+            assert fresh.dual_space(n) == full.dual_space(n), n
+
+
+@given(content_presentations())
+def test_restricted_tower_equals_the_full_one(algebra):
+    # Any other R builds the full levels: two degrees above N reach them.
+    presentation = algebra.presentation
+    top = presentation.N + (4 if presentation.letter_symmetric else 2)
+    assert_restricted_tower_equals_the_full_one(presentation, top)
+
+
+def test_restricted_tower_on_the_edge_cases():
+    cases = (
+        free_presentation(1, 2),
+        Presentation(1, 3, Subspace.full(1, 3)),
+        free_presentation(3, 2),
+        Presentation(2, 3, Subspace.full(2, 3)),
+        parse_relations("D=2 N=2\n1*11 - 1*22\n"),
+        parse_relations("D=3 N=3\n1*123 - 1*213\n1*333\n"),
+        parafermion(3),
+        paraboson(2),
+    )
+    for presentation in cases:
+        assert_restricted_tower_equals_the_full_one(presentation, presentation.N + 2)
+    # n_max = N, N + 1, N + 2 on the dual of parafermion(4).
+    pres = parafermion(4).dual()
+    for n_max, dims in ((3, [1, 4, 16, 44]), (4, [1, 4, 16, 44, 116]),
+                        (5, [1, 4, 16, 44, 116, 260])):
+        assert GradedAlgebra(pres).intersection_dims(n_max) == dims
+
+
+def test_deficiency_counts_the_letters_that_sort_a_content():
+    cases = {(): 0, (5,): 0, (0, 0, 0): 0, (3, 1, 0): 0, (2, 2, 1): 0, (0, 1): 1,
+             (1, 2, 0): 1, (0, 2, 1): 2, (0, 0, 3): 6, (1, 0, 2, 0): 3}
+    for content, letters in cases.items():
+        assert _deficiency(content) == letters, content
